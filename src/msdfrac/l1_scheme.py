@@ -18,6 +18,7 @@ first access.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -105,34 +106,47 @@ def apply_dfrac(sys: L1System, values) -> float:
     return float(sys.a[m, 1 : m + 1] @ np.diff(v))
 
 
-def march_l1(alpha: float, nodes: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
+def march_l1(
+    alpha: float, mesh: GradedMesh, lam: float | np.ndarray | Callable, rhs: np.ndarray
+) -> np.ndarray:
     """Solve D^a V^m + lam V^m = rhs^m for m = 1..M with V^0 = 0.
 
-    rhs[0] is ignored.  On a uniform mesh the weight rows are slices of
-    a single gap-indexed vector, which is precomputed; graded meshes
-    rebuild the row at every step.
+    ``lam`` is a scalar, or a vector of eigenvalues with one column of
+    ``rhs`` per mode sharing each weight row, or, for a non-diagonal
+    operator, a callable ``lam(a0, rhs[m], a0 V^{m-1} - hist)`` returning
+    V^m.  rhs[0] is ignored.  On a uniform mesh (``mesh.uniform``) the
+    rows are slices of one gap-indexed vector for tau = T/M; graded
+    meshes build the row at every step.
     """
-    M = len(nodes) - 1
-    taus = np.diff(nodes)
-    uniform = bool(np.all(taus == taus[0]))
+    M = mesh.M
+    uniform = mesh.uniform
     if uniform:
-        tau = float(taus[0])
+        tau = mesh.T / M
         pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)
         w = (pw[1:] - pw[:-1]) * tau ** (-alpha) / math.gamma(2.0 - alpha)
+        w_rev = w[::-1].copy()  # contiguous, so each history sum is one BLAS call
+    solve = lam if callable(lam) else None
+    if solve is None:
+        lam = np.asarray(lam, dtype=float)
+        a0_min = mesh.steps.max() ** (-alpha) / math.gamma(2.0 - alpha)
+        if a0_min + np.min(lam, initial=np.inf) <= 0.0:
+            raise ValueError(f"degenerate L1 step: diagonal weight + lam <= 0 for lam = {lam}")
+        lam = float(lam) if lam.ndim == 0 else lam  # scalar steps stay in Python floats
 
-    V = np.zeros(M + 1)
-    D = np.zeros(M)  # D[k-1] = V^k - V^{k-1}
+    rhs = np.asarray(rhs, dtype=float)
+    V = np.zeros(rhs.shape)
+    D = np.zeros((M,) + rhs.shape[1:])  # D[k-1] = V^k - V^{k-1}
     for m in range(1, M + 1):
         if uniform:
             a0 = w[0]
-            hist = w[m - 1 : 0 : -1] @ D[: m - 1] if m > 1 else 0.0
+            hist = w_rev[M - m : M - 1] @ D[: m - 1]  # gaps m-1..1
         else:
-            row = l1_weight_row(alpha, nodes, m)
+            row = l1_weight_row(alpha, mesh.nodes, m)
             a0 = row[-1]
-            hist = row[: m - 1] @ D[: m - 1] if m > 1 else 0.0
-        den = a0 + lam
-        if den <= 0.0:
-            raise ValueError(f"degenerate step {m}: diagonal weight + lam = {den}")
-        V[m] = (rhs[m] + a0 * V[m - 1] - hist) / den
+            hist = row[: m - 1] @ D[: m - 1]
+        if solve is None:
+            V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
+        else:
+            V[m] = solve(a0, rhs[m], a0 * V[m - 1] - hist)
         D[m - 1] = V[m] - V[m - 1]
     return V

@@ -7,11 +7,11 @@ with time-dependent amplitudes), and the per-mode Gauss load vectors
 are exact multiples of the discrete sine vectors, so each mode passes
 through the discretization without coupling to the others.  The
 solvers exploit that: with separable data the banded system collapses
-to one scalar recursion per mode using the discrete eigenvalue of the
-mode, which is algebraically identical to the full matrix iteration
-and turns the largest table runs from hours into seconds.  The matrix
-path is kept (``method="full"``) and the test suite pins the two paths
-together to 1e-10.
+to scalar recursions on the modes' discrete eigenvalues, marched all
+at once; this is algebraically identical to the matrix iteration
+(``method="full"``), which runs the same time loop with a banded
+local solve, and turns the largest table runs from hours into
+seconds.  The test suite pins the two paths together to 1e-10.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
@@ -39,9 +39,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
-from .conv_quad import build_cq
+from .conv_quad import CQWeights, build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate
-from .l1_scheme import l1_weight_row, march_l1
+from .l1_scheme import march_l1
 from .mesh import GradedMesh
 
 __all__ = [
@@ -316,13 +316,44 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
 
 
-def _reconstruct(trace_V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem):
-    U = trace_V.copy()
+def _modal_data(forcing: SeparableField, fem: IntervalFem, times: np.ndarray):
+    """(eigenvalues, amplitudes at ``times``, sine rows) of separable forcing.
+
+    Column j of the amplitudes is mode j's load coefficient over its mass
+    eigenvalue times its profile; a modal trace maps to nodes as ``@ sines``.
+    """
+    modes = forcing.modes
+    lam = np.array([fem.discrete_eigenvalue(k) for k, _, _ in modes])
+    amps = np.zeros((len(times), len(modes)))
+    sines = np.zeros((len(modes), fem.J - 1))
+    for j, (k, _, amp) in enumerate(modes):
+        scale = fem.mode_load_coeff(k) / fem.mass_eigenvalue(k)
+        amps[:, j] = scale * np.asarray(amp(times), dtype=float)
+        sines[j] = fem.sine_vector(k)
+    return lam, amps, sines
+
+
+def _load_rows(forcing, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
+    """FEM loads at each time, (len(times), J-1): exact Gauss loads of the
+    modes of separable forcing, else the load of the nodal interpolant."""
+    out = np.zeros((len(times), fem.J - 1))
+    if isinstance(forcing, SeparableField):
+        for k, _, amp in forcing.modes:
+            out += np.outer(amp(times), fem.mode_load_vector(k))
+        return out
+    xs = fem.a + fem.h * np.arange(fem.J + 1)
+    for i, t in enumerate(times):
+        out[i] = fem.nodal_load(np.asarray(forcing(xs, t), dtype=float))
+    return out
+
+
+def _reconstruct(V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
+    U = V.copy()
     if isinstance(data.reconstruction, SeparableField) and not data.reconstruction.is_zero:
         U[1:] += data.reconstruction.node_matrix(fem, mesh.nodes[1:])
     if not data.initial.is_zero:
         U += data.initial.node_matrix(fem, np.zeros(1))
-    return U
+    return FieldTrace(mesh=mesh, fem=fem, V=V, U=U)
 
 
 def solve_subdiffusion(
@@ -337,57 +368,29 @@ def solve_subdiffusion(
 
     Each step solves (a0 M + K) V^m = load(t_m) + M (a0 V^{m-1} - hist)
     with the diagonal L1 weight a0 of the current step.  With separable
-    forcing the iteration decouples into per-mode scalar recursions on
-    the discrete eigenvalues ("modal"); "full" runs the banded matrix
-    iteration.  "auto" picks modal whenever the forcing is separable.
+    forcing the iteration decouples into scalar recursions on the
+    discrete eigenvalues, and ``march_l1`` runs all modes at once
+    ("modal"); "full" passes ``march_l1`` the banded solve as the local
+    solve instead.  "auto" picks modal whenever the forcing is separable.
     """
     if method not in ("auto", "modal", "full"):
         raise ValueError(f"unknown method {method!r}")
     separable = isinstance(data.forcing, SeparableField)
     if method == "modal" and not separable:
         raise ValueError("modal path needs separable forcing")
-    M, nodes = mesh.M, mesh.nodes
-    J = fem.J
-
+    times = mesh.nodes[1:]  # rhs[0] is never read, and profiles may be singular at 0
     if separable and method != "full":
-        V = np.zeros((M + 1, J - 1))
-        for k, _, amp in data.forcing.modes:
-            lam_h = fem.discrete_eigenvalue(k)
-            scale = fem.mode_load_coeff(k) / fem.mass_eigenvalue(k)
-            rhs = np.zeros(M + 1)
-            rhs[1:] = scale * np.asarray(amp(nodes[1:]), dtype=float)
-            vk = march_l1(alpha, nodes, lam_h, rhs)
-            V += np.outer(vk, fem.sine_vector(k))
+        lam, amps, sines = _modal_data(data.forcing, fem, times)
+        V = march_l1(alpha, mesh, lam, np.vstack([np.zeros_like(lam), amps])) @ sines
     else:
-        if separable:
-            loadvecs = [
-                (amp, fem.mode_load_vector(k)) for k, _, amp in data.forcing.modes
-            ]
+        loads = np.vstack([np.zeros(fem.J - 1), _load_rows(data.forcing, fem, times)])
 
-            def load_at(t: float) -> np.ndarray:
-                out = np.zeros(J - 1)
-                for amp, vec in loadvecs:
-                    out += float(amp(t)) * vec
-                return out
+        def local_solve(a0: float, load: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
 
-        else:
-            xs = fem.a + fem.h * np.arange(J + 1)
+        V = march_l1(alpha, mesh, local_solve, loads)
 
-            def load_at(t: float) -> np.ndarray:
-                return fem.nodal_load(np.asarray(data.forcing(xs, t), dtype=float))
-
-        V = np.zeros((M + 1, J - 1))
-        D = np.zeros((M, J - 1))
-        for m in range(1, M + 1):
-            row = l1_weight_row(alpha, nodes, m)
-            a0 = row[-1]
-            hist = row[: m - 1] @ D[: m - 1] if m > 1 else 0.0
-            rhs = load_at(nodes[m]) + fem.mass_apply(a0 * V[m - 1] - hist)
-            V[m] = solveh_banded(fem.banded(a0, 1.0), rhs)
-            D[m - 1] = V[m] - V[m - 1]
-
-    U = _reconstruct(V, data, mesh, fem)
-    return FieldTrace(mesh=mesh, fem=fem, V=V, U=U)
+    return _reconstruct(V, data, mesh, fem)
 
 
 def msd_integro_data(f, u0, alpha: float) -> PdeData:
@@ -431,6 +434,21 @@ def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
     raise ValueError("initial data amplitudes must be time-constant")
 
 
+def _march_cq_cn(cq: CQWeights, forcing: np.ndarray, step: Callable) -> np.ndarray:
+    """CQ-Crank-Nicolson loop from V^0 = 0 on F at t_0..t_M (a column per
+    mode or node): V^m = step((F^m + F^{m-1})/2, V^{m-1}, hist^m) with
+    hist^m = sum_{p=1}^{m-1} omega_p W^{m-p}, W^j = (V^j + V^{j-1})/2.
+    """
+    w = cq.omega
+    fbar = 0.5 * (forcing[1:] + forcing[:-1])  # fbar[m-1] pairs t_{m-1}, t_m
+    V = np.zeros(forcing.shape)
+    half = np.zeros(forcing.shape)  # half[j] = (V^j + V^{j-1})/2
+    for m in range(1, cq.M + 1):
+        V[m] = step(fbar[m - 1], V[m - 1], w[1:m] @ half[m - 1 : 0 : -1])
+        half[m] = 0.5 * (V[m] + V[m - 1])
+    return V
+
+
 def solve_integro(
     alpha: float,
     data: PdeData,
@@ -444,65 +462,44 @@ def solve_integro(
     V^0 = V^{-1} = 0; the p = 0 quadrature weight moves the unknown's
     share to the left side, so the system matrix M/tau + tau^a w0 K/2
     is constant and factored once.  The forcing enters as the endpoint
-    average (F^m + F^{m-1})/2.
+    average (F^m + F^{m-1})/2.  "modal" steps all modes at once on their
+    eigenvalues, "full" with the banded factor, in one loop; tau = T/M.
     """
     if method not in ("auto", "modal", "full"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(data.forcing, SeparableField):
         raise TypeError("this stepper needs separable forcing")
-    taus = np.diff(mesh.nodes)
-    if not np.all(taus == taus[0]):
+    if not mesh.uniform:
         raise ValueError("convolution quadrature needs a uniform mesh")
-    tau = float(taus[0])
-    M, J = mesh.M, fem.J
-    cq = build_cq(alpha, tau, M)
-    w = cq.omega
-    ta = tau**alpha
+    tau = mesh.T / mesh.M
+    cq = build_cq(alpha, tau, mesh.M)
+    ta, w0 = tau**alpha, cq.omega[0]
 
     if method != "full":
-        V = np.zeros((M + 1, J - 1))
-        for k, _, amp in data.forcing.modes:
-            lam_h = fem.discrete_eigenvalue(k)
-            scale = fem.mode_load_coeff(k) / fem.mass_eigenvalue(k)
-            fvals = scale * np.asarray(amp(mesh.nodes), dtype=float)
-            fbar = 0.5 * (fvals[1:] + fvals[:-1])  # fbar[m-1] pairs t_{m-1}, t_m
-            A = 1.0 / tau + ta * w[0] * lam_h / 2.0
-            B = 1.0 / tau - ta * w[0] * lam_h / 2.0
-            vk = np.zeros(M + 1)
-            half = np.zeros(M + 1)  # half[j] = (v^j + v^{j-1})/2
-            for m in range(1, M + 1):
-                hist = w[1:m] @ half[m - 1 : 0 : -1] if m > 1 else 0.0
-                vk[m] = (fbar[m - 1] + B * vk[m - 1] - ta * lam_h * hist) / A
-                half[m] = 0.5 * (vk[m] + vk[m - 1])
-            V += np.outer(vk, fem.sine_vector(k))
+        lam, amps, sines = _modal_data(data.forcing, fem, mesh.nodes)
+        A = 1.0 / tau + ta * w0 * lam / 2.0
+        B = 1.0 / tau - ta * w0 * lam / 2.0
+        C = ta * lam
+
+        def step(f: np.ndarray, v: np.ndarray, hist: np.ndarray) -> np.ndarray:
+            return (f + B * v - C * hist) / A
+
+        V = _march_cq_cn(cq, amps, step) @ sines
     else:
-        loadvecs = [(amp, fem.mode_load_vector(k)) for k, _, amp in data.forcing.modes]
+        factor = cholesky_banded(fem.banded(1.0 / tau, ta * w0 / 2.0))
 
-        def load_at(t: float) -> np.ndarray:
-            out = np.zeros(J - 1)
-            for amp, vec in loadvecs:
-                out += float(amp(t)) * vec
-            return out
-
-        factor = cholesky_banded(fem.banded(1.0 / tau, ta * w[0] / 2.0))
-        V = np.zeros((M + 1, J - 1))
-        half = np.zeros((M + 1, J - 1))
-        prev_load = load_at(mesh.nodes[0]) if not data.forcing.is_zero else np.zeros(J - 1)
-        for m in range(1, M + 1):
-            cur_load = load_at(mesh.nodes[m])
-            hist = w[1:m] @ half[m - 1 : 0 : -1] if m > 1 else np.zeros(J - 1)
+        def step(f: np.ndarray, v: np.ndarray, hist: np.ndarray) -> np.ndarray:
             rhs = (
-                0.5 * (cur_load + prev_load)
-                + fem.mass_apply(V[m - 1]) / tau
-                - ta * w[0] / 2.0 * fem.stiff_apply(V[m - 1])
+                f
+                + fem.mass_apply(v) / tau
+                - ta * w0 / 2.0 * fem.stiff_apply(v)
                 - ta * fem.stiff_apply(hist)
             )
-            V[m] = cho_solve_banded((factor, False), rhs)
-            half[m] = 0.5 * (V[m] + V[m - 1])
-            prev_load = cur_load
+            return cho_solve_banded((factor, False), rhs)
 
-    U = _reconstruct(V, data, mesh, fem)
-    return FieldTrace(mesh=mesh, fem=fem, V=V, U=U)
+        V = _march_cq_cn(cq, _load_rows(data.forcing, fem, mesh.nodes), step)
+
+    return _reconstruct(V, data, mesh, fem)
 
 
 def solve_diffusion_wave(

@@ -140,7 +140,7 @@ def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
     else:
         rhs = forcing
 
-    V = march_l1(prob.alpha, nodes, prob.lam, rhs)
+    V = march_l1(prob.alpha, mesh, prob.lam, rhs)
 
     recon = msd_reconstruction(prob, mesh)
     U = V.copy()

@@ -44,6 +44,7 @@ __all__ = [
     "volterra_transform",
     "msd_volterra_forcing",
     "solve_volterra",
+    "collocation_residual",
     "singular_moment",
 ]
 
@@ -262,99 +263,85 @@ def _decomposition_terms(prob: VolterraProblem, M: int | None, depth: int):
     return out
 
 
-def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int, gmax: int):
-    """K(t_{e,j}, t_{m,i}) for history cells e = m-gmax..m-1 plus current."""
+def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):
+    """K(t_{e,j}, t_{m,i}) for the history cells e = 0..m-1 plus the current one."""
     if prob.constant_kernel:
         return None, None
     ti = pts[m]  # (q,)
-    hist = prob.kernel(pts[m - gmax : m][None, :, :], ti[:, None, None]) if gmax else None
+    hist = prob.kernel(pts[:m][None, :, :], ti[:, None, None]) if m else None
     cur = prob.kernel(pts[m][None, :], ti[:, None])
     return hist, cur
 
 
+def _history(psi: np.ndarray, vals: np.ndarray, m: int, hist_k) -> np.ndarray:
+    """Memory of cell m: sum_{e<m} psi[m-e] vals[e], weighted by the kernel
+    samples ``hist_k[i, e, j]`` when K is not constant.
+
+    The constant kernel's factor stays outside the sum (the caller scales
+    the result once), which keeps this hot loop to one contraction.
+    """
+    if hist_k is None:
+        return np.einsum("gij,gj->i", psi[m:0:-1], vals[:m])
+    return np.einsum("igj,gj->i", psi[m:0:-1].transpose(1, 0, 2) * hist_k, vals[:m])
+
+
+def _weights(prob: VolterraProblem, M: int):
+    """(psi, phi, scale) on M cells: the history and current-cell blocks,
+    and the factor tau^{1-a} (times K when K is constant) of every cell
+    integral."""
+    A = _lagrange_coeffs(prob.c)
+    s = (prob.T / M) ** (1.0 - prob.alpha)
+    scale = s * float(prob.kernel) if prob.constant_kernel else s
+    return _history_blocks(prob.alpha, prob.c, A, M), _current_block(prob.alpha, prob.c, A), scale
+
+
+def _local_matrix(phi: np.ndarray, scale: float, cur_k=1.0) -> np.ndarray:
+    mat = np.eye(len(phi)) - scale * (phi * cur_k)
+    if abs(np.linalg.det(mat)) < 1e-14:
+        raise ValueError("singular local collocation system; check the c_i")
+    return mat
+
+
 def _apply_L_points(vals: np.ndarray, prob: VolterraProblem, pts: np.ndarray) -> np.ndarray:
     """(L g) at all collocation points from g's collocation values."""
-    M, q = vals.shape
-    alpha = prob.alpha
-    tau = prob.T / M
-    A = _lagrange_coeffs(prob.c)
-    psi = _history_blocks(alpha, prob.c, A, M)
-    phi = _current_block(alpha, prob.c, A)
-    s = tau ** (1.0 - alpha)
+    psi, phi, scale = _weights(prob, len(vals))
     out = np.empty_like(vals)
-    for m in range(M):
-        hist_k, cur_k = _kernel_samples(prob, pts, m, m)
-        if prob.constant_kernel:
-            kappa = float(prob.kernel)
-            hist = np.einsum("gij,gj->i", psi[1 : m + 1][::-1], vals[:m]) if m else 0.0
-            out[m] = s * kappa * (hist + phi @ vals[m])
-        else:
-            hist = np.einsum("igj,gj->i", psi[1 : m + 1][::-1].transpose(1, 0, 2) * hist_k, vals[:m]) if m else 0.0
-            out[m] = s * (hist + (phi * cur_k) @ vals[m])
+    for m in range(len(vals)):
+        hist_k, cur_k = _kernel_samples(prob, pts, m)
+        cur = phi if cur_k is None else phi * cur_k
+        out[m] = scale * (_history(psi, vals, m, hist_k) + cur @ vals[m])
     return out
+
+
+def _forcing_at(prob: VolterraProblem, pts: np.ndarray):
+    """msd_volterra_forcing's pair as values at the (M, q) collocation points."""
+    pair = msd_volterra_forcing(prob, len(pts))
+    return tuple(x(pts) if isinstance(x, TimeProfile) else x for x in pair)
 
 
 def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     """March the collocation scheme for the remainder and reconstruct u."""
     if M < 1:
         raise ValueError(f"need at least one cell, got M={M}")
-    alpha = prob.alpha
-    tau = prob.T / M
-    q = prob.q
-    A = _lagrange_coeffs(prob.c)
-    phi = _current_block(alpha, prob.c, A)
-    psi = _history_blocks(alpha, prob.c, A, M)
-    s = tau ** (1.0 - alpha)
+    psi, phi, scale = _weights(prob, M)
     pts = _collocation_points(prob.T, M, prob.c)
+    rhs, recon = _forcing_at(prob, pts)
 
-    forcing, recon = msd_volterra_forcing(prob, M)
-    if isinstance(forcing, TimeProfile):
-        rhs = forcing(pts)
-    else:
-        rhs = forcing
+    V = np.zeros((M, prob.q))
+    mat = _local_matrix(phi, scale) if prob.constant_kernel else None
+    for m in range(M):
+        hist_k, cur_k = _kernel_samples(prob, pts, m)
+        if cur_k is not None:
+            mat = _local_matrix(phi, scale, cur_k)
+        V[m] = np.linalg.solve(mat, rhs[m] + scale * _history(psi, V, m, hist_k))
 
-    V = np.zeros((M, q))
-    if prob.constant_kernel:
-        kappa = float(prob.kernel)
-        mat = np.eye(q) - s * kappa * phi
-        if abs(np.linalg.det(mat)) < 1e-14:
-            raise ValueError("singular local collocation system; check the c_i")
-        for m in range(M):
-            if m:
-                hist = np.einsum("gij,gj->i", psi[m:0:-1], V[:m])
-                b = rhs[m] + s * kappa * hist
-            else:
-                b = rhs[m]
-            V[m] = np.linalg.solve(mat, b)
-    else:
-        for m in range(M):
-            hist_k, cur_k = _kernel_samples(prob, pts, m, m)
-            mat = np.eye(q) - s * (phi * cur_k)
-            if abs(np.linalg.det(mat)) < 1e-14:
-                raise ValueError("singular local collocation system; check the c_i")
-            if m:
-                hist = np.einsum("igj,gj->i", psi[m:0:-1].transpose(1, 0, 2) * hist_k, V[:m])
-                b = rhs[m] + s * hist
-            else:
-                b = rhs[m]
-            V[m] = np.linalg.solve(mat, b)
-
-    f0 = float(prob.f.sample(0.0))
-    U = V + f0
-    if isinstance(recon, TimeProfile):
-        if not recon.is_zero:
-            U = U + recon(pts)
-    else:
-        U = U + recon
+    U = V + float(prob.f.sample(0.0)) + recon
     mesh = build_mesh(prob.T, M, 1.0)
     return CollocationTrace(mesh=mesh, c=prob.c, V=V, U=U)
 
 
 def collocation_residual(prob: VolterraProblem, trace: CollocationTrace) -> float:
     """Max residual of the discrete equations over all collocation points."""
-    M, q = trace.V.shape
-    lhs = _apply_L_points(trace.V, prob, _collocation_points(prob.T, M, prob.c))
-    forcing, _ = msd_volterra_forcing(prob, M)
-    if isinstance(forcing, TimeProfile):
-        forcing = forcing(_collocation_points(prob.T, M, prob.c))
-    return float(np.max(np.abs(trace.V - lhs - forcing)))
+    pts = _collocation_points(prob.T, len(trace.V), prob.c)
+    forcing, _ = _forcing_at(prob, pts)
+    return float(np.max(np.abs(trace.V - _apply_L_points(trace.V, prob, pts) - forcing)))

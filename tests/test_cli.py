@@ -104,3 +104,11 @@ def test_diffusion_wave_runs(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][0] == "diffusion-wave"
     assert rows[1][1] == "1.5"
+
+
+def test_integro_decimal_step_counts(capsys):
+    # M = 100 gives uniform steps that differ in the last bit; the
+    # convolution quadrature must still accept the mesh
+    code, out, err = _run(capsys, ["integro", "--alpha", "0.5", "--M", "100", "--M", "200"])
+    assert code == 0, err
+    assert "integro" in out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdfrac import apply_dfrac, build_l1, build_mesh, l1_weight_row, march_l1
+from msdfrac import apply_dfrac, build_l1, build_mesh, l1_scheme, l1_weight_row, march_l1
 
 
 def test_uniform_weight_row_closed_form():
@@ -78,31 +79,47 @@ def test_coercivity_inequality(alpha, r, M, seed):
         assert lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_march_solves_the_scheme():
-    # a marched solution satisfies D^a V^m + lam V^m = rhs^m exactly
+def test_march_solves_the_scheme(monkeypatch):
+    # a marched solution satisfies D^a V^m + lam V^m = rhs^m exactly; on
+    # a uniform mesh this holds for the Toeplitz fast path, which must
+    # be taken (no graded weight rows) even when a decimal step count
+    # leaves the node gaps equal only up to rounding
     alpha, lam = 0.4, 2.5
-    mesh = build_mesh(1.0, 32, 2.0)
-    rng = np.random.default_rng(7)
-    rhs = rng.standard_normal(33)
-    V = march_l1(alpha, mesh.nodes, lam, rhs)
-    sysm = build_l1(mesh, alpha)
-    assert V[0] == 0.0
-    for m in range(1, 33):
-        res = apply_dfrac(sysm, V[: m + 1]) + lam * V[m] - rhs[m]
-        assert abs(res) < 1e-10 * max(1.0, abs(rhs[m]))
+    rows = []
+
+    def counted_row(*args):
+        rows.append(args)
+        return l1_weight_row(*args)
+
+    monkeypatch.setattr(l1_scheme, "l1_weight_row", counted_row)
+    for mesh in (build_mesh(1.0, 32, 2.0), build_mesh(1.0, 100), build_mesh(0.3, 128)):
+        M = mesh.M
+        rhs = np.random.default_rng(7).standard_normal(M + 1)
+        rows.clear()
+        V = march_l1(alpha, mesh, lam, rhs)
+        assert len(rows) == (0 if mesh.uniform else M)
+        sysm = build_l1(mesh, alpha)
+        assert V[0] == 0.0
+        for m in range(1, M + 1):
+            res = apply_dfrac(sysm, V[: m + 1]) + lam * V[m] - rhs[m]
+            assert abs(res) < 1e-10 * max(1.0, abs(rhs[m]))
 
 
 def test_march_uniform_and_graded_paths_agree():
-    # r=1 built as graded-with-exponent-one must hit the Toeplitz
-    # fast path and an explicitly non-uniform r->1 mesh must approach it
+    # the Toeplitz fast path is the graded scheme on the same nodes: a
+    # decimal step count gives gaps equal only up to rounding, and the
+    # graded rows on those very nodes must reproduce the fast path;
+    # an explicitly non-uniform r->1 mesh must approach it as well
     alpha, lam = 0.3, 1.0
-    nodes = build_mesh(1.0, 64, 1.0).nodes
+    decimal = build_mesh(1.0, 100, 1.0)
+    rhs = np.sin(np.arange(101) * 0.1)
+    same_nodes = dataclasses.replace(decimal, r=1.0 + 1e-12)
+    V1 = march_l1(alpha, decimal, lam, rhs)
+    V2 = march_l1(alpha, same_nodes, lam, rhs)
+    assert np.max(np.abs(V2 - V1)) < 1e-12
     rhs = np.sin(np.arange(65) * 0.1)
-    V1 = march_l1(alpha, nodes, lam, rhs)
-    V2 = march_l1(alpha, nodes + 0.0, lam, rhs)
-    assert np.array_equal(V1, V2)
-    nearly = build_mesh(1.0, 64, 1.0 + 1e-12).nodes
-    V3 = march_l1(alpha, nearly, lam, rhs)
+    V1 = march_l1(alpha, build_mesh(1.0, 64, 1.0), lam, rhs)
+    V3 = march_l1(alpha, build_mesh(1.0, 64, 1.0 + 1e-12), lam, rhs)
     assert np.max(np.abs(V3 - V1)) < 1e-8
 
 
@@ -115,3 +132,5 @@ def test_validation():
         apply_dfrac(sysm, np.ones(1))  # needs at least two values
     with pytest.raises(ValueError):
         apply_dfrac(sysm, np.ones(10))  # beyond the mesh
+    with pytest.raises(ValueError, match="degenerate"):
+        march_l1(0.5, mesh, np.array([1.0, -1e6]), np.zeros((9, 2)))  # a0 + lam <= 0

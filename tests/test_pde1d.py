@@ -129,15 +129,26 @@ def _subdiffusion_problem(dom=(0.0, 1.0)):
 @pytest.mark.parametrize("n", [0, 2])
 def test_subdiffusion_modal_equals_full(n):
     # the sine loads are exactly proportional to the eigenvectors, so
-    # per-mode marching and the assembled banded solve must coincide
+    # per-mode marching and the assembled banded solve must coincide;
+    # several modes share one batched march, and a decimal step count
+    # leaves the gaps of a uniform mesh equal only up to rounding
     alpha = 0.4
     f, u0 = _subdiffusion_problem()
-    data = msd_subdiffusion_data(f, u0, n, alpha)
-    mesh = build_mesh(1.0, 64, 2.0)
+    three = SeparableField(
+        f.domain,
+        (
+            (1, TimeProfile.of((1.0, 0.5))),
+            (2, TimeProfile.constant(1.0)),
+            (5, TimeProfile.of((-0.5, 1.0), (2.0, 0.25))),
+        ),
+    )
     fem = assemble_fem(0.0, 1.0, 16)
-    um = solve_subdiffusion(alpha, n, data, mesh, fem, method="modal").U
-    uf = solve_subdiffusion(alpha, n, data, mesh, fem, method="full").U
-    assert np.max(np.abs(um - uf)) < 1e-10
+    for forcing in (f, three):
+        data = msd_subdiffusion_data(forcing, u0, n, alpha)
+        for mesh in (build_mesh(1.0, 64, 2.0), build_mesh(1.0, 100)):
+            um = solve_subdiffusion(alpha, n, data, mesh, fem, method="modal").U
+            uf = solve_subdiffusion(alpha, n, data, mesh, fem, method="full").U
+            assert np.max(np.abs(um - uf)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha,n", [(0.25, 0), (0.25, 2), (0.75, 0)])
@@ -234,12 +245,23 @@ def _integro_problem(alpha):
 def test_integro_modal_equals_full():
     alpha = 0.75
     f, u0 = _integro_problem(alpha)
-    mesh = build_mesh(1.0, 64, 1.0)
+    dom = f.domain
+    u0_multi = SeparableField(
+        dom,
+        (
+            (1, TimeProfile.constant(1.0)),
+            (2, TimeProfile.constant(-0.5)),
+            (4, TimeProfile.constant(0.25)),
+        ),
+    )
+    f_multi = f + SeparableField(dom, ((3, TimeProfile.of((2.0, 1.0))),))
     fem = assemble_fem(0.0, 1.0, 16)
-    for data in (msd_integro_data(f, u0, alpha), integro_direct_data(f, u0, alpha)):
-        um = solve_integro(alpha, data, mesh, fem, method="modal").U
-        uf = solve_integro(alpha, data, mesh, fem, method="full").U
-        assert np.max(np.abs(um - uf)) < 1e-10
+    for mesh in (build_mesh(1.0, 64, 1.0), build_mesh(1.0, 100)):
+        for ff, uu in ((f, u0), (f_multi, u0_multi)):
+            for data in (msd_integro_data(ff, uu, alpha), integro_direct_data(ff, uu, alpha)):
+                um = solve_integro(alpha, data, mesh, fem, method="modal").U
+                uf = solve_integro(alpha, data, mesh, fem, method="full").U
+                assert np.max(np.abs(um - uf)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -279,6 +301,22 @@ def test_integro_requires_uniform_mesh():
     fem = assemble_fem(0.0, 1.0, 8)
     with pytest.raises(ValueError):
         solve_integro(alpha, data, build_mesh(1.0, 32, 2.0), fem)
+
+
+def test_decimal_uniform_meshes_are_uniform():
+    # a uniform mesh with steps equal only up to rounding is still the
+    # uniform mesh the convolution quadrature needs
+    alpha = 0.5
+    f, u0 = _integro_problem(alpha)
+    data = msd_integro_data(f, u0, alpha)
+    du0 = SeparableField(f.domain, ((1, TimeProfile.constant(0.5)),))
+    fem = assemble_fem(0.0, 1.0, 8)
+    for T, M in ((1.0, 100), (0.3, 128)):
+        mesh = build_mesh(T, M)
+        assert not np.all(mesh.steps == mesh.steps[0])
+        assert np.all(np.isfinite(solve_integro(alpha, data, mesh, fem).U))
+        wave = solve_diffusion_wave(1.0 + alpha, SeparableField.zero(f.domain), u0, du0, mesh, fem)
+        assert np.all(np.isfinite(wave.U))
 
 
 def test_initial_profile_must_be_constant_in_time():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -74,6 +75,12 @@ def test_collocation_equations_hold(alpha, n):
     prob = _default_problem(alpha, n=n)
     trace = solve_volterra(prob, 64)
     assert collocation_residual(prob, trace) < 1e-12
+    # a callable kernel runs the kernel-weighted history on both sides
+    kappa = float(prob.kernel)
+    prob_k = dataclasses.replace(prob, kernel=lambda s, t: kappa * (1.0 + 0.5 * s * t))
+    with pytest.warns(UserWarning, match="product integration"):
+        trace = solve_volterra(prob_k, 64)
+        assert collocation_residual(prob_k, trace) < 1e-12
 
 
 def test_msd_depths_agree():
