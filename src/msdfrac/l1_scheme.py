@@ -27,17 +27,16 @@ from .mesh import GradedMesh
 __all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_row", "march_l1"]
 
 
-def l1_weight_row(alpha: float, nodes: np.ndarray, m: int) -> np.ndarray:
+def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
     """Row of L1 weights at node m: row[k-1] = a^{(m)}_{m-k}, k = 1..m.
 
     row[-1] is the diagonal weight tau_m^{-alpha}/Gamma(2-alpha).  The
     marching solvers call this directly instead of building the full
     triangle, which keeps them at O(M) memory.
     """
-    tm = nodes[m]
-    pw = (tm - nodes[: m + 1]) ** (1.0 - alpha)  # last entry is 0^{1-a} = 0
-    tau = np.diff(nodes[: m + 1])
-    return (pw[:-1] - pw[1:]) / (tau * math.gamma(2.0 - alpha))
+    nodes = mesh.nodes
+    pw = (nodes[m] - nodes[: m + 1]) ** (1.0 - alpha)  # last entry is 0^{1-a} = 0
+    return (pw[:-1] - pw[1:]) / (mesh.steps[:m] * math.gamma(2.0 - alpha))
 
 
 def _kernel_row(a: np.ndarray, m: int) -> np.ndarray:
@@ -87,7 +86,7 @@ def build_l1(mesh: GradedMesh, alpha: float) -> L1System:
     M = mesh.M
     a = np.zeros((M + 1, M + 1))
     for m in range(1, M + 1):
-        a[m, 1 : m + 1] = l1_weight_row(alpha, mesh.nodes, m)
+        a[m, 1 : m + 1] = l1_weight_row(alpha, mesh, m)
     return L1System(mesh, alpha, a)
 
 
@@ -141,7 +140,7 @@ def march_l1(
             a0 = w[0]
             hist = w_rev[M - m : M - 1] @ D[: m - 1]  # gaps m-1..1
         else:
-            row = l1_weight_row(alpha, mesh.nodes, m)
+            row = l1_weight_row(alpha, mesh, m)
             a0 = row[-1]
             hist = row[: m - 1] @ D[: m - 1]
         if solve is None:

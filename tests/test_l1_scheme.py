@@ -16,7 +16,7 @@ def test_uniform_weight_row_closed_form():
     g = np.arange(M + 1, dtype=float)
     w = tau**-alpha * ((g + 1.0) ** (1.0 - alpha) - g ** (1.0 - alpha)) / math.gamma(2.0 - alpha)
     for m in (1, 5, 16):
-        row = l1_weight_row(alpha, mesh.nodes, m)
+        row = l1_weight_row(alpha, mesh, m)
         # row[k-1] = a^{(m)}_{m-k}, i.e. the gap m-k indexes w
         assert np.allclose(row, w[m - 1 :: -1], rtol=1e-13)
 

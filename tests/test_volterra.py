@@ -72,9 +72,14 @@ def test_oracle_mittag_leffler(alpha):
 
 @pytest.mark.parametrize("alpha,n", [(0.25, 0), (0.25, 1), (0.75, 3)])
 def test_collocation_equations_hold(alpha, n):
+    # M = 1000 and 3001 cross block boundaries and several FFT levels of
+    # the constant-kernel march; collocation_residual sums directly
+    for c in ((2.0 / 3.0, 1.0), (1.0,), (0.2, 0.6, 1.0)):
+        prob_c = dataclasses.replace(_default_problem(alpha, n=n), q=len(c), c=c)
+        for M in (64, 1000, 3001):
+            trace = solve_volterra(prob_c, M)
+            assert collocation_residual(prob_c, trace) < 1e-12
     prob = _default_problem(alpha, n=n)
-    trace = solve_volterra(prob, 64)
-    assert collocation_residual(prob, trace) < 1e-12
     # a callable kernel runs the kernel-weighted history on both sides
     kappa = float(prob.kernel)
     prob_k = dataclasses.replace(prob, kernel=lambda s, t: kappa * (1.0 + 0.5 * s * t))
@@ -147,3 +152,7 @@ def test_validation():
     with pytest.raises(ValueError):
         trace.nodal_values  # mesh-point readout needs c_q = 1
     assert solve_volterra(prob, 16).nodal_values.shape == (16,)
+    for M in (10.0, 2.5, "8", True):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            solve_volterra(prob, M)
+    assert solve_volterra(prob, np.int64(16)).nodal_values.shape == (16,)
