@@ -19,6 +19,13 @@ frac_integrate_numeric provides the fallback for forcing data with no
 analytic profile: the integrand is replaced by its piecewise-linear
 interpolant on the mesh and the kernel moments are integrated exactly
 (product integration, second order for smooth data).
+
+msd_split is the multiscale splitting itself, and the one place any
+model applies its splitting operator repeatedly: given data g and an
+operator L it returns the remainder forcing L^n g and the split-off
+terms L^i g, i < n.  Each model supplies its own L (profile algebra,
+product integration or a map over sine modes) and maps the summed
+terms through its own outer operator.
 """
 
 from __future__ import annotations
@@ -232,3 +239,12 @@ def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:
         w_left = (i1 - A * i0) / tau[:m]
         out[m] = g * (np.dot(w_left, fv[:m]) + np.dot(w_right, fv[1 : m + 1]))
     return out
+
+
+def msd_split(g, L: Callable, n: int):
+    """The depth-n splitting of g by L: (L^n g, [L^i g for i < n])."""
+    head = []
+    for _ in range(n):
+        head.append(g)
+        g = L(g)
+    return g, head

@@ -25,6 +25,10 @@ splitting:
 * diffusion-wave d^g u - Lap u = f for g in (1, 2): reduced to the
   integrodifferential form with a = g - 1 and a two-term splitting.
 
+All three split their data with fracint.msd_split by L = Lap I^nu,
+mode by mode (nu = a for subdiffusion, 1 + a for the other two), and
+map the split-off sum through I^a or I^1 respectively.
+
 Reconstruction adds the split-off analytic part back at the nodes; the
 result is not an element of the FEM space, it is the element solution
 plus exact node samples of the correction.
@@ -40,7 +44,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from .conv_quad import CQWeights, build_cq
-from .fracint import TimeProfile, beta_profile, frac_integrate
+from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split
 from .l1_scheme import march_l1
 from .mesh import GradedMesh
 
@@ -57,6 +61,14 @@ __all__ = [
     "solve_integro",
     "solve_diffusion_wave",
 ]
+
+
+def _tridiag_apply(d: float, e: float, v: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (d on, e off the diagonal) times v."""
+    out = d * v
+    out[..., :-1] += e * v[..., 1:]
+    out[..., 1:] += e * v[..., :-1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,18 +94,10 @@ class IntervalFem:
         return 2.0 / self.h, -1.0 / self.h
 
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
-        d, e = self.mass_diags
-        out = d * v
-        out[..., :-1] += e * v[..., 1:]
-        out[..., 1:] += e * v[..., :-1]
-        return out
+        return _tridiag_apply(*self.mass_diags, v)
 
     def stiff_apply(self, v: np.ndarray) -> np.ndarray:
-        d, e = self.stiff_diags
-        out = d * v
-        out[..., :-1] += e * v[..., 1:]
-        out[..., 1:] += e * v[..., :-1]
-        return out
+        return _tridiag_apply(*self.stiff_diags, v)
 
     def banded(self, cm: float, ck: float) -> np.ndarray:
         """Upper-banded form of cm*mass + ck*stiffness for scipy."""
@@ -269,13 +273,33 @@ def _check_field(f, domain, what: str) -> SeparableField:
     raise TypeError(f"{what} must be a SeparableField")
 
 
+def _fields(**fields) -> list:
+    """The named arguments as SeparableFields on the domain of the first one
+    that is a field; None becomes the zero field."""
+    domain = next((f.domain for f in fields.values() if isinstance(f, SeparableField)), None)
+    if domain is None:
+        raise TypeError(f"{' or '.join(fields)} must be a SeparableField")
+    return [_check_field(f, domain, what) for what, f in fields.items()]
+
+
+def _split_data(g: SeparableField, u0: SeparableField, nu: float, outer: float, n: int) -> PdeData:
+    """msd_split of g by L = Lap I^nu, mode by mode: the remainder forcing
+    L^n g and the reconstruction I^outer sum_{i<n} L^i g."""
+    forcing, head = msd_split(
+        g, lambda h: h.map_amplitudes(lambda lam, amp: frac_integrate(amp, nu) * (-lam)), n
+    )
+    head = sum(head, SeparableField.zero(g.domain))
+    reconstruction = head.map_amplitudes(lambda lam, amp: frac_integrate(amp, outer))
+    return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
+
+
 def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     """Split the subdiffusion problem at depth n.
 
     The substitution w = u - u0 moves the initial value into the
-    forcing g = f + Lap u0; the depth-n split leaves the remainder
-    equation with forcing (Lap)^n I^{na} g, and the solution is
-    recovered as u = v + u0 + sum_{i<n} Lap^i I^{(i+1)a} g.  Both
+    forcing g = f + Lap u0; the depth-n split by L = Lap I^a leaves the
+    remainder equation with forcing L^n g = (Lap)^n I^{na} g, and the
+    solution is recovered as u = v + u0 + I^a sum_{i<n} L^i g.  Both
     output fields carry exact per-mode profiles.
 
     f may instead be a callable f(x, t) when n = 0 (nodal-interpolation
@@ -288,32 +312,16 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     if callable(f) and not isinstance(f, SeparableField):
         if n > 0:
             raise ValueError("non-separable forcing is only supported at depth 0")
-        if not isinstance(u0, SeparableField):
-            raise TypeError("initial data must be a SeparableField")
-        domain = u0.domain
-        u0 = _check_field(u0, domain, "u0")
+        (u0,) = _fields(u0=u0)
         lap = u0.laplacian()
 
         def forcing(x, t, _f=f, _lap=lap):
             return _f(x, t) + _lap.evaluate(x, t)
 
-        return PdeData(forcing=forcing, reconstruction=SeparableField.zero(domain), initial=u0)
+        return PdeData(forcing=forcing, reconstruction=SeparableField.zero(u0.domain), initial=u0)
 
-    domain = f.domain if isinstance(f, SeparableField) else u0.domain
-    f = _check_field(f, domain, "f")
-    u0 = _check_field(u0, domain, "u0")
-    g = f + u0.laplacian()
-    forcing = g.map_amplitudes(
-        lambda lam, amp: frac_integrate(amp, n * alpha) * (-lam) ** n if n else amp
-    )
-    recon_modes = []
-    for k, lam, amp in g.modes:
-        total = TimeProfile.zero()
-        for i in range(n):
-            total = total + frac_integrate(amp, (i + 1) * alpha) * (-lam) ** i
-        recon_modes.append((k, lam, total))
-    reconstruction = SeparableField(domain, tuple(recon_modes))
-    return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
+    f, u0 = _fields(f=f, u0=u0)
+    return _split_data(f + u0.laplacian(), u0, alpha, alpha, n)
 
 
 def _modal_data(forcing: SeparableField, fem: IntervalFem, times: np.ndarray):
@@ -393,36 +401,28 @@ def solve_subdiffusion(
     return _reconstruct(V, data, mesh, fem)
 
 
-def msd_integro_data(f, u0, alpha: float) -> PdeData:
-    """One-level split of the integrodifferential problem.
-
-    w = u - u0 turns the initial value into g = f + Lap u0 * beta_{a+1};
-    splitting once more gives the remainder forcing Lap I^{1+a} g and
-    reconstruction I^1 g.  One level is enough for the scheme's full
-    second order.
-    """
+def _integro_data(f, u0, alpha: float, n: int) -> PdeData:
+    """w = u - u0 turns the initial value into g = f + Lap u0 * beta_{a+1};
+    the depth-n split of g by L = Lap I^{1+a} leaves the remainder forcing
+    L^n g and the reconstruction I^1 sum_{i<n} L^i g."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
-    domain = f.domain if isinstance(f, SeparableField) else u0.domain
-    f = _check_field(f, domain, "f")
-    u0 = _check_field(u0, domain, "u0")
+    f, u0 = _fields(f=f, u0=u0)
     beta = beta_profile(alpha + 1.0)
     g = f + u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
-    forcing = g.map_amplitudes(lambda lam, amp: frac_integrate(amp, 1.0 + alpha) * (-lam))
-    reconstruction = g.map_amplitudes(lambda lam, amp: frac_integrate(amp, 1.0))
-    return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
+    return _split_data(g, u0, 1.0 + alpha, 1.0, n)
+
+
+def msd_integro_data(f, u0, alpha: float) -> PdeData:
+    """One-level split of the integrodifferential problem: remainder forcing
+    Lap I^{1+a} g and reconstruction I^1 g.  One level is enough for the
+    scheme's full second order."""
+    return _integro_data(f, u0, alpha, 1)
 
 
 def integro_direct_data(f, u0, alpha: float) -> PdeData:
     """Unsplit forcing for the same stepper: g = f + Lap u0 * beta_{a+1}."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
-    domain = f.domain if isinstance(f, SeparableField) else u0.domain
-    f = _check_field(f, domain, "f")
-    u0 = _check_field(u0, domain, "u0")
-    beta = beta_profile(alpha + 1.0)
-    g = f + u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
-    return PdeData(forcing=g, reconstruction=SeparableField.zero(domain), initial=u0)
+    return _integro_data(f, u0, alpha, 0)
 
 
 def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
@@ -515,36 +515,18 @@ def solve_diffusion_wave(
 
     With a = g - 1 the first-order-in-time form reads
     w' = I^a Lap w + g0, g0 = I^{g-1} f + beta_g Lap u0 + du0, and two
-    split levels leave the remainder forcing Lap^2 I^{2+2a} g0 with
-    reconstruction I^1 g0 + Lap I^{2+a} g0.  Runs the same CQ/CN
-    stepper as solve_integro.
+    split levels by L = Lap I^{1+a} leave the remainder forcing L^2 g0
+    with reconstruction I^1 (g0 + L g0).  Runs the same CQ/CN stepper as
+    solve_integro.
     """
     if not 1.0 < gamma < 2.0:
         raise ValueError(f"wave exponent must lie in (1, 2), got {gamma}")
     alpha = gamma - 1.0
-    domain = None
-    for cand in (f, u0, du0):
-        if isinstance(cand, SeparableField):
-            domain = cand.domain
-            break
-    if domain is None:
-        raise TypeError("need at least one SeparableField argument")
-    f = _check_field(f, domain, "f")
-    u0 = _check_field(u0, domain, "u0")
-    du0 = _check_field(du0, domain, "du0")
-
+    f, u0, du0 = _fields(f=f, u0=u0, du0=du0)
     beta = beta_profile(gamma)
     g = (
         f.map_amplitudes(lambda lam, amp: frac_integrate(amp, gamma - 1.0))
         + u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
         + du0
     )
-    forcing = g.map_amplitudes(
-        lambda lam, amp: frac_integrate(amp, 2.0 + 2.0 * alpha) * lam**2
-    )
-    reconstruction = g.map_amplitudes(
-        lambda lam, amp: frac_integrate(amp, 1.0)
-        + frac_integrate(amp, 2.0 + alpha) * (-lam)
-    )
-    data = PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
-    return solve_integro(alpha, data, mesh, fem, method=method)
+    return solve_integro(alpha, _split_data(g, u0, 1.0 + alpha, 1.0, 2), mesh, fem, method=method)

@@ -11,7 +11,8 @@ solves the same equation with forcing L^n f, and its derivative only
 degenerates like t^{(n+1)a - 1}.  The solver marches the L1 scheme for
 v and adds the split-off sum back in closed form, so the depth-n run
 converges at order min{2 - a, r (n+1) a} on a mesh graded with
-exponent r.  n = 0 is the plain L1 scheme.
+exponent r.  n = 0 is the plain L1 scheme.  The splitting itself is
+fracint.msd_split with this L; solve_relaxation builds it once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .fracint import (
     as_forcing,
     frac_integrate,
     frac_integrate_numeric,
+    msd_split,
 )
 from .l1_scheme import march_l1
 from .mesh import GradedMesh
@@ -76,20 +78,17 @@ def full_order_depth(alpha: float) -> int:
     return math.ceil((2.0 - alpha) / alpha - 1e-12) - 1
 
 
-def _msd_terms(prob: RelaxationProblem, mesh: GradedMesh | None):
-    """The iterates L^i f for i = 0..n, analytically when possible.
+def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
+    """(L^n f, I^a sum_{i<n} L^i f) by msd_split with L = -lam I^a.
 
-    Returns a list of TimeProfile, or of nodal value arrays when f is
-    only available pointwise (that path carries the quadrature's own
-    O(tau^2) error on top of the scheme's).
+    Both are TimeProfiles when f is analytic, else nodal value arrays
+    computed by product integration (that path carries the quadrature's
+    own O(tau^2) error on top of the scheme's).
     """
+    a, lam = prob.alpha, prob.lam
     if prob.f.is_analytic:
-        g = prob.f.profile
-        out = [g]
-        for _ in range(prob.n):
-            g = (-prob.lam) * frac_integrate(g, prob.alpha)
-            out.append(g)
-        return out
+        forcing, head = msd_split(prob.f.profile, lambda g: -lam * frac_integrate(g, a), prob.n)
+        return forcing, frac_integrate(sum(head, TimeProfile.zero()), a)
     if mesh is None:
         raise ValueError("a mesh is required to decompose a pointwise forcing")
     if prob.n > 0:
@@ -99,29 +98,30 @@ def _msd_terms(prob: RelaxationProblem, mesh: GradedMesh | None):
             stacklevel=3,
         )
     vals = np.asarray(prob.f.sample(mesh.nodes), dtype=float)
-    out = [vals]
-    for _ in range(prob.n):
-        vals = -prob.lam * frac_integrate_numeric(vals, prob.alpha, mesh)
-        out.append(vals)
+    forcing, head = msd_split(vals, lambda v: -lam * frac_integrate_numeric(v, a, mesh), prob.n)
+    zero = np.zeros_like(vals)
+    return forcing, frac_integrate_numeric(sum(head, zero), a, mesh) if head else zero
+
+
+def _nodal(x, nodes: np.ndarray) -> np.ndarray:
+    """Nodal values as they are, or a profile sampled at t_1..t_M with 0 at
+    t_0: march_l1 never reads rhs[0], and a reconstruction is a fractional
+    integral, so it vanishes there whenever it is defined there."""
+    if not isinstance(x, TimeProfile):
+        return x
+    out = np.zeros(len(nodes))
+    out[1:] = x(nodes[1:])
     return out
 
 
 def msd_forcing(prob: RelaxationProblem, mesh: GradedMesh | None = None):
     """Modified forcing L^n f driving the remainder equation."""
-    return _msd_terms(prob, mesh)[-1]
+    return _split(prob, mesh)[0]
 
 
 def msd_reconstruction(prob: RelaxationProblem, mesh: GradedMesh | None = None):
     """The split-off part I^a sum_{i<n} L^i f added back to the remainder."""
-    if prob.n == 0:
-        return TimeProfile.zero()
-    terms = _msd_terms(prob, mesh)[: prob.n]
-    if isinstance(terms[0], TimeProfile):
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return frac_integrate(total, prob.alpha)
-    return frac_integrate_numeric(sum(terms), prob.alpha, mesh)
+    return _split(prob, mesh)[1]
 
 
 def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
@@ -131,24 +131,7 @@ def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
     if prob.lam < 0.0:
         warnings.warn("negative relaxation coefficient is outside the stability theory")
 
-    nodes = mesh.nodes
-    M = mesh.M
-    forcing = msd_forcing(prob, mesh)
-    if isinstance(forcing, TimeProfile):
-        rhs = np.zeros(M + 1)
-        rhs[1:] = forcing(nodes[1:])
-    else:
-        rhs = forcing
-
-    V = march_l1(prob.alpha, mesh, prob.lam, rhs)
-
-    recon = msd_reconstruction(prob, mesh)
-    U = V.copy()
-    if isinstance(recon, TimeProfile):
-        if not recon.is_zero:
-            # the reconstruction is a fractional integral, so it vanishes
-            # at t = 0 whenever it is defined there
-            U[1:] += recon(nodes[1:])
-    else:
-        U += recon
+    forcing, recon = _split(prob, mesh)
+    V = march_l1(prob.alpha, mesh, prob.lam, _nodal(forcing, mesh.nodes))
+    U = V + _nodal(recon, mesh.nodes)
     return ScalarTrace(mesh=mesh, V=V, U=U)

@@ -40,6 +40,7 @@ from .pde1d import (
     FieldTrace,
     PdeData,
     SeparableField,
+    _fields,
     assemble_fem,
     integro_direct_data,
     msd_integro_data,
@@ -338,10 +339,7 @@ def make_diffusion_wave_study(
     if u0 is None and du0 is None and f is None:
         u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))
         du0 = SeparableField(dom, ((1, TimeProfile.constant(0.5)),))
-    for cand in (f, u0, du0):
-        if isinstance(cand, SeparableField):
-            dom = cand.domain
-            break
+    dom = _fields(f=f, u0=u0, du0=du0)[0].domain
     fem = assemble_fem(dom[0], dom[1], J)
     return StudySpec(
         model="diffusion-wave",

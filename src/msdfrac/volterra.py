@@ -13,17 +13,21 @@ f~ = L f(0) + f - f(0) vanishing at zero, and the decomposition
     w = v + sum_{i=0}^{n-1} L^i f~
 
 leaves a remainder v solving the same equation with forcing L^n f~,
-which is in C^m once n(1-a) >= m.  The collocation scheme is applied to
-v on a uniform mesh with q points t_m + c_i tau per cell; the split-off
-sum is added back at the collocation points.
+which is in C^m once n(1-a) >= m.  Both come from fracint.msd_split:
+L acts on profiles for a constant kernel and analytic f, else on
+values at the collocation points by product integration.  The
+collocation scheme is applied to v on a uniform mesh with q points
+t_m + c_i tau per cell; the split-off sum is added back at the
+collocation points.
 
 The singular cell integrals reduce to moments of the Lagrange basis.
 On the current cell they are exact Beta-function values.  For a history
 cell at gap g >= 1 the moment int_0^1 (d-s)^{-a} s^k ds with d = c_i + g
-is summed as d^{-a} sum_l (a)_l/l! d^{-l}/(k+l+1): every term is
-positive and the ratio is at most 1/d, so the evaluation is stable for
-arbitrarily large gaps (the direct binomial expansion loses d^k worth
-of digits there).
+is summed as d^{-a} sum_l (a)_l/l! d^{-l}/(k+l+1) from d = 3 on:
+every term is positive and the ratio is at most 1/d, so the evaluation
+is stable for arbitrarily large gaps (the direct binomial expansion
+loses d^k worth of digits there).  Closer to 1 the exact antiderivative
+is used; _moments evaluates both, vectorized over d.
 
 With a constant kernel the history of cell m, sum_{e<m} psi[m-e] V[e],
 is a lower-triangular block-Toeplitz convolution, evaluated exactly up
@@ -46,11 +50,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fracint import ForcingFunction, TimeProfile, as_forcing, frac_integrate
+from .fracint import ForcingFunction, TimeProfile, as_forcing, frac_integrate, msd_split
 from .mesh import GradedMesh, build_mesh
 
 # Cells per block of the constant-kernel march.  Its time at M = 16384
@@ -138,65 +142,49 @@ def _lagrange_coeffs(c: tuple) -> np.ndarray:
     return np.linalg.inv(V)
 
 
+def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
+    """mom[..., k] = int_0^1 (d - s)^{-alpha} s^k ds for k < q and d >= 1."""
+    d = np.asarray(d, dtype=float)
+    # positive-term series: d^{-a} sum_l (a)_l/l! d^{-l} / (k+l+1); the
+    # ratio is 1/d <= 1/3 from d = 3 on, so 40 terms reach full precision
+    dinv = 1.0 / d
+    acc = np.zeros((q,) + d.shape)
+    poch = 1.0
+    p = np.ones_like(d)
+    for l in range(40):
+        w = poch * p
+        for k in range(q):
+            acc[k] += w / (k + l + 1.0)
+        poch *= (alpha + l) / (l + 1.0)
+        p *= dinv
+    mom = np.moveaxis(acc * d ** (-alpha), 0, -1)
+    # below d = 3 the exact antiderivative after expanding s^k about d; the
+    # alternating sum loses a factor d^k of precision, harmless this close to 1
+    near = d < 3.0
+    dn = d[near]
+    for k in range(q):
+        exact = np.zeros_like(dn)
+        for j in range(k + 1):
+            p = j + 1.0 - alpha
+            exact += math.comb(k, j) * (-1.0) ** j * dn ** (k - j) * (dn**p - (dn - 1.0) ** p) / p
+        mom[near, k] = exact
+    return mom
+
+
 def singular_moment(alpha: float, d: float, k: int) -> float:
     """int_0^1 (d - s)^{-alpha} s^k ds for d >= 1 (history cells)."""
     if d < 1.0:
         raise ValueError("history moment needs d >= 1")
-    if d < 3.0:
-        # exact antiderivative after expanding s^k about d; the alternating
-        # sum loses a factor d^k of precision, harmless this close to 1
-        acc = 0.0
-        for j in range(k + 1):
-            p = j + 1.0 - alpha
-            diff = d**p - (d - 1.0) ** p
-            acc += math.comb(k, j) * (-1.0) ** j * d ** (k - j) * diff / p
-        return acc
-    # positive-term series: d^{-a} sum_l (a)_l/l! d^{-l} / (k+l+1);
-    # the ratio is 1/d < 1/3, so 40 terms reach full precision
-    dinv = 1.0 / d
-    poch = 1.0
-    acc = 0.0
-    p = 1.0
-    for l in range(64):
-        term = poch * p / (k + l + 1.0)
-        acc += term
-        if term < 1e-18 * acc:
-            break
-        poch *= (alpha + l) / (l + 1.0)
-        p *= dinv
-    return d ** (-alpha) * acc
+    return float(_moments(alpha, d, k + 1)[k])
 
 
 def _history_blocks(alpha: float, c: tuple, A: np.ndarray, M: int) -> np.ndarray:
     """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M.
 
-    psi[0] is unused (zero).  Vectorized over the gap axis with the
-    same positive-term series as singular_moment.
+    psi[0] is unused (zero).
     """
-    q = len(c)
-    g0 = min(3, M)  # gaps 1..g0 have d < 3, done with the exact formula
-    mom = np.zeros((M, q, q))  # [g-1, i, k]
-    for i, ci in enumerate(c):
-        for g in range(1, g0 + 1):
-            for k in range(q):
-                mom[g - 1, i, k] = singular_moment(alpha, ci + g, k)
-    if M > g0:
-        g = np.arange(g0 + 1, M + 1, dtype=float)
-        for i, ci in enumerate(c):
-            d = ci + g
-            dinv = 1.0 / d
-            # series terms share the Pochhammer/power factors across k
-            poch = 1.0
-            p = np.ones_like(d)
-            for l in range(40):
-                w = poch * p
-                for k in range(q):
-                    mom[g0:, i, k] += w / (k + l + 1.0)
-                poch *= (alpha + l) / (l + 1.0)
-                p *= dinv
-            mom[g0:, i, :] *= (d ** (-alpha))[:, None]
-    psi = np.zeros((M + 1, q, q))
-    psi[1:] = mom @ A  # sum_k mom[:, i, k] A[k, j]
+    psi = np.zeros((M + 1, len(c), len(c)))
+    psi[1:] = _moments(alpha, np.arange(1.0, M + 1.0)[:, None] + np.asarray(c), len(c)) @ A
     return psi
 
 
@@ -222,23 +210,36 @@ def volterra_transform(prob: VolterraProblem, M: int | None = None):
     Otherwise returns the (M, q) array of values at the collocation
     points, computed by product integration.
     """
-    terms = _decomposition_terms(prob, M, depth=0)
-    return terms[0]
+    return msd_volterra_forcing(replace(prob, n=0), M)[0]
 
 
 def msd_volterra_forcing(prob: VolterraProblem, M: int | None = None):
-    """The pair (L^n f~, sum_{i<n} L^i f~), profiles or point arrays."""
-    terms = _decomposition_terms(prob, M, depth=prob.n)
-    forcing = terms[-1]
-    if prob.n == 0:
-        zero = TimeProfile.zero() if isinstance(forcing, TimeProfile) else np.zeros_like(forcing)
-        return forcing, zero
-    if isinstance(forcing, TimeProfile):
-        total = terms[0]
-        for t in terms[1:-1]:
-            total = total + t
-        return forcing, total
-    return forcing, sum(terms[:-1])
+    """The pair (L^n f~, sum_{i<n} L^i f~) from msd_split, profiles or
+    (M, q) point arrays."""
+    alpha = prob.alpha
+    if prob.constant_kernel and prob.f.is_analytic:
+        kappa = float(prob.kernel)
+        f = prob.f.profile
+        f0 = f(0.0)
+        ft = _apply_L_profile(TimeProfile.constant(f0), kappa, alpha) + f - TimeProfile.constant(f0)
+        forcing, head = msd_split(ft, lambda g: _apply_L_profile(g, kappa, alpha), prob.n)
+        return forcing, sum(head, TimeProfile.zero())
+
+    if M is None:
+        raise ValueError("the general-kernel path needs the mesh size M")
+    warnings.warn(
+        "non-constant kernel or pointwise forcing: decomposition terms are "
+        "computed by product integration at the collocation points",
+        stacklevel=2,
+    )
+    pts = _collocation_points(prob.T, M, prob.c)
+    fv = np.asarray(prob.f.sample(pts), dtype=float)
+    if np.isscalar(fv) or fv.shape != pts.shape:
+        fv = np.broadcast_to(fv, pts.shape).copy()
+    f0 = float(prob.f.sample(0.0))
+    ft = f0 * _apply_L_points(np.ones_like(fv), prob, pts) + fv - f0
+    forcing, head = msd_split(ft, lambda g: _apply_L_points(g, prob, pts), prob.n)
+    return forcing, sum(head, np.zeros_like(ft))
 
 
 def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
@@ -249,39 +250,6 @@ def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
 def _apply_L_profile(g: TimeProfile, kappa: float, alpha: float) -> TimeProfile:
     # int_0^t (t-s)^{-a} g ds = Gamma(1-a) I^{1-a} g
     return (kappa * math.gamma(1.0 - alpha)) * frac_integrate(g, 1.0 - alpha)
-
-
-def _decomposition_terms(prob: VolterraProblem, M: int | None, depth: int):
-    """[f~, L f~, ..., L^depth f~] as profiles or (M, q) value arrays."""
-    alpha = prob.alpha
-    if prob.constant_kernel and prob.f.is_analytic:
-        kappa = float(prob.kernel)
-        f = prob.f.profile
-        f0 = f(0.0)
-        ft = _apply_L_profile(TimeProfile.constant(f0), kappa, alpha) + f - TimeProfile.constant(f0)
-        out = [ft]
-        for _ in range(depth):
-            out.append(_apply_L_profile(out[-1], kappa, alpha))
-        return out
-
-    if M is None:
-        raise ValueError("the general-kernel path needs the mesh size M")
-    warnings.warn(
-        "non-constant kernel or pointwise forcing: decomposition terms are "
-        "computed by product integration at the collocation points",
-        stacklevel=3,
-    )
-    pts = _collocation_points(prob.T, M, prob.c)
-    fv = np.asarray(prob.f.sample(pts), dtype=float)
-    if np.isscalar(fv) or fv.shape != pts.shape:
-        fv = np.broadcast_to(fv, pts.shape).copy()
-    f0 = float(prob.f.sample(0.0))
-    ones = np.ones_like(fv)
-    ft = f0 * _apply_L_points(ones, prob, pts) + fv - f0
-    out = [ft]
-    for _ in range(depth):
-        out.append(_apply_L_points(out[-1], prob, pts))
-    return out
 
 
 def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from msdfrac import (
+    PdeData,
     SeparableField,
     TimeProfile,
     assemble_fem,
+    beta_profile,
     build_mesh,
+    frac_integrate,
     integro_direct_data,
     ml_eval,
     msd_integro_data,
@@ -230,6 +233,77 @@ def test_msd_data_validation():
     with pytest.raises(ValueError):
         # callable forcing cannot be decomposed analytically
         msd_subdiffusion_data(lambda x, t: x * t, u0, 2, 0.5)
+    # no argument carries a domain: rejected before any field algebra
+    with pytest.raises(TypeError, match="f or u0"):
+        msd_subdiffusion_data(None, None, 1, 0.5)
+    with pytest.raises(TypeError, match="f or u0"):
+        msd_integro_data(None, None, 0.5)
+    with pytest.raises(TypeError, match="f or u0"):
+        integro_direct_data(None, 3.0, 0.5)
+    with pytest.raises(TypeError, match="u0"):
+        msd_subdiffusion_data(lambda x, t: x * t, None, 0, 0.5)
+
+
+def _three_mode_data(alpha):
+    dom = (0.0, 1.0)
+    f = SeparableField(
+        dom,
+        (
+            (1, TimeProfile.of((2.0, 0.0), (-0.5, 0.5))),
+            (2, TimeProfile.of((1.0, 1.5))),
+            (3, TimeProfile.of((0.25, 0.0), (3.0, 0.5))),
+        ),
+    )
+    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)), (3, TimeProfile.constant(-2.0))))
+    return f, u0
+
+
+def _assert_fields_close(got, ref):
+    # coefficient by coefficient, modes with a zero amplitude ignored
+    def terms(field):
+        return {
+            k: sorted(amp.terms, key=lambda cp: cp[1]) for k, _, amp in field.modes if not amp.is_zero
+        }
+
+    a, b = terms(got), terms(ref)
+    assert a.keys() == b.keys()
+    for k in a:
+        assert [p for _, p in a[k]] == pytest.approx([p for _, p in b[k]], rel=1e-15)
+        assert [c for c, _ in a[k]] == pytest.approx([c for c, _ in b[k]], rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_split_data_matches_closed_forms(alpha):
+    # the split builders iterate L; their profiles must equal the closed
+    # forms (-lam)^n I^{na} g, sum_i (-lam)^i I^{(i+1)a} g (subdiffusion)
+    # and -lam I^{1+a} g, I^1 g (integro) mode by mode
+    f, u0 = _three_mode_data(alpha)
+    g = f + u0.laplacian()
+    for n in range(4):
+        data = msd_subdiffusion_data(f, u0, n, alpha)
+        forcing = g.map_amplitudes(
+            lambda lam, amp: frac_integrate(amp, n * alpha) * (-lam) ** n if n else amp
+        )
+        recon = g.map_amplitudes(
+            lambda lam, amp: sum(
+                (frac_integrate(amp, (i + 1) * alpha) * (-lam) ** i for i in range(n)),
+                TimeProfile.zero(),
+            )
+        )
+        _assert_fields_close(data.forcing, forcing)
+        _assert_fields_close(data.reconstruction, recon)
+        assert data.initial is u0
+
+    beta = beta_profile(1.0 + alpha)
+    g = f + u0.laplacian().map_amplitudes(lambda lam, amp: beta * amp.terms[0][0])
+    data = msd_integro_data(f, u0, alpha)
+    _assert_fields_close(
+        data.forcing, g.map_amplitudes(lambda lam, amp: frac_integrate(amp, 1.0 + alpha) * (-lam))
+    )
+    _assert_fields_close(data.reconstruction, g.map_amplitudes(lambda lam, amp: frac_integrate(amp, 1.0)))
+    direct = integro_direct_data(f, u0, alpha)
+    _assert_fields_close(direct.forcing, g)
+    assert direct.reconstruction.is_zero
 
 
 # --- integrodifferential ------------------------------------------------------
@@ -360,3 +434,34 @@ def test_diffusion_wave_validation():
         solve_diffusion_wave(0.9, f, u0, du0, mesh, fem)
     with pytest.raises(ValueError):
         solve_diffusion_wave(2.0, f, u0, du0, mesh, fem)
+    with pytest.raises(TypeError, match="f or u0 or du0"):
+        solve_diffusion_wave(1.5, None, None, None, mesh, fem)
+    with pytest.raises(TypeError, match="du0"):
+        solve_diffusion_wave(1.5, f, u0, 0.5, mesh, fem)
+
+
+def test_diffusion_wave_matches_closed_form_split():
+    # the depth-2 split by L = Lap I^{1+a} equals the closed forms
+    # lam^2 I^{2+2a} g0 and I^1 g0 - lam I^{2+a} g0 run through solve_integro
+    gamma = 1.4
+    alpha = gamma - 1.0
+    f, u0 = _three_mode_data(alpha)
+    du0 = SeparableField(f.domain, ((2, TimeProfile.constant(0.5)),))
+    beta = beta_profile(gamma)
+    g0 = (
+        f.map_amplitudes(lambda lam, amp: frac_integrate(amp, alpha))
+        + u0.laplacian().map_amplitudes(lambda lam, amp: beta * amp.terms[0][0])
+        + du0
+    )
+    data = PdeData(
+        forcing=g0.map_amplitudes(lambda lam, amp: frac_integrate(amp, 2.0 + 2.0 * alpha) * lam**2),
+        reconstruction=g0.map_amplitudes(
+            lambda lam, amp: frac_integrate(amp, 1.0) + frac_integrate(amp, 2.0 + alpha) * (-lam)
+        ),
+        initial=u0,
+    )
+    fem = assemble_fem(0.0, 1.0, 16)
+    mesh = build_mesh(1.0, 128, 1.0)
+    got = solve_diffusion_wave(gamma, f, u0, du0, mesh, fem).U
+    ref = solve_integro(alpha, data, mesh, fem).U
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))

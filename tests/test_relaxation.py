@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from msdfrac import relaxation
 from msdfrac import (
     RelaxationProblem,
     TimeProfile,
@@ -75,7 +76,15 @@ def test_nonconstant_analytic_forcing():
     assert vals[0] == pytest.approx(vals[1], abs=2e-5)
 
 
-def test_pointwise_forcing_path_warns_and_matches():
+def test_pointwise_forcing_path_warns_and_matches(monkeypatch):
+    calls = []
+    numeric = relaxation.frac_integrate_numeric
+
+    def counted(*args):
+        calls.append(1)
+        return numeric(*args)
+
+    monkeypatch.setattr(relaxation, "frac_integrate_numeric", counted)
     prob_a = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0, n=1)
     prob_p = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=lambda t: np.ones_like(t), n=1)
     mesh = build_mesh(1.0, 512, 1.0)
@@ -83,6 +92,13 @@ def test_pointwise_forcing_path_warns_and_matches():
     with pytest.warns(UserWarning):
         up = solve_relaxation(prob_p, mesh).U
     assert np.max(np.abs(ua - up)) < 1e-4
+    # the split is built once: n product integrations for L^n f and one
+    # for the reconstruction
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.warns(UserWarning):
+        solve_relaxation(RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=prob_p.f, n=3), mesh)
+    assert len(calls) == 4
 
 
 def test_remainder_is_smoother_near_origin():
