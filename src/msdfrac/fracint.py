@@ -59,7 +59,7 @@ def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float
         if c == 0.0:
             continue
         by_exp[p] = by_exp.get(p, 0.0) + c
-    return tuple(sorted((c, p) for p, c in by_exp.items() if c != 0.0))
+    return tuple((c, p) for p, c in sorted(by_exp.items()) if c != 0.0)
 
 
 @dataclass(frozen=True)

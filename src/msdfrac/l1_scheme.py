@@ -13,6 +13,14 @@ the stability analysis of every L1-based solver in the package rests
 on.  Both triangles are kept densely; the kernel triangle costs O(M^3)
 to fill and is only needed by the verification suite, so it is built on
 first access.
+
+march_l1 steps the scheme row by row on a graded mesh.  On a uniform
+mesh the weights depend only on the gap, a_g, and written on the values
+instead of the differences the derivative is D^a v^m = sum_{k<=m}
+c_{m-k} v^k for v^0 = 0, with c_0 = a_0 and c_g = a_g - a_{g-1}: a
+lower-triangular Toeplitz system in which a relaxation coefficient or
+an eigenvalue sits only on the diagonal.  toeplitz.march solves it a
+block of steps at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import GradedMesh
+from .toeplitz import march, modal_inverse, stepwise
 
 __all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_row", "march_l1"]
 
@@ -112,18 +121,15 @@ def march_l1(
 
     ``lam`` is a scalar, or a vector of eigenvalues with one column of
     ``rhs`` per mode sharing each weight row, or, for a non-diagonal
-    operator, a callable ``lam(a0, rhs[m], a0 V^{m-1} - hist)`` returning
-    V^m.  rhs[0] is ignored.  On a uniform mesh (``mesh.uniform``) the
-    rows are slices of one gap-indexed vector for tau = T/M; graded
-    meshes build the row at every step.
+    operator, a callable ``lam(a0, rhs[m], b)`` returning V^m, where
+    b = a0 V^{m-1} - hist.  rhs[0] is ignored.  On a uniform mesh
+    (``mesh.uniform``) the scheme is the lower-triangular Toeplitz system
+    sum_{k<=m} c_{m-k} V^k + lam V^m = rhs^m, with c_0 = a_0 and
+    c_g = a_g - a_{g-1} from the gap weights a_g for tau = T/M, so
+    b = -sum_{k<m} c_{m-k} V^k; it is solved by toeplitz.march.  Graded
+    meshes build the weight row at every step.
     """
     M = mesh.M
-    uniform = mesh.uniform
-    if uniform:
-        tau = mesh.T / M
-        pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)
-        w = (pw[1:] - pw[:-1]) * tau ** (-alpha) / math.gamma(2.0 - alpha)
-        w_rev = w[::-1].copy()  # contiguous, so each history sum is one BLAS call
     solve = lam if callable(lam) else None
     if solve is None:
         lam = np.asarray(lam, dtype=float)
@@ -134,15 +140,25 @@ def march_l1(
 
     rhs = np.asarray(rhs, dtype=float)
     V = np.zeros(rhs.shape)
+    if mesh.uniform:
+        pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)
+        a = (pw[1:] - pw[:-1]) * (mesh.T / M) ** (-alpha) / math.gamma(2.0 - alpha)
+        c = np.concatenate([a[:1], np.diff(a)])
+        if solve is not None:
+
+            def step(j, b):
+                return solve(c[0], rhs[j + 1], b)
+
+            V[1:] = march(c, np.zeros(rhs[1:].shape), stepwise(c, step))
+        else:
+            V[1:] = march(c, rhs[1:].copy(), modal_inverse(c, lam))
+        return V
+
     D = np.zeros((M,) + rhs.shape[1:])  # D[k-1] = V^k - V^{k-1}
     for m in range(1, M + 1):
-        if uniform:
-            a0 = w[0]
-            hist = w_rev[M - m : M - 1] @ D[: m - 1]  # gaps m-1..1
-        else:
-            row = l1_weight_row(alpha, mesh, m)
-            a0 = row[-1]
-            hist = row[: m - 1] @ D[: m - 1]
+        row = l1_weight_row(alpha, mesh, m)
+        a0 = row[-1]
+        hist = row[: m - 1] @ D[: m - 1]
         if solve is None:
             V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
         else:

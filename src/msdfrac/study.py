@@ -278,13 +278,13 @@ def make_subdiffusion_study(
 ) -> StudySpec:
     if f is None and u0 is None and domain is None:
         domain, f, u0 = _default_subdiffusion_problem()
-    elif domain is None:
-        for cand in (f, u0):
-            if isinstance(cand, SeparableField):
-                domain = cand.domain
-                break
-        else:
+    field = next((cand for cand in (f, u0) if isinstance(cand, SeparableField)), None)
+    if field is not None and domain is not None and tuple(domain) != tuple(field.domain):
+        raise ValueError(f"domain {tuple(domain)} differs from the fields' domain {field.domain}")
+    if domain is None:
+        if field is None:
             raise ValueError("domain is required when no argument is a SeparableField")
+        domain = field.domain
     fem = assemble_fem(domain[0], domain[1], J)
     data = msd_subdiffusion_data(f, u0, n, alpha)
     return StudySpec(

@@ -30,18 +30,9 @@ loses d^k worth of digits there).  Closer to 1 the exact antiderivative
 is used; _moments evaluates both, vectorized over d.
 
 With a constant kernel the history of cell m, sum_{e<m} psi[m-e] V[e],
-is a lower-triangular block-Toeplitz convolution, evaluated exactly up
-to rounding by the online FFT scheme of Hairer, Lubich and Schlichte
-(SIAM J. Sci. Stat. Comput. 6, 1985) in O(M log^2 M) work.  Cells are
-grouped in blocks of _BLOCK.  The near history, from earlier cells of
-the same block, is one BLAS product per step against a contiguous
-reversed copy of the first _BLOCK kernel blocks.  The far history
-arrives in an accumulator: after n blocks, the last lowbit(n) blocks
-feed the next lowbit(n) blocks through one rfft/irfft convolution, and
-each kernel prefix is transformed once per solve.  The block size is a
-constant because the march time hardly depends on it.  The march is a
-plain loop: a recursive closure would form a reference cycle and keep
-its arrays alive until the garbage collector runs.  A callable kernel
+is a lower-triangular block-Toeplitz convolution, and the march is
+toeplitz.march: FFT far history, and one FFT product per block of
+cells with the inverse of the block system.  A callable kernel
 breaks the Toeplitz structure and keeps the direct per-step sum
 (_history), which collocation_residual uses as the reference for both.
 """
@@ -56,11 +47,7 @@ import numpy as np
 
 from .fracint import ForcingFunction, TimeProfile, as_forcing, frac_integrate, msd_split
 from .mesh import GradedMesh, build_mesh
-
-# Cells per block of the constant-kernel march.  Its time at M = 16384
-# and 65536 was flat, within noise, for 64 to 512 cells per block: a
-# smaller block adds FFT levels, a larger one lengthens each step's product.
-_BLOCK = 256
+from .toeplitz import block_inverse, march
 
 __all__ = [
     "VolterraProblem",
@@ -308,38 +295,6 @@ def _forcing_at(prob: VolterraProblem, pts: np.ndarray):
     return tuple(x(pts) if isinstance(x, TimeProfile) else x for x in pair)
 
 
-def _march_toeplitz(psi: np.ndarray, rhs: np.ndarray, scale: float, inv: np.ndarray) -> np.ndarray:
-    """V[m] = inv (rhs[m] + scale sum_{e<m} psi[m-e] V[e]) for m = 0..M-1.
-
-    The constant-kernel march: near history by one BLAS product per
-    step inside each block of _BLOCK cells, far history by one FFT
-    convolution per finished block (see the module docstring).
-    """
-    M, q = rhs.shape
-    B = _BLOCK
-    kern = np.zeros((max(M, B) + 1, q, q))
-    kern[: M + 1] = (scale * inv) @ psi  # kern[g] = scale inv psi[g]
-    # near[:, k*q + j] = kern[B-k][:, j]: the gaps B..1, contiguous
-    near = kern[B:0:-1].transpose(1, 0, 2).reshape(q, B * q)
-    spectra = {}  # span L -> rfft of kern[:2L]
-    V = rhs @ inv.T  # unsolved rows accumulate their far history here
-    for start in range(0, M, B):
-        stop = min(start + B, M)
-        for m in range(start + 1, stop):
-            V[m] += near[:, (B - m + start) * q :] @ V[start:m].ravel()
-        if stop == M:
-            break
-        # after n blocks, the last lowbit(n) blocks feed the next lowbit(n)
-        n = stop // B
-        L = (n & -n) * B
-        if L not in spectra:
-            spectra[L] = np.fft.rfft(kern[: 2 * L], n=2 * L, axis=0)
-        src = np.fft.rfft(V[stop - L : stop], n=2 * L, axis=0)
-        far = np.fft.irfft(np.einsum("kij,kj->ki", spectra[L], src), n=2 * L, axis=0)
-        V[stop : stop + L] += far[L : L + min(L, M - stop)]
-    return V
-
-
 def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     """March the collocation scheme for the remainder and reconstruct u."""
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
@@ -351,7 +306,11 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     rhs, recon = _forcing_at(prob, pts)
 
     if prob.constant_kernel:
-        V = _march_toeplitz(psi, rhs, scale, np.linalg.inv(_local_matrix(phi, scale)))
+        # times inv, the scheme has identity diagonal blocks and kern[g] = -scale inv psi[g]
+        inv = np.linalg.inv(_local_matrix(phi, scale))
+        kern = -(scale * inv) @ psi[:M]
+        kern[0] = np.eye(prob.q)
+        V = march(kern, rhs @ inv.T, block_inverse(kern))
     else:
         V = np.zeros((M, prob.q))
         for m in range(M):

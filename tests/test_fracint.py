@@ -25,6 +25,13 @@ def test_profile_duplicate_exponents_merge():
     assert p.terms[0][0] == pytest.approx(3.5)
 
 
+def test_profile_terms_sorted_by_exponent():
+    # the order (and with it the summation order of __call__) follows the
+    # exponents, not the coefficients' values
+    assert TimeProfile.of((2.0, 0.0), (-0.5, 0.5)).terms == ((2.0, 0.0), (-0.5, 0.5))
+    assert TimeProfile.of((-0.5, 0.5), (2.0, 0.0)).terms == ((2.0, 0.0), (-0.5, 0.5))
+
+
 def test_singular_profile_rejects_origin():
     p = beta_profile(0.5)  # t^{-1/2}/Gamma(1/2)
     with pytest.raises(ValueError):

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdfrac import apply_dfrac, build_l1, build_mesh, l1_scheme, l1_weight_row, march_l1
+from scipy.linalg import solveh_banded
+
+from msdfrac import (
+    apply_dfrac,
+    assemble_fem,
+    build_l1,
+    build_mesh,
+    l1_scheme,
+    l1_weight_row,
+    march_l1,
+)
 
 
 def test_uniform_weight_row_closed_form():
@@ -121,6 +131,31 @@ def test_march_uniform_and_graded_paths_agree():
     V1 = march_l1(alpha, build_mesh(1.0, 64, 1.0), lam, rhs)
     V3 = march_l1(alpha, build_mesh(1.0, 64, 1.0 + 1e-12), lam, rhs)
     assert np.max(np.abs(V3 - V1)) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+@pytest.mark.parametrize("M", [1, 255, 256, 257, 1000, 3001])
+def test_blocked_toeplitz_march_matches_graded_rows(alpha, M):
+    # the uniform march solves whole blocks of 256 steps at once (far
+    # history by FFT); the graded rows on the same nodes step one at a
+    # time, for a scalar, three modes up to 2e4 and a banded local solve
+    mesh = build_mesh(1.0, M, 1.0)
+    stepped = dataclasses.replace(mesh, r=1.0 + 1e-12)
+    t = mesh.nodes
+    fem = assemble_fem(0.0, 1.0, 8)
+
+    def banded(a0, load, b):
+        return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
+
+    cases = (
+        (2.5, np.sin(3.0 * t) + t**0.7),
+        (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
+        (banded, np.outer(t**0.6, np.linspace(1.0, 2.0, 7))),
+    )
+    for lam, rhs in cases:
+        V = march_l1(alpha, mesh, lam, rhs)
+        ref = march_l1(alpha, stepped, lam, rhs)
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_validation():

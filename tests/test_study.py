@@ -8,10 +8,12 @@ import pytest
 from msdfrac import (
     ConvergenceReport,
     ScalarTrace,
+    SeparableField,
     StudyError,
     StudyRow,
     StudySpec,
     TABLE_IDS,
+    TimeProfile,
     build_mesh,
     emit_csv,
     make_integro_study,
@@ -166,6 +168,13 @@ def test_make_integro_study_rejects_deep_split():
 def test_make_subdiffusion_study_requires_domain_for_callables():
     with pytest.raises(ValueError):
         make_subdiffusion_study(0.5, f=lambda x, t: x * t, u0=lambda x, t: 0.0)
+
+
+def test_make_subdiffusion_study_rejects_mismatched_domain():
+    f = SeparableField((0.0, 1.0), ((1, TimeProfile.constant(1.0)),))
+    with pytest.raises(ValueError, match="domain"):
+        make_subdiffusion_study(0.5, f=f, domain=(0.0, 2.0))
+    assert make_subdiffusion_study(0.5, f=f, domain=(0.0, 1.0)).model == "subdiffusion"
 
 
 def test_reproduce_table_rejects_bad_id():

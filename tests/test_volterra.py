@@ -72,11 +72,12 @@ def test_oracle_mittag_leffler(alpha):
 
 @pytest.mark.parametrize("alpha,n", [(0.25, 0), (0.25, 1), (0.75, 3)])
 def test_collocation_equations_hold(alpha, n):
-    # M = 1000 and 3001 cross block boundaries and several FFT levels of
-    # the constant-kernel march; collocation_residual sums directly
+    # M = 256 and 257 end on and just past a block edge, 1000 and 3001
+    # cross several FFT levels of the constant-kernel march;
+    # collocation_residual sums directly
     for c in ((2.0 / 3.0, 1.0), (1.0,), (0.2, 0.6, 1.0)):
         prob_c = dataclasses.replace(_default_problem(alpha, n=n), q=len(c), c=c)
-        for M in (64, 1000, 3001):
+        for M in (64, 256, 257, 1000, 3001):
             trace = solve_volterra(prob_c, M)
             assert collocation_residual(prob_c, trace) < 1e-12
     prob = _default_problem(alpha, n=n)
