@@ -56,6 +56,8 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"time horizon must be positive and finite, got {T}")
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+        raise ValueError(f"M must be an integer number of steps, got M={M!r}")
     if M < 1:
         raise ValueError(f"mesh level M must be >= 1, got {M}")
     if not (math.isfinite(r) and r > 0.0):

@@ -9,7 +9,7 @@ through the discretization without coupling to the others.  The
 solvers exploit that: with separable data the banded system collapses
 to scalar recursions on the modes' discrete eigenvalues, marched all
 at once; this is algebraically identical to the matrix iteration
-(``method="full"``), which runs the same time loop with a banded
+(``method="full"``), which runs the same time scheme with a banded
 local solve, and turns the largest table runs from hours into
 seconds.  The test suite pins the two paths together to 1e-10.
 
@@ -21,7 +21,9 @@ splitting:
   step with the diagonal weight refreshed;
 * integrodifferential u' - I^a Lap u = f: trapezoidal convolution
   quadrature for the memory term on half-step averages combined with
-  Crank-Nicolson, constant system matrix factored once;
+  Crank-Nicolson, a lower-triangular Toeplitz system in time solved a
+  block of steps at a time by toeplitz.march, with the banded system
+  matrix factored once;
 * diffusion-wave d^g u - Lap u = f for g in (1, 2): reduced to the
   integrodifferential form with a = g - 1 and a two-term splitting.
 
@@ -43,10 +45,11 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
-from .conv_quad import CQWeights, build_cq
+from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split
 from .l1_scheme import march_l1
 from .mesh import GradedMesh
+from .toeplitz import march, modal_inverse, stepwise
 
 __all__ = [
     "IntervalFem",
@@ -434,21 +437,6 @@ def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
     raise ValueError("initial data amplitudes must be time-constant")
 
 
-def _march_cq_cn(cq: CQWeights, forcing: np.ndarray, step: Callable) -> np.ndarray:
-    """CQ-Crank-Nicolson loop from V^0 = 0 on F at t_0..t_M (a column per
-    mode or node): V^m = step((F^m + F^{m-1})/2, V^{m-1}, hist^m) with
-    hist^m = sum_{p=1}^{m-1} omega_p W^{m-p}, W^j = (V^j + V^{j-1})/2.
-    """
-    w = cq.omega
-    fbar = 0.5 * (forcing[1:] + forcing[:-1])  # fbar[m-1] pairs t_{m-1}, t_m
-    V = np.zeros(forcing.shape)
-    half = np.zeros(forcing.shape)  # half[j] = (V^j + V^{j-1})/2
-    for m in range(1, cq.M + 1):
-        V[m] = step(fbar[m - 1], V[m - 1], w[1:m] @ half[m - 1 : 0 : -1])
-        half[m] = 0.5 * (V[m] + V[m - 1])
-    return V
-
-
 def solve_integro(
     alpha: float,
     data: PdeData,
@@ -459,11 +447,16 @@ def solve_integro(
     """Convolution-quadrature Crank-Nicolson marching for u' = I^a Lap u + F.
 
     Memory term on half-step averages W^j = (V^j + V^{j-1})/2 with
-    V^0 = V^{-1} = 0; the p = 0 quadrature weight moves the unknown's
-    share to the left side, so the system matrix M/tau + tau^a w0 K/2
-    is constant and factored once.  The forcing enters as the endpoint
-    average (F^m + F^{m-1})/2.  "modal" steps all modes at once on their
-    eigenvalues, "full" with the banded factor, in one loop; tau = T/M.
+    V^0 = V^{-1} = 0, forcing as the endpoint average fbar^m =
+    (F^m + F^{m-1})/2, tau = T/M.  Written on V^1..V^M the scheme is the
+    lower-triangular Toeplitz system sum_g K_g V^{m-g} = fbar^m with
+    K_g = (delta_{g0} - delta_{g1}) M/tau + F_g K (mass M, stiffness K)
+    and F_g = tau^a (omega_g + omega_{g-1})/2, omega_{-1} = 0, solved by
+    toeplitz.march.  "modal" marches all modes at once on their
+    eigenvalues lam, with far history F_g lam per column; the coupling
+    -V^{m-1}/tau across a block boundary is added exactly instead of
+    through the FFT.  "full" steps with the banded factor of
+    M/tau + F_0 K, factored once, on the history convolved with F.
     """
     if method not in ("auto", "modal", "full"):
         raise ValueError(f"unknown method {method!r}")
@@ -472,32 +465,38 @@ def solve_integro(
     if not mesh.uniform:
         raise ValueError("convolution quadrature needs a uniform mesh")
     tau = mesh.T / mesh.M
-    cq = build_cq(alpha, tau, mesh.M)
-    ta, w0 = tau**alpha, cq.omega[0]
+    w = build_cq(alpha, tau, mesh.M).omega[: mesh.M]
+    F = tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]])
 
     if method != "full":
         lam, amps, sines = _modal_data(data.forcing, fem, mesh.nodes)
-        A = 1.0 / tau + ta * w0 * lam / 2.0
-        B = 1.0 / tau - ta * w0 * lam / 2.0
-        C = ta * lam
+        far = np.outer(F, lam)
+        near = far.copy()
+        near[1:2] -= 1.0 / tau
+        solve = modal_inverse(near, 1.0 / tau)
 
-        def step(f: np.ndarray, v: np.ndarray, hist: np.ndarray) -> np.ndarray:
-            return (f + B * v - C * hist) / A
+        def solve_block(x: np.ndarray, start: int, stop: int) -> None:
+            # far keeps the 1/tau entries out of the FFT's rounding, and
+            # the only one it misses couples V^start to V^{start-1}
+            if start:
+                x[start] += x[start - 1] / tau
+            solve(x, start, stop)
 
-        V = _march_cq_cn(cq, amps, step) @ sines
+        V = np.zeros(amps.shape)
+        V[1:] = 0.5 * (amps[1:] + amps[:-1])
+        march(far, V[1:], solve_block)
+        V = V @ sines
     else:
-        factor = cholesky_banded(fem.banded(1.0 / tau, ta * w0 / 2.0))
+        loads = _load_rows(data.forcing, fem, mesh.nodes)
+        fbar = 0.5 * (loads[1:] + loads[:-1])
+        factor = cholesky_banded(fem.banded(1.0 / tau, F[0]))
+        V = np.zeros(loads.shape)
 
-        def step(f: np.ndarray, v: np.ndarray, hist: np.ndarray) -> np.ndarray:
-            rhs = (
-                f
-                + fem.mass_apply(v) / tau
-                - ta * w0 / 2.0 * fem.stiff_apply(v)
-                - ta * fem.stiff_apply(hist)
-            )
+        def step(j: int, b: np.ndarray) -> np.ndarray:
+            rhs = fbar[j] + fem.mass_apply(V[j]) / tau + fem.stiff_apply(b)
             return cho_solve_banded((factor, False), rhs)
 
-        V = _march_cq_cn(cq, _load_rows(data.forcing, fem, mesh.nodes), step)
+        march(F, V[1:], stepwise(F, step))
 
     return _reconstruct(V, data, mesh, fem)
 

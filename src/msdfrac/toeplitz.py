@@ -1,12 +1,13 @@
 """Exact blocked march for lower-triangular (block-)Toeplitz systems.
 
-On a uniform mesh the constant-kernel Volterra collocation scheme and
-the L1 scheme both solve
+On a uniform mesh three schemes solve
 
     sum_{i<=j} K[j-i] u_i = x_j,    j = 0..M-1,
 
-with scalar or q x q kernel entries K[g].  ``march`` solves it exactly
-up to rounding in O(M log^2 M) work, after the online FFT scheme of
+with scalar, per-column or q x q kernel entries K[g]: the
+constant-kernel Volterra collocation scheme, the L1 scheme and the
+convolution-quadrature (CQ) Crank-Nicolson scheme.  ``march`` solves
+it exactly up to rounding in O(M log^2 M) work, after the online FFT scheme of
 Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).
 Unknowns are grouped in blocks of _BLOCK.  The far history, from
 earlier blocks, arrives in an accumulator: x_j is overwritten by x_j
@@ -20,13 +21,18 @@ same lower-triangular (block-)Toeplitz system, whose inverse is again
 lower-triangular (block-)Toeplitz and is fixed by its first (block)
 column; the leading part of it serves the last, shorter block.
 ``block_inverse`` (q x q blocks, identity K[0]) and ``modal_inverse``
-(a scalar kernel whose diagonal differs per column: one L1 recursion
-per eigenvalue) find that column once per march by forward
-substitution, and each block then advances with one length-2B FFT
-product, with no Python work per step.  ``stepwise`` serves a local
+(one scalar recursion per column, on a shared kernel with a per-column
+diagonal, as in L1, or on a per-column kernel, as in CQ) find that
+column once per march by forward substitution, and each block then
+advances with one length-2B FFT product, with no Python work per step.  ``stepwise`` serves a local
 step given as a callable (a banded finite-element solve): it steps
 through its block one unknown at a time, with one BLAS product per step
 for the near history.
+
+The CQ march, on the table-6 data at M = 4096, stays within 2.5e-14
+(alpha = 0.25) and 9.3e-14 (alpha = 0.75) of a long-double step-by-step
+solve of the same scheme, relative to max |V|; the step-by-step loop
+it replaced was off by 1.9e-14 and 6.3e-14.
 
 The block size is a constant because the march time hardly depends on
 it.  The march is a plain loop: a recursive closure would form a
@@ -68,7 +74,8 @@ def march(kern: np.ndarray, x: np.ndarray, solve_block: BlockSolve) -> np.ndarra
     """Solve sum_{i<=j} kern[j-i] u_i = x_j in place; returns x holding u.
 
     ``kern`` holds K[g] for g = 0..M-1 (K[0] is read only by the block
-    solver).  ``solve_block(x, start, stop)`` must turn x[start:stop],
+    solver, which may also add back a part of K that kern leaves out of
+    the far history).  ``solve_block(x, start, stop)`` must turn x[start:stop],
     the right side minus the far history, into u[start:stop], reading
     earlier unknowns of the block from x.
     """
@@ -120,14 +127,19 @@ def block_inverse(kern: np.ndarray) -> BlockSolve:
 
 def modal_inverse(kern: np.ndarray, shift: np.ndarray) -> BlockSolve:
     """Block solver for one scalar recursion per column: column k of x
-    solves march's system with scalar kern and K[0] + shift[k] on the
-    diagonal.  Forward substitution runs over all columns at once."""
+    solves march's system with K[0] + shift[k] on the diagonal, where
+    kern is scalar, shared by every column, or 2-D, column k of kern
+    being column k's kernel.  Forward substitution runs over all columns
+    at once."""
     col = kern[:_BLOCK]
     d = col[0] + shift
     z = np.empty((len(col),) + d.shape)  # first column of each inverse
     z[0] = 1.0 / d
     for j in range(1, len(col)):
-        z[j] = -(col[j:0:-1] @ z[:j]) / d
+        if col.ndim == 1:
+            z[j] = -(col[j:0:-1] @ z[:j]) / d
+        else:
+            z[j] = -np.einsum("ik,ik->k", col[j:0:-1], z[:j]) / d
     return _inverse_solver(z)
 
 

@@ -88,3 +88,13 @@ def test_validation():
     cq = build_cq(0.5, 0.1, 4)
     with pytest.raises(ValueError):
         apply_cq(cq, np.ones(6))  # more values than weights
+
+
+@pytest.mark.parametrize("M", [2.5, 8.0, "8", True])
+def test_step_count_must_be_an_integer(M):
+    with pytest.raises(ValueError, match="M must be an integer"):
+        build_cq(0.5, 0.1, M)
+
+
+def test_numpy_integer_step_count_accepted():
+    assert np.array_equal(build_cq(0.5, 0.1, np.int64(8)).omega, build_cq(0.5, 0.1, 8).omega)

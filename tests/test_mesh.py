@@ -40,3 +40,16 @@ def test_validation():
         build_mesh(1.0, 0)
     with pytest.warns(UserWarning):
         build_mesh(1.0, 8, 0.5)  # r < 1 allowed but outside the theory
+
+
+@pytest.mark.parametrize("M", [2.5, 8.0, "8", True])
+def test_step_count_must_be_an_integer(M):
+    # a float M once gave nodes beyond T
+    with pytest.raises(ValueError, match="M must be an integer"):
+        build_mesh(1.0, M)
+
+
+def test_numpy_integer_step_count_accepted():
+    mesh = build_mesh(1.0, np.int64(8))
+    assert mesh.M == 8 and type(mesh.M) is int
+    assert mesh.nodes[-1] == 1.0

@@ -9,6 +9,7 @@ from msdfrac import (
     TimeProfile,
     assemble_fem,
     beta_profile,
+    build_cq,
     build_mesh,
     frac_integrate,
     integro_direct_data,
@@ -336,6 +337,83 @@ def test_integro_modal_equals_full():
                 um = solve_integro(alpha, data, mesh, fem, method="modal").U
                 uf = solve_integro(alpha, data, mesh, fem, method="full").U
                 assert np.max(np.abs(um - uf)) < 1e-10
+
+
+def _cq_cn_steps(alpha, tau, fbar, solve, mass, stiff):
+    # the CQ-Crank-Nicolson recursion one step at a time, from V^0 = 0:
+    # (M/tau + t w0 K/2) V^m = fbar^m + (M/tau - t w0 K/2) V^{m-1}
+    #                          - t K sum_{p=1}^{m-1} w_p W^{m-p},
+    # t = tau^a, W^j = (V^j + V^{j-1})/2; mass(v) applies M/tau, stiff(v)
+    # K and solve(r) inverts M/tau + t w0 K/2
+    M = len(fbar)
+    w = build_cq(alpha, tau, M).omega
+    ta = tau**alpha
+    V = np.zeros((M + 1,) + fbar.shape[1:])
+    half = np.zeros_like(V)
+    for m in range(1, M + 1):
+        hist = w[1:m] @ half[m - 1 : 0 : -1]
+        rhs = fbar[m - 1] + mass(V[m - 1]) - ta * w[0] / 2.0 * stiff(V[m - 1]) - ta * stiff(hist)
+        V[m] = solve(rhs)
+        half[m] = 0.5 * (V[m] + V[m - 1])
+    return V
+
+
+@pytest.mark.parametrize("M", [1, 255, 256, 257, 1000, 3001])
+def test_integro_march_matches_stepwise_recursion(M):
+    # the blocked Toeplitz march crosses block boundaries at 256 steps and
+    # FFT levels beyond; pin both paths to the step-by-step scheme
+    alpha, T = 0.6, 1.3
+    dom = (0.0, 1.0)
+    f = SeparableField(
+        dom,
+        (
+            (1, TimeProfile.of((1.0, alpha))),
+            (3, TimeProfile.of((2.0, 1.0), (-1.0, 0.5))),
+            (40, TimeProfile.of((0.5, 0.0), (1.0, 2.0))),
+        ),
+    )
+    zero = SeparableField.zero(dom)
+    data = PdeData(forcing=f, reconstruction=zero, initial=zero)
+    fem = assemble_fem(0.0, 1.0, 64)
+    mesh = build_mesh(T, M, 1.0)
+    tau, ta = T / M, (T / M) ** alpha
+    w0 = build_cq(alpha, tau, M).omega[0]
+    t = mesh.nodes
+
+    # modal: one scalar recursion per discrete eigenvalue
+    ks = [k for k, _, _ in f.modes]
+    lam = np.array([fem.discrete_eigenvalue(k) for k in ks])
+    amps = np.column_stack(
+        [fem.mode_load_coeff(k) / fem.mass_eigenvalue(k) * amp(t) for k, _, amp in f.modes]
+    )
+    sines = np.array([fem.sine_vector(k) for k in ks])
+    ref = _cq_cn_steps(
+        alpha,
+        tau,
+        0.5 * (amps[1:] + amps[:-1]),
+        lambda r: r / (1.0 / tau + ta * w0 * lam / 2.0),
+        lambda v: v / tau,
+        lambda v: lam * v,
+    )
+    got = solve_integro(alpha, data, mesh, fem, method="modal").V
+    assert np.max(np.abs(got - ref @ sines)) <= 1e-12 * np.max(np.abs(ref @ sines))
+
+    # full: the banded system on the Gauss loads
+    n = fem.J - 1
+    E = np.eye(n)
+    mass, stiff = fem.mass_apply(E), fem.stiff_apply(E)
+    A = mass / tau + ta * w0 / 2.0 * stiff
+    loads = sum(np.outer(amp(t), fem.mode_load_vector(k)) for k, _, amp in f.modes)
+    ref = _cq_cn_steps(
+        alpha,
+        tau,
+        0.5 * (loads[1:] + loads[:-1]),
+        lambda r: np.linalg.solve(A, r),
+        lambda v: mass @ v / tau,
+        lambda v: stiff @ v,
+    )
+    got = solve_integro(alpha, data, mesh, fem, method="full").V
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
