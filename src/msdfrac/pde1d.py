@@ -5,8 +5,9 @@ with homogeneous Dirichlet conditions, assembled as tridiagonal mass
 and stiffness matrices.  Data is separable (finite sums of sine modes
 with time-dependent amplitudes), and the per-mode Gauss load vectors
 are exact multiples of the discrete sine vectors, so each mode passes
-through the discretization without coupling to the others.  The
-solvers exploit that: with separable data the banded system collapses
+through the discretization without coupling to the others; a mode
+whose index is a multiple of J vanishes at every node and is dropped.
+The solvers exploit that: with separable data the banded system collapses
 to scalar recursions on the modes' discrete eigenvalues, marched all
 at once; this is algebraically identical to the matrix iteration
 (``method="full"``), which runs the same time scheme with a banded
@@ -21,9 +22,10 @@ splitting:
   step with the diagonal weight refreshed;
 * integrodifferential u' - I^a Lap u = f: trapezoidal convolution
   quadrature for the memory term on half-step averages combined with
-  Crank-Nicolson, a lower-triangular Toeplitz system in time solved a
-  block of steps at a time by toeplitz.march, with the banded system
-  matrix factored once;
+  Crank-Nicolson, written on the increments V^m - V^{m-1} as a
+  lower-triangular Toeplitz system in time with one shared kernel and
+  1/tau on the diagonal only, solved a block of steps at a time by
+  toeplitz.march, with the banded system matrix factored once;
 * diffusion-wave d^g u - Lap u = f for g in (1, 2): reduced to the
   integrodifferential form with a = g - 1 and a two-term splitting.
 
@@ -149,6 +151,8 @@ class IntervalFem:
 
 
 def assemble_fem(a: float, b: float, J: int) -> IntervalFem:
+    if isinstance(J, bool) or not isinstance(J, (int, np.integer)):
+        raise ValueError(f"J must be an integer number of cells, got J={J!r}")
     if J < 2:
         raise ValueError(f"need at least two cells, got J={J}")
     if not b > a:
@@ -332,8 +336,11 @@ def _modal_data(forcing: SeparableField, fem: IntervalFem, times: np.ndarray):
 
     Column j of the amplitudes is mode j's load coefficient over its mass
     eigenvalue times its profile; a modal trace maps to nodes as ``@ sines``.
+    Modes with k a multiple of J are left out: their Gauss load vanishes on
+    every hat function, so their Galerkin solution is exactly 0, and their
+    discrete eigenvalue is 0 when k is a multiple of 2J.
     """
-    modes = forcing.modes
+    modes = [mode for mode in forcing.modes if mode[0] % fem.J]
     lam = np.array([fem.discrete_eigenvalue(k) for k, _, _ in modes])
     amps = np.zeros((len(times), len(modes)))
     sines = np.zeros((len(modes), fem.J - 1))
@@ -448,15 +455,17 @@ def solve_integro(
 
     Memory term on half-step averages W^j = (V^j + V^{j-1})/2 with
     V^0 = V^{-1} = 0, forcing as the endpoint average fbar^m =
-    (F^m + F^{m-1})/2, tau = T/M.  Written on V^1..V^M the scheme is the
-    lower-triangular Toeplitz system sum_g K_g V^{m-g} = fbar^m with
-    K_g = (delta_{g0} - delta_{g1}) M/tau + F_g K (mass M, stiffness K)
-    and F_g = tau^a (omega_g + omega_{g-1})/2, omega_{-1} = 0, solved by
-    toeplitz.march.  "modal" marches all modes at once on their
-    eigenvalues lam, with far history F_g lam per column; the coupling
-    -V^{m-1}/tau across a block boundary is added exactly instead of
-    through the FFT.  "full" steps with the banded factor of
-    M/tau + F_0 K, factored once, on the history convolved with F.
+    (F^m + F^{m-1})/2, tau = T/M.  With F_g = tau^a (omega_g +
+    omega_{g-1})/2, omega_{-1} = 0, the scheme reads
+    M (V^m - V^{m-1})/tau + K sum_g F_g V^{m-g} = fbar^m (mass M,
+    stiffness K).  It is marched on the increments D^m = V^m - V^{m-1}:
+    with G = cumsum(F), sum_g F_g V^{m-g} = sum_g G_g D^{m-g}, so
+    M D^m/tau + K sum_g G_g D^{m-g} = fbar^m is a lower-triangular
+    Toeplitz system with 1/tau on its diagonal only, solved by
+    toeplitz.march, and V is the running sum of D.  "modal" divides
+    mode k by its eigenvalue lam_k > 0, which leaves the shared kernel
+    G with the diagonal shift 1/(tau lam_k); "full" steps with the
+    banded factor of M/tau + G_0 K, factored once.
     """
     if method not in ("auto", "modal", "full"):
         raise ValueError(f"unknown method {method!r}")
@@ -466,37 +475,22 @@ def solve_integro(
         raise ValueError("convolution quadrature needs a uniform mesh")
     tau = mesh.T / mesh.M
     w = build_cq(alpha, tau, mesh.M).omega[: mesh.M]
-    F = tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]])
+    G = np.cumsum(tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]]))
 
     if method != "full":
         lam, amps, sines = _modal_data(data.forcing, fem, mesh.nodes)
-        far = np.outer(F, lam)
-        near = far.copy()
-        near[1:2] -= 1.0 / tau
-        solve = modal_inverse(near, 1.0 / tau)
-
-        def solve_block(x: np.ndarray, start: int, stop: int) -> None:
-            # far keeps the 1/tau entries out of the FFT's rounding, and
-            # the only one it misses couples V^start to V^{start-1}
-            if start:
-                x[start] += x[start - 1] / tau
-            solve(x, start, stop)
-
-        V = np.zeros(amps.shape)
-        V[1:] = 0.5 * (amps[1:] + amps[:-1])
-        march(far, V[1:], solve_block)
-        V = V @ sines
+        D = march(G, 0.5 * (amps[1:] + amps[:-1]) / lam, modal_inverse(G, 1.0 / (tau * lam)))
+        V = np.cumsum(D, axis=0) @ sines
     else:
         loads = _load_rows(data.forcing, fem, mesh.nodes)
         fbar = 0.5 * (loads[1:] + loads[:-1])
-        factor = cholesky_banded(fem.banded(1.0 / tau, F[0]))
-        V = np.zeros(loads.shape)
+        factor = cholesky_banded(fem.banded(1.0 / tau, G[0]))
 
         def step(j: int, b: np.ndarray) -> np.ndarray:
-            rhs = fbar[j] + fem.mass_apply(V[j]) / tau + fem.stiff_apply(b)
-            return cho_solve_banded((factor, False), rhs)
+            return cho_solve_banded((factor, False), fbar[j] + fem.stiff_apply(b))
 
-        march(F, V[1:], stepwise(F, step))
+        V = np.cumsum(march(G, np.zeros_like(fbar), stepwise(G, step)), axis=0)
+    V = np.vstack([np.zeros(fem.J - 1), V])
 
     return _reconstruct(V, data, mesh, fem)
 

@@ -193,6 +193,10 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     The fine solve of row k is the coarse solve of row k+1, so a study
     over k rows costs k+1 solves.
     """
+    Ms = list(Ms)
+    for M in Ms:
+        if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+            raise ValueError(f"M must be an integer number of steps, got M={M!r}")
     Ms = [int(M) for M in Ms]
     if not Ms:
         raise ValueError("empty M list")

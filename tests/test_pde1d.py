@@ -68,6 +68,15 @@ def test_sine_vectors_diagonalize_the_pencil():
         assert lam >= fem.mode_frequency(k) ** 2
 
 
+def test_assemble_fem_rejects_non_integer_cell_counts():
+    # a fractional J would set h = (b - a)/J but store int(J) cells, so the
+    # grid would stop short of b
+    for J in (32.5, 32.0, "32", True):
+        with pytest.raises(ValueError, match="J must be an integer"):
+            assemble_fem(0.0, 1.0, J)
+    assert assemble_fem(0.0, 1.0, np.int64(32)).J == 32
+
+
 def test_eigenvalue_convergence():
     lam_exact = math.pi**2
     fem = assemble_fem(0.0, 1.0, 128)
@@ -153,6 +162,34 @@ def test_subdiffusion_modal_equals_full(n):
             um = solve_subdiffusion(alpha, n, data, mesh, fem, method="modal").U
             uf = solve_subdiffusion(alpha, n, data, mesh, fem, method="full").U
             assert np.max(np.abs(um - uf)) < 1e-10
+
+
+def test_modes_on_multiples_of_the_cell_count_drop_out():
+    # modes k = J and 2J vanish at every node, and lam_h is 0 for k = 2J,
+    # which the increment form of the CQ march divides by; both paths must
+    # agree and stay finite
+    alpha, J = 0.4, 16
+    dom = (0.0, 1.0)
+    f = SeparableField(
+        dom,
+        (
+            (1, TimeProfile.of((1.0, 0.5))),
+            (J, TimeProfile.constant(1.0)),
+            (2 * J, TimeProfile.of((2.0, 1.0))),
+        ),
+    )
+    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))
+    fem = assemble_fem(0.0, 1.0, J)
+    mesh = build_mesh(1.0, 64, 1.0)
+    sub = msd_subdiffusion_data(f, u0, 1, alpha)
+    integro = msd_integro_data(f, u0, alpha)
+    for solve in (
+        lambda method: solve_subdiffusion(alpha, 1, sub, mesh, fem, method=method),
+        lambda method: solve_integro(alpha, integro, mesh, fem, method=method),
+    ):
+        um, uf = solve("modal").U, solve("full").U
+        assert np.all(np.isfinite(um)) and np.all(np.isfinite(uf))
+        assert np.max(np.abs(um - uf)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha,n", [(0.25, 0), (0.25, 2), (0.75, 0)])
@@ -348,7 +385,7 @@ def _cq_cn_steps(alpha, tau, fbar, solve, mass, stiff):
     M = len(fbar)
     w = build_cq(alpha, tau, M).omega
     ta = tau**alpha
-    V = np.zeros((M + 1,) + fbar.shape[1:])
+    V = np.zeros((M + 1,) + fbar.shape[1:], dtype=fbar.dtype)
     half = np.zeros_like(V)
     for m in range(1, M + 1):
         hist = w[1:m] @ half[m - 1 : 0 : -1]
@@ -414,6 +451,43 @@ def test_integro_march_matches_stepwise_recursion(M):
     )
     got = solve_integro(alpha, data, mesh, fem, method="full").V
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+)
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_integro_matches_long_double_recursion(alpha, n):
+    # table-6 data at M = 4096: both paths against the step-by-step scheme
+    # run in long double on the same weights, eigenvalues and loads
+    f, u0 = _integro_problem(alpha)
+    data = (msd_integro_data if n else integro_direct_data)(f, u0, alpha)
+    fem = assemble_fem(0.0, 1.0, 32)
+    M = 4096
+    mesh = build_mesh(1.0, M, 1.0)
+    tau, ta = 1.0 / M, (1.0 / M) ** alpha
+    w0 = build_cq(alpha, tau, M).omega[0]
+    t = mesh.nodes
+    ks = [k for k, _, _ in data.forcing.modes]
+    lam = np.array([fem.discrete_eigenvalue(k) for k in ks], dtype=np.longdouble)
+    amps = np.column_stack(
+        [fem.mode_load_coeff(k) / fem.mass_eigenvalue(k) * amp(t) for k, _, amp in data.forcing.modes]
+    ).astype(np.longdouble)
+    V = _cq_cn_steps(
+        alpha,
+        tau,
+        0.5 * (amps[1:] + amps[:-1]),
+        lambda r: r / (1 / np.longdouble(tau) + ta * w0 * lam / 2),
+        lambda v: v / np.longdouble(tau),
+        lambda v: lam * v,
+    )
+    ref = V.astype(float) @ np.array([fem.sine_vector(k) for k in ks])
+    scale = np.max(np.abs(ref))
+    modal = solve_integro(alpha, data, mesh, fem).V
+    assert np.max(np.abs(modal - ref)) <= 1e-14 * scale
+    full = solve_integro(alpha, data, mesh, fem, method="full").V
+    assert np.max(np.abs(full - ref)) <= 5e-14 * scale
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])

@@ -112,6 +112,21 @@ def test_run_study_rejects_bad_m_lists():
         run_study(spec, [-8, -16])
 
 
+def test_run_study_rejects_non_integer_step_counts():
+    calls = []
+
+    def solve(M):
+        calls.append(M)
+        return _constant_trace(M, 0.0)
+
+    spec = StudySpec(model="synthetic", params={"alpha": 0.5}, theory=None, solve=solve)
+    for Ms in ([128.9], [True], ["64", "128"], [64, 128.0]):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            run_study(spec, Ms)
+    assert calls == []
+    assert [row.M for row in run_study(spec, [np.int64(8), 16]).rows] == [8, 16]
+
+
 def test_run_study_wraps_solver_failure():
     def solve(M):
         raise RuntimeError("boom")
@@ -168,6 +183,11 @@ def test_make_integro_study_rejects_deep_split():
 def test_make_subdiffusion_study_requires_domain_for_callables():
     with pytest.raises(ValueError):
         make_subdiffusion_study(0.5, f=lambda x, t: x * t, u0=lambda x, t: 0.0)
+
+
+def test_make_subdiffusion_study_rejects_non_integer_cell_count():
+    with pytest.raises(ValueError, match="J must be an integer"):
+        make_subdiffusion_study(0.5, J=16.5)
 
 
 def test_make_subdiffusion_study_rejects_mismatched_domain():
