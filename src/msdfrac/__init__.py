@@ -9,7 +9,6 @@ unknown that separates the leading singular terms of the solution.
 
 from .conv_quad import CQWeights, apply_cq, build_cq
 from .fracint import (
-    ForcingFunction,
     TimeProfile,
     as_forcing,
     beta_profile,
@@ -76,7 +75,6 @@ __all__ = [
     "CollocationTrace",
     "ConvergenceReport",
     "FieldTrace",
-    "ForcingFunction",
     "GradedMesh",
     "IntervalFem",
     "L1System",

@@ -87,12 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volterra", help="weakly singular Volterra equation, collocation")
     _add_common(p)
     p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
-    p.add_argument("--q", type=int, default=2, help="collocation points per step (default 2)")
     p.add_argument(
         "--c",
         type=_parse_c,
         default=(2.0 / 3.0, 1.0),
-        help="collocation points, comma list, fractions allowed (default 2/3,1)",
+        help="collocation points per step, comma list, fractions allowed (default 2/3,1)",
     )
 
     p = sub.add_parser("subdiffusion", help="1D subdiffusion, L1 + linear FEM")
@@ -122,7 +121,7 @@ def _make_spec(args):
     if args.command == "relaxation":
         return make_relaxation_study(args.alpha, n=args.n, r=args.r, lam=args.lam, T=args.T)
     if args.command == "volterra":
-        return make_volterra_study(args.alpha, n=args.n, q=args.q, c=args.c, T=args.T)
+        return make_volterra_study(args.alpha, n=args.n, c=args.c, T=args.T)
     if args.command == "subdiffusion":
         return make_subdiffusion_study(args.alpha, n=args.n, r=args.r, J=args.J, T=args.T)
     if args.command == "integro":

@@ -6,12 +6,14 @@ approximated by
     Q_m(phi) = tau^a sum_{p=0}^{m} omega_p phi^{m-p} + chi_m phi^0,
 
 where the omega_p are the Taylor coefficients of the generating
-function (2(1-z)/(1+z))^{-a} = 2^{-a}(1+z)^a (1-z)^{-a}, obtained here
-by convolving the two binomial series directly.  The starting weights
-chi_m absorb the rule's error on constants: they are defined so that
-Q_m(1) = t_m^a/Gamma(1+a) holds exactly for every m (chi_0, forced by
-that identity at t_0 = 0, makes Q_0 vanish identically).  The rule is
-then second-order accurate for smooth inputs.
+function (2(1-z)/(1+z))^{-a} = 2^{-a} w(z), w = ((1+z)/(1-z))^a.  From
+(1 - z^2) w' = 2a w the coefficients of w obey (k+1) w_{k+1} = 2a w_k
++ (k-1) w_{k-1}, an O(M) recurrence of positive terms: nothing cancels.
+The starting weights chi_m absorb the rule's error on constants: they
+are defined so that Q_m(1) = t_m^a/Gamma(1+a) holds exactly for every
+m (chi_0, forced by that identity at t_0 = 0, makes Q_0 vanish
+identically).  The rule is then second-order accurate for smooth
+inputs.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
     if M < 1:
         raise ValueError(f"need at least one step, got M={M}")
 
-    # binomial series of (1+z)^a and (1-z)^{-a}
-    k = np.arange(1, M + 1, dtype=float)
-    c = np.concatenate(([1.0], np.cumprod((alpha - k + 1.0) / k)))
-    d = np.concatenate(([1.0], np.cumprod((k - 1.0 + alpha) / k)))
-    omega = 2.0 ** (-alpha) * np.convolve(c, d)[: M + 1]
+    w = [1.0, 2.0 * alpha]
+    for k in range(1, M):
+        w.append((2.0 * alpha * w[k] + (k - 1) * w[k - 1]) / (k + 1))
+    omega = 2.0 ** (-alpha) * np.array(w)
 
     t = tau * np.arange(M + 1)
     chi = t**alpha / math.gamma(1.0 + alpha) - tau**alpha * np.cumsum(omega)

@@ -12,13 +12,14 @@ reconstruction terms of the solution decomposition be carried through
 the solvers without quadrature error.
 
 beta_profile(nu) builds the kernel itself.  For nu < 1 its exponent is
-negative, so such a profile cannot be evaluated at t = 0; every other
-construction path rejects exponents at or below -1.
+negative, so such a profile cannot be evaluated at t = 0.
 
-frac_integrate_numeric provides the fallback for forcing data with no
-analytic profile: the integrand is replaced by its piecewise-linear
-interpolant on the mesh and the kernel moments are integrated exactly
-(product integration, second order for smooth data).
+Forcing data is either a TimeProfile, which the splitting treats
+exactly, or a plain callable of t, sampled at mesh points (sample).
+frac_integrate_numeric provides the fallback for the callable: the
+integrand is replaced by its piecewise-linear interpolant on the mesh
+and the kernel moments are integrated exactly (product integration,
+second order for smooth data).
 
 msd_split is the multiscale splitting itself, and the one place any
 model applies its splitting operator repeatedly: given data g and an
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,15 +41,11 @@ from .mesh import GradedMesh
 
 __all__ = [
     "TimeProfile",
-    "ForcingFunction",
     "beta_profile",
     "frac_integrate",
     "frac_integrate_numeric",
     "as_forcing",
 ]
-
-# Exponents at or below this are non-integrable against the kernel.
-_EXPONENT_FLOOR = -1.0 + 1e-12
 
 
 def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -77,7 +74,7 @@ class TimeProfile:
     def of(*terms: tuple[float, float]) -> "TimeProfile":
         out = _normalize(terms)
         for _, p in out:
-            if p <= _EXPONENT_FLOOR:
+            if p <= -1.0:
                 raise ValueError(f"exponent {p} <= -1 is not integrable")
         return TimeProfile(out)
 
@@ -88,16 +85,6 @@ class TimeProfile:
     @staticmethod
     def zero() -> "TimeProfile":
         return TimeProfile(())
-
-    @staticmethod
-    def _singular(terms: Iterable[tuple[float, float]]) -> "TimeProfile":
-        # Internal path for beta_profile: admits exponents in (-1, 0)
-        # arbitrarily close to -1.
-        out = _normalize(terms)
-        for _, p in out:
-            if p <= -1.0:
-                raise ValueError(f"exponent {p} <= -1 is not integrable")
-        return TimeProfile(out)
 
     @property
     def min_exponent(self) -> float:
@@ -136,7 +123,7 @@ def beta_profile(nu: float) -> TimeProfile:
     """The kernel beta_nu(t) = t^{nu-1}/Gamma(nu) as a TimeProfile."""
     if not (math.isfinite(nu) and nu > 0.0):
         raise ValueError(f"kernel order must be positive, got {nu}")
-    return TimeProfile._singular([(1.0 / math.gamma(nu), nu - 1.0)])
+    return TimeProfile.of((1.0 / math.gamma(nu), nu - 1.0))
 
 
 def frac_integrate(p: TimeProfile, nu: float) -> TimeProfile:
@@ -151,64 +138,28 @@ def frac_integrate(p: TimeProfile, nu: float) -> TimeProfile:
     for c, q in p.terms:
         factor = math.gamma(q + 1.0) / math.gamma(q + 1.0 + nu)
         terms.append((c * factor, q + nu))
-    return TimeProfile._singular(terms)
+    return TimeProfile.of(*terms)
 
 
-@dataclass(frozen=True)
-class ForcingFunction:
-    """Forcing data: either an analytic TimeProfile or a plain callable.
-
-    The analytic path supports exact decomposition preprocessing; the
-    callable path is sampled at mesh nodes and preprocessed by product
-    integration, which carries its own O(tau^2) error.
-    """
-
-    profile: Union[TimeProfile, None] = None
-    func: Union[Callable, None] = None
-
-    def __post_init__(self):
-        if (self.profile is None) == (self.func is None):
-            raise ValueError("provide exactly one of profile or func")
-
-    @staticmethod
-    def analytic(profile: TimeProfile) -> "ForcingFunction":
-        return ForcingFunction(profile=profile)
-
-    @staticmethod
-    def from_callable(func: Callable) -> "ForcingFunction":
-        return ForcingFunction(func=func)
-
-    @property
-    def is_analytic(self) -> bool:
-        return self.profile is not None
-
-    def sample(self, t):
-        if self.profile is not None:
-            return self.profile(t)
-        tv = np.asarray(t, dtype=float)
-        out = np.asarray(self.func(tv), dtype=float)
-        if out.shape != tv.shape:
-            out = np.broadcast_to(out, tv.shape).copy()
-        return out
-
-
-def as_forcing(f) -> ForcingFunction:
-    """Coerce a TimeProfile, number, or callable into a ForcingFunction."""
-    if isinstance(f, ForcingFunction):
+def as_forcing(f):
+    """Forcing data as a TimeProfile (a number becomes a constant) or a callable."""
+    if isinstance(f, TimeProfile) or callable(f):
         return f
-    if isinstance(f, TimeProfile):
-        return ForcingFunction.analytic(f)
     if isinstance(f, (int, float)):
-        return ForcingFunction.analytic(TimeProfile.constant(float(f)))
-    if callable(f):
-        return ForcingFunction.from_callable(f)
+        return TimeProfile.constant(float(f))
     raise TypeError(f"cannot interpret {type(f).__name__} as forcing data")
+
+
+def sample(f, t) -> np.ndarray:
+    """Values of the forcing f at the points t, broadcast to the shape of t."""
+    tv = np.asarray(t, dtype=float)
+    return np.broadcast_to(np.asarray(f(tv), dtype=float), tv.shape).copy()
 
 
 def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:
     """(I^nu f)(t_m) at every mesh node by product integration.
 
-    f may be a ForcingFunction, a callable, or an array of nodal values.
+    f may be forcing data (see as_forcing) or an array of nodal values.
     The piecewise-linear interpolant of f is integrated against the
     kernel exactly, cell by cell:
 
@@ -224,7 +175,7 @@ def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:
         if fv.shape != t.shape:
             raise ValueError(f"nodal values have shape {fv.shape}, expected {t.shape}")
     else:
-        fv = as_forcing(f).sample(t)
+        fv = sample(as_forcing(f), t)
 
     tau = mesh.steps
     g = 1.0 / math.gamma(nu)

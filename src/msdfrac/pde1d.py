@@ -128,21 +128,17 @@ class IntervalFem:
         th = self.mode_frequency(k) * self.h
         return self.h * (2.0 + math.cos(th)) / 3.0
 
+    def mode_load_coeff(self, k: int) -> float:
+        """The two-point Gauss load of sin(k xi (x-a)) is this multiple of
+        the sine vector: h (g- cos(g+ th) + g+ cos(g- th)) with th = k xi h
+        and g-/+ = 1/2 -/+ 1/(2 sqrt 3) the Gauss points of a cell."""
+        th = self.mode_frequency(k) * self.h
+        lo, hi = 0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)
+        return self.h * (lo * math.cos(hi * th) + hi * math.cos(lo * th))
+
     def mode_load_vector(self, k: int) -> np.ndarray:
         """Two-point Gauss load of the spatial factor sin(k xi (x-a))."""
-        w = self.mode_frequency(k)
-        x0 = self.a + self.h * np.arange(self.J)
-        out = np.zeros(self.J + 1)
-        for s in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
-            vals = np.sin(w * (x0 + s * self.h - self.a)) * (self.h / 2.0)
-            out[:-1] += vals * (1.0 - s)
-            out[1:] += vals * s
-        return out[1:-1]
-
-    def mode_load_coeff(self, k: int) -> float:
-        """The Gauss load vector is this multiple of the sine vector."""
-        s = self.sine_vector(k)
-        return float(self.mode_load_vector(k) @ s / (s @ s))
+        return self.mode_load_coeff(k) * self.sine_vector(k)
 
     def nodal_load(self, fvals: np.ndarray) -> np.ndarray:
         """Load of the nodal interpolant; fvals has all J+1 node values."""
@@ -170,7 +166,9 @@ def _as_profile(amp) -> TimeProfile:
 class SeparableField:
     """Finite sum of sine modes with time-profile amplitudes.
 
-    modes: tuple of (k, lambda_k, amplitude) with lambda_k = (k pi/(b-a))^2.
+    modes goes in as (k, amplitude) pairs, the amplitude a TimeProfile or
+    a number, and is stored as (k, lambda_k, profile) triples sorted by k,
+    with lambda_k = (k pi/(b-a))^2 the mode's eigenvalue of -Lap.
     """
 
     domain: tuple
@@ -183,16 +181,13 @@ class SeparableField:
         xi = math.pi / (b - a)
         norm = []
         for mode in self.modes:
-            if len(mode) == 2:
+            try:
                 k, amp = mode
-                lam = (k * xi) ** 2
-            else:
-                k, lam, amp = mode
-                if abs(lam - (k * xi) ** 2) > 1e-12 * max(1.0, (k * xi) ** 2):
-                    raise ValueError(f"mode {k}: eigenvalue {lam} does not match the domain")
+            except (TypeError, ValueError):
+                raise ValueError(f"modes must be (k, amplitude) pairs, got {mode!r}") from None
             if k < 1 or k != int(k):
                 raise ValueError(f"mode index must be a positive integer, got {k}")
-            norm.append((int(k), lam, _as_profile(amp)))
+            norm.append((int(k), (k * xi) ** 2, _as_profile(amp)))
         norm.sort(key=lambda m: m[0])
         if len({m[0] for m in norm}) != len(norm):
             raise ValueError("duplicate mode indices")
@@ -212,27 +207,19 @@ class SeparableField:
             return self
         if self.domain != other.domain:
             raise ValueError("cannot add fields on different domains")
-        acc = {k: (lam, amp) for k, lam, amp in self.modes}
-        for k, lam, amp in other.modes:
-            if k in acc:
-                acc[k] = (lam, acc[k][1] + amp)
-            else:
-                acc[k] = (lam, amp)
-        kept = tuple((k, v[0], v[1]) for k, v in acc.items() if not v[1].is_zero)
-        return SeparableField(self.domain, kept)
+        acc = {k: amp for k, _, amp in self.modes}
+        for k, _, amp in other.modes:
+            acc[k] = acc[k] + amp if k in acc else amp
+        return SeparableField(self.domain, tuple((k, a) for k, a in acc.items() if not a.is_zero))
 
     __radd__ = __add__
 
     def laplacian(self) -> "SeparableField":
-        return SeparableField(
-            self.domain, tuple((k, lam, amp * (-lam)) for k, lam, amp in self.modes)
-        )
+        return self.map_amplitudes(lambda lam, amp: amp * (-lam))
 
     def map_amplitudes(self, fn: Callable) -> "SeparableField":
         """New field with amplitude fn(lam, profile) per mode."""
-        return SeparableField(
-            self.domain, tuple((k, lam, fn(lam, amp)) for k, lam, amp in self.modes)
-        )
+        return SeparableField(self.domain, tuple((k, fn(lam, amp)) for k, lam, amp in self.modes))
 
     def evaluate(self, x, t):
         a, b = self.domain

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracint import (
-    ForcingFunction,
-    TimeProfile,
-    as_forcing,
-    frac_integrate,
-    frac_integrate_numeric,
-    msd_split,
+    TimeProfile, as_forcing, frac_integrate, frac_integrate_numeric, msd_split, sample
 )
 from .l1_scheme import march_l1
 from .mesh import GradedMesh
@@ -51,7 +46,7 @@ class RelaxationProblem:
     alpha: float
     lam: float
     T: float
-    f: ForcingFunction
+    f: object  # TimeProfile, number or callable of t (see as_forcing)
     n: int = 0
 
     def __post_init__(self):
@@ -81,13 +76,13 @@ def full_order_depth(alpha: float) -> int:
 def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
     """(L^n f, I^a sum_{i<n} L^i f) by msd_split with L = -lam I^a.
 
-    Both are TimeProfiles when f is analytic, else nodal value arrays
+    Both are TimeProfiles when f is a TimeProfile, else nodal value arrays
     computed by product integration (that path carries the quadrature's
     own O(tau^2) error on top of the scheme's).
     """
     a, lam = prob.alpha, prob.lam
-    if prob.f.is_analytic:
-        forcing, head = msd_split(prob.f.profile, lambda g: -lam * frac_integrate(g, a), prob.n)
+    if isinstance(prob.f, TimeProfile):
+        forcing, head = msd_split(prob.f, lambda g: -lam * frac_integrate(g, a), prob.n)
         return forcing, frac_integrate(sum(head, TimeProfile.zero()), a)
     if mesh is None:
         raise ValueError("a mesh is required to decompose a pointwise forcing")
@@ -97,7 +92,7 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
             "computed by nodal product quadrature and are approximate",
             stacklevel=3,
         )
-    vals = np.asarray(prob.f.sample(mesh.nodes), dtype=float)
+    vals = sample(prob.f, mesh.nodes)
     forcing, head = msd_split(vals, lambda v: -lam * frac_integrate_numeric(v, a, mesh), prob.n)
     zero = np.zeros_like(vals)
     return forcing, frac_integrate_numeric(sum(head, zero), a, mesh) if head else zero

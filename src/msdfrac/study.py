@@ -246,19 +246,19 @@ def make_relaxation_study(
 def make_volterra_study(
     alpha: float,
     n: int = 0,
-    q: int = 2,
     c: tuple = (2.0 / 3.0, 1.0),
     T: float = 1.0,
     kernel=None,
     f=1.0,
 ) -> StudySpec:
+    """Volterra study with len(c) collocation points per cell."""
     if kernel is None:
         kernel = 1.0 / math.gamma(1.0 - alpha)
-    prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, q=q, c=c)
+    prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, q=len(c), c=c)
     return StudySpec(
         model="volterra",
-        params={"alpha": alpha, "n": n, "r": 1.0, "q": q, "c": tuple(c), "T": T},
-        theory=theory_order("volterra", alpha, n, q=q),
+        params={"alpha": alpha, "n": n, "r": 1.0, "q": prob.q, "c": tuple(c), "T": T},
+        theory=theory_order("volterra", alpha, n, q=prob.q),
         solve=lambda M: solve_volterra(prob, M),
     )
 

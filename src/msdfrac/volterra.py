@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fracint import ForcingFunction, TimeProfile, as_forcing, frac_integrate, msd_split
+from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
 from .mesh import GradedMesh, build_mesh
 from .toeplitz import block_inverse, march
 
@@ -72,7 +72,7 @@ class VolterraProblem:
     alpha: float
     T: float
     kernel: object
-    f: ForcingFunction
+    f: object  # TimeProfile, number or callable of t (see as_forcing)
     n: int = 0
     q: int = 2
     c: tuple = (2.0 / 3.0, 1.0)
@@ -204,9 +204,9 @@ def msd_volterra_forcing(prob: VolterraProblem, M: int | None = None):
     """The pair (L^n f~, sum_{i<n} L^i f~) from msd_split, profiles or
     (M, q) point arrays."""
     alpha = prob.alpha
-    if prob.constant_kernel and prob.f.is_analytic:
+    f = prob.f
+    if prob.constant_kernel and isinstance(f, TimeProfile):
         kappa = float(prob.kernel)
-        f = prob.f.profile
         f0 = f(0.0)
         ft = _apply_L_profile(TimeProfile.constant(f0), kappa, alpha) + f - TimeProfile.constant(f0)
         forcing, head = msd_split(ft, lambda g: _apply_L_profile(g, kappa, alpha), prob.n)
@@ -220,10 +220,8 @@ def msd_volterra_forcing(prob: VolterraProblem, M: int | None = None):
         stacklevel=2,
     )
     pts = _collocation_points(prob.T, M, prob.c)
-    fv = np.asarray(prob.f.sample(pts), dtype=float)
-    if np.isscalar(fv) or fv.shape != pts.shape:
-        fv = np.broadcast_to(fv, pts.shape).copy()
-    f0 = float(prob.f.sample(0.0))
+    fv = sample(f, pts)
+    f0 = float(sample(f, 0.0))
     ft = f0 * _apply_L_points(np.ones_like(fv), prob, pts) + fv - f0
     forcing, head = msd_split(ft, lambda g: _apply_L_points(g, prob, pts), prob.n)
     return forcing, sum(head, np.zeros_like(ft))
@@ -318,7 +316,7 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
             mat = _local_matrix(phi, scale, cur_k)
             V[m] = np.linalg.solve(mat, rhs[m] + scale * _history(psi, V, m, hist_k))
 
-    U = V + float(prob.f.sample(0.0)) + recon
+    U = V + float(sample(prob.f, 0.0)) + recon
     mesh = build_mesh(prob.T, M, 1.0)
     return CollocationTrace(mesh=mesh, c=prob.c, V=V, U=U)
 

@@ -95,6 +95,15 @@ def test_fraction_collocation_nodes(capsys):
     assert out.count("\n") == 3
 
 
+def test_collocation_count_follows_c(capsys):
+    # --c fixes the number of collocation points per step
+    code, out, err = _run(
+        capsys, ["volterra", "--alpha", "0.5", "--c", "0.2,0.6,1", "--M", "64", "--M", "128"]
+    )
+    assert code == 0, err
+    assert "q=3" in out
+
+
 def test_diffusion_wave_runs(capsys):
     code, out, _ = _run(
         capsys,

@@ -27,6 +27,18 @@ def test_weights_match_binomial_products():
         assert cq.omega[m] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("M", [1, 2, 64, 4096])
+def test_weights_match_direct_binomial_convolution(alpha, M):
+    k = np.arange(1, M + 1, dtype=float)
+    c = np.concatenate(([1.0], np.cumprod((alpha - k + 1.0) / k)))  # (1+z)^a
+    d = np.concatenate(([1.0], np.cumprod((k - 1.0 + alpha) / k)))  # (1-z)^{-a}
+    ref = 2.0**-alpha * np.convolve(c, d)[: M + 1]
+    omega = build_cq(alpha, 1.0 / M, M).omega
+    assert omega.shape == ref.shape
+    assert np.max(np.abs(omega - ref) / ref) < 1e-13
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("tau", [0.3, 1.0 / 512.0])
 def test_constant_exactness_identity(alpha, tau):

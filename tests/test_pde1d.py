@@ -83,13 +83,36 @@ def test_eigenvalue_convergence():
     assert fem.discrete_eigenvalue(1) == pytest.approx(lam_exact, rel=5e-4)
 
 
-def test_mode_loads_proportional_to_sine_vectors():
-    fem = assemble_fem(0.0, 1.0, 17)
-    for k in (1, 3):
-        load = fem.mode_load_vector(k)
-        s = fem.sine_vector(k)
-        q = fem.mode_load_coeff(k)
-        assert np.max(np.abs(load - q * s)) < 1e-14 * abs(q)
+def _gauss_load(fem, k):
+    # two-point Gauss rule on every cell against both hat functions
+    w = k * math.pi / (fem.b - fem.a)
+    x0 = fem.a + fem.h * np.arange(fem.J)
+    out = np.zeros(fem.J + 1)
+    for s in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+        vals = np.sin(w * (x0 + s * fem.h - fem.a)) * (fem.h / 2.0)
+        out[:-1] += vals * (1.0 - s)
+        out[1:] += vals * s
+    return out[1:-1]
+
+
+def test_mode_loads_match_gauss_quadrature():
+    # every mode, multiples of J included, against the quadrature itself
+    fem = assemble_fem(0.0, 1.0, 16)
+    ks = range(1, 3 * fem.J + 1)
+    refs = [_gauss_load(fem, k) for k in ks]
+    scale = max(np.max(np.abs(r)) for r in refs)
+    for k, ref in zip(ks, refs):
+        assert np.max(np.abs(fem.mode_load_vector(k) - ref)) < 1e-14 * scale
+
+
+def test_mode_load_coeff_is_closed_form_on_multiples_of_the_cell_count():
+    # the sine vector vanishes at every node for k = J, 2J, so a projection
+    # onto it reads rounding noise; th = k pi h/(b-a) is pi and 2 pi there
+    fem = assemble_fem(0.0, 1.0, 16)
+    lo, hi = 0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)
+    for k, th in ((16, math.pi), (32, 2.0 * math.pi)):
+        want = fem.h * (lo * math.cos(hi * th) + hi * math.cos(lo * th))
+        assert fem.mode_load_coeff(k) == pytest.approx(want, rel=1e-15)
 
 
 def test_nodal_load_matches_gauss_load_for_sine_data():
@@ -122,8 +145,9 @@ def test_field_algebra_and_evaluation():
 
 
 def test_field_validation():
-    with pytest.raises(ValueError):
-        SeparableField((0.0, 1.0), ((1, 99.0, TimeProfile.constant(1.0)),))  # wrong lambda
+    with pytest.raises(ValueError, match="modes"):
+        # the eigenvalue follows from k and the domain; triples are refused
+        SeparableField((0.0, 1.0), ((1, math.pi**2, TimeProfile.constant(1.0)),))
     with pytest.raises(ValueError):
         SeparableField((0.0, 1.0), ((0, TimeProfile.constant(1.0)),))  # k must be >= 1
     with pytest.raises(ValueError):

@@ -138,6 +138,17 @@ def test_general_kernel_path_warns_and_stays_close():
     assert np.max(np.abs(got.nodal_values - ref.nodal_values)) < 5e-4
 
 
+def test_pointwise_forcing_with_scalar_return_matches_constant():
+    # a callable f returning one number is broadcast over the collocation
+    # points and gives the same solve as the constant profile, bit for bit
+    prob = dataclasses.replace(_default_problem(0.5, n=1), kernel=lambda s, t: 1.0 + 0.5 * s * t)
+    with pytest.warns(UserWarning):
+        ref = solve_volterra(prob, 32)
+    with pytest.warns(UserWarning):
+        got = solve_volterra(dataclasses.replace(prob, f=lambda t: 1.0), 32)
+    assert np.array_equal(got.U, ref.U)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         VolterraProblem(alpha=1.2, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(2.0 / 3.0, 1.0))
