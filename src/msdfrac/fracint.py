@@ -32,6 +32,7 @@ terms through its own outer operator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -142,12 +143,14 @@ def frac_integrate(p: TimeProfile, nu: float) -> TimeProfile:
 
 
 def as_forcing(f):
-    """Forcing data as a TimeProfile (a number becomes a constant) or a callable."""
+    """Forcing data as a TimeProfile (a real number becomes a constant) or a callable."""
     if isinstance(f, TimeProfile) or callable(f):
         return f
-    if isinstance(f, (int, float)):
+    if isinstance(f, numbers.Real) and not isinstance(f, bool):
         return TimeProfile.constant(float(f))
-    raise TypeError(f"cannot interpret {type(f).__name__} as forcing data")
+    raise TypeError(
+        f"forcing f must be a TimeProfile, a real number or a callable of t, got {type(f).__name__}"
+    )
 
 
 def sample(f, t) -> np.ndarray:

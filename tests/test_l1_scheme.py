@@ -17,6 +17,7 @@ from msdfrac import (
     l1_weight_row,
     march_l1,
 )
+from msdfrac.l1_scheme import l1_weight_block
 
 
 def test_uniform_weight_row_closed_form():
@@ -90,24 +91,26 @@ def test_coercivity_inequality(alpha, r, M, seed):
 
 
 def test_march_solves_the_scheme(monkeypatch):
-    # a marched solution satisfies D^a V^m + lam V^m = rhs^m exactly; on
-    # a uniform mesh this holds for the Toeplitz fast path, which must
+    # a marched solution satisfies D^a V^m + lam V^m = rhs^m exactly; a
+    # graded march builds every weight row 1..M exactly once, a block of
+    # rows at a time, and on a uniform mesh the Toeplitz fast path must
     # be taken (no graded weight rows) even when a decimal step count
     # leaves the node gaps equal only up to rounding
     alpha, lam = 0.4, 2.5
     rows = []
 
-    def counted_row(*args):
-        rows.append(args)
-        return l1_weight_row(*args)
+    def counted_block(alpha, mesh, start, stop):
+        rows.extend(range(start + 1, stop + 1))
+        return l1_weight_block(alpha, mesh, start, stop)
 
-    monkeypatch.setattr(l1_scheme, "l1_weight_row", counted_row)
-    for mesh in (build_mesh(1.0, 32, 2.0), build_mesh(1.0, 100), build_mesh(0.3, 128)):
+    monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
+    graded = (build_mesh(1.0, 32, 2.0), build_mesh(1.0, 100, 1.5))
+    for mesh in graded + (build_mesh(1.0, 100), build_mesh(0.3, 128)):
         M = mesh.M
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         rows.clear()
         V = march_l1(alpha, mesh, lam, rhs)
-        assert len(rows) == (0 if mesh.uniform else M)
+        assert sorted(rows) == ([] if mesh.uniform else list(range(1, M + 1)))
         sysm = build_l1(mesh, alpha)
         assert V[0] == 0.0
         for m in range(1, M + 1):
@@ -169,3 +172,73 @@ def test_validation():
         apply_dfrac(sysm, np.ones(10))  # beyond the mesh
     with pytest.raises(ValueError, match="degenerate"):
         march_l1(0.5, mesh, np.array([1.0, -1e6]), np.zeros((9, 2)))  # a0 + lam <= 0
+    for grid in (mesh, build_mesh(1.0, 8, 2.0)):
+        for shape in (8, 10, (8, 2), ()):
+            with pytest.raises(ValueError, match="rhs"):
+                march_l1(0.5, grid, 1.0, np.zeros(shape))  # one row per node 0..8
+
+
+def _weight_numerators(alpha, t, m):
+    # (t_m - t_{k-1})^{1-a} - (t_m - t_k)^{1-a} for k = 1..m, one row at a time
+    pw = (t[m] - t[: m + 1]) ** (1.0 - alpha)
+    return pw[:-1] - pw[1:]
+
+
+@pytest.mark.filterwarnings("ignore:grading r")
+@pytest.mark.parametrize("alpha,r", [(0.25, 7.0), (0.75, 5.0 / 12.0), (0.5, 2.0)])
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 1000])
+def test_weight_block_rows_match_the_formula(alpha, r, M):
+    # block rows are the numerators bit for bit, exactly 0 beyond the
+    # diagonal, and l1_weight_row divides one of them by tau_k Gamma(2-a)
+    mesh = build_mesh(1.0, M, r)
+    t = mesh.nodes
+    scale = mesh.steps * math.gamma(2.0 - alpha)
+    for start in range(0, M, 32):
+        stop = min(start + 32, M)
+        block = l1_weight_block(alpha, mesh, start, stop)
+        assert block.shape == (stop - start, stop)
+        for i, m in enumerate(range(start + 1, stop + 1)):
+            want = _weight_numerators(alpha, t, m)
+            assert block[i, :m].tobytes() == want.tobytes()
+            assert np.all(block[i, m:] == 0.0)
+            assert l1_weight_row(alpha, mesh, m).tobytes() == (want / scale[:m]).tobytes()
+
+
+def _stepped_march(alpha, mesh, lam, rhs):
+    # the graded scheme one step at a time, the weight row rebuilt at each
+    t = mesh.nodes
+    V = np.zeros(rhs.shape)
+    D = np.zeros(rhs.shape)  # D[k-1] = V^k - V^{k-1}
+    for m in range(1, mesh.M + 1):
+        row = _weight_numerators(alpha, t, m) / (mesh.steps[:m] * math.gamma(2.0 - alpha))
+        a0, hist = row[-1], row[:-1] @ D[: m - 1]
+        if callable(lam):
+            V[m] = lam(a0, rhs[m], a0 * V[m - 1] - hist)
+        else:
+            V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
+        D[m - 1] = V[m] - V[m - 1]
+    return V
+
+
+@pytest.mark.parametrize("alpha,r", [(0.25, 7.0), (0.75, 5.0 / 3.0), (0.5, 2.0)])
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 200])
+def test_block_march_matches_stepped_graded_march(alpha, r, M):
+    # blocks of rows (far history one product, near block one solve)
+    # against the step-by-step march, for a scalar, three modes up to
+    # 2e4 and a banded local solve
+    mesh = build_mesh(1.0, M, r)
+    t = mesh.nodes
+    fem = assemble_fem(0.0, 1.0, 8)
+
+    def banded(a0, load, b):
+        return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
+
+    cases = (
+        (2.5, np.sin(3.0 * t) + t**0.7),
+        (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
+        (banded, np.outer(t**0.6, np.linspace(1.0, 2.0, 7))),
+    )
+    for lam, rhs in cases:
+        V = march_l1(alpha, mesh, lam, rhs)
+        ref = _stepped_march(alpha, mesh, lam, rhs)
+        assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -131,3 +131,19 @@ def test_reconstruction_identity():
     rec = msd_reconstruction(prob)
     assert np.allclose(trace.U[1:], trace.V[1:] + rec(mesh.nodes[1:]), atol=1e-15)
     assert trace.U[0] == 0.0
+
+
+def test_numpy_integer_forcing_is_a_constant():
+    # any real number is a constant forcing, numpy integer scalars included
+    mesh = build_mesh(1.0, 32, 1.5)
+    ref = solve_relaxation(RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=2.0, n=1), mesh)
+    for f in (np.int64(2), np.int32(2), 2):
+        got = solve_relaxation(RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=f, n=1), mesh)
+        assert got.U.tobytes() == ref.U.tobytes()
+        assert got.V.tobytes() == ref.V.tobytes()
+
+
+@pytest.mark.parametrize("f", [True, np.bool_(False), "1.0", None, 1.0 + 0.5j])
+def test_non_real_forcing_is_rejected(f):
+    with pytest.raises(TypeError, match="forcing f"):
+        RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=f)
