@@ -161,17 +161,22 @@ def march_l1(
     time (see the module docstring).
     """
     M = mesh.M
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim == 0 or len(rhs) != M + 1:
+        raise ValueError(f"rhs must have M + 1 = {M + 1} rows, one per node, got shape {rhs.shape}")
     solve = lam if callable(lam) else None
     if solve is None:
         lam = np.asarray(lam, dtype=float)
+        if lam.ndim > 1 or (lam.ndim == 1 and lam.shape != rhs.shape[1:]):
+            raise ValueError(
+                f"lam must be a scalar or a vector with one entry per rhs column,"
+                f" got shape {lam.shape} for rhs of shape {rhs.shape}"
+            )
         a0_min = mesh.steps.max() ** (-alpha) / math.gamma(2.0 - alpha)
         if a0_min + np.min(lam, initial=np.inf) <= 0.0:
             raise ValueError(f"degenerate L1 step: diagonal weight + lam <= 0 for lam = {lam}")
         lam = float(lam) if lam.ndim == 0 else lam  # scalar steps stay in Python floats
 
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim == 0 or len(rhs) != M + 1:
-        raise ValueError(f"rhs must have M + 1 = {M + 1} rows, one per node, got shape {rhs.shape}")
     V = np.zeros(rhs.shape)
     if mesh.uniform:
         pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)

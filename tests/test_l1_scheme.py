@@ -176,6 +176,9 @@ def test_validation():
         for shape in (8, 10, (8, 2), ()):
             with pytest.raises(ValueError, match="rhs"):
                 march_l1(0.5, grid, 1.0, np.zeros(shape))  # one row per node 0..8
+        for lam, shape in ((np.ones(2), 9), (np.ones(3), (9, 2)), (np.ones((2, 2)), (9, 2))):
+            with pytest.raises(ValueError, match="lam"):
+                march_l1(0.5, grid, lam, np.zeros(shape))  # one entry per rhs column
 
 
 def _weight_numerators(alpha, t, m):

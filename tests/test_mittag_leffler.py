@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erfcx
@@ -81,3 +83,57 @@ def test_relaxation_exact_limits():
     t = np.linspace(0.0, 5.0, 50)
     u = relaxation_exact(0.25, 1.0, t)
     assert np.all(np.diff(u) > 0.0)  # monotone approach to the plateau
+
+
+def _mpmath_reference(alpha, beta, x):
+    # Talbot inversion of s^(a-b)/(s^a - x) at t = 1 where the series
+    # cancels too much to sum (a < 1, x < -1); elsewhere the series.  Its
+    # terms cancel only for x < 0, where the precision is twice the digits
+    # of the largest term, which also covers a result as small as
+    # 1/largest (e^-100 at a = b = 1)
+    import mpmath as mp
+
+    if alpha < 1.0 and x < -1.0:
+        with mp.workdps(20):
+            F = lambda s: s ** (alpha - beta) / (s**alpha - x)  # noqa: E731
+            return float(mp.invertlaplace(F, 1, method="talbot"))
+    logs = [k * math.log(abs(x)) - math.lgamma(alpha * k + beta) for k in range(4000)]
+    peak = max(logs)
+    dps = 25 + (int(2.0 * peak / math.log(10.0)) if x < 0.0 and peak > 0.0 else 0)
+    cut = peak - (dps + 5) * math.log(10.0)
+    n = next(k for k in range(logs.index(peak), 4000) if logs[k] < cut)
+    with mp.workdps(dps):
+        a, b, xm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+        return float(mp.fsum(xm**k * mp.rgamma(a * k + b) for k in range(n)))
+
+
+def test_matches_mpmath_reference():
+    # 1e-10 relative on the grid, leaving out x > 0 where E overflows; the
+    # array call and the scalar calls agree bit for bit
+    xs = np.array([-100.0, -30.0, -5.0, -0.7, -1e-3, 0.4, 3.0])
+    for alpha in (0.1, 0.25, 0.5, 0.9, 0.99, 0.9999, 1.0, 1.0001, 1.5, 1.99, 2.0):
+        for beta in (0.5, 1.0, 2.0, 2.5):
+            x = xs[(xs < 0.0) | (np.abs(xs) ** (1.0 / alpha) < 700.0)]
+            got = ml_eval(alpha, beta, x)
+            for xi, g in zip(x, got):
+                assert ml_eval(alpha, beta, float(xi)) == g
+                ref = _mpmath_reference(alpha, beta, float(xi))
+                assert g == pytest.approx(ref, rel=1e-10, abs=0.0), (alpha, beta, xi)
+
+
+def test_non_finite_and_overflowing_arguments():
+    # NaN and +-inf are rejected by name; a value beyond the float64 range
+    # is inf, with no RuntimeWarning (which the test configuration turns
+    # into an error)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            ml_eval(0.5, 1.0, bad)
+        with pytest.raises(ValueError, match="x must be finite"):
+            ml_eval(1.5, 1.0, np.array([-1.0, bad]))
+    assert ml_eval(0.1, 1.0, 3.0) == math.inf
+    assert ml_eval(0.5, 1.0, 1000.0) == math.inf
+    assert ml_eval(1.0, 1.0, 1000.0) == math.inf
+    got = ml_eval(0.5, 2.0, np.array([1e300, 1.0, -1e300]))
+    assert got[0] == math.inf and np.all(np.isfinite(got[1:]))
+    with pytest.raises(ValueError, match="second parameter"):
+        ml_eval(0.5, 3.5, -1.0)  # beyond the measured range of beta
