@@ -2,24 +2,25 @@
 
 Spatial side: continuous piecewise-linear elements on a uniform grid
 with homogeneous Dirichlet conditions, assembled as tridiagonal mass
-and stiffness matrices.  Data is separable (finite sums of sine modes
-with time-dependent amplitudes), and the per-mode Gauss load vectors
-are exact multiples of the discrete sine vectors, so each mode passes
-through the discretization without coupling to the others; a mode
-whose index is a multiple of J vanishes at every node and is dropped.
-The solvers exploit that: with separable data the banded system collapses
-to scalar recursions on the modes' discrete eigenvalues, marched all
-at once; this is algebraically identical to the matrix iteration
-(``method="full"``), which runs the same time scheme with a banded
-local solve, and turns the largest table runs from hours into
-seconds.  The test suite pins the two paths together to 1e-10.
+and stiffness matrices.  The discrete sine vectors s_k, k = 1..J-1,
+diagonalize both matrices at once (M s_k = mu_k s_k, K s_k = lam_k mu_k
+s_k) and are orthogonal with |s_k|^2 = J/2, so in the sine basis the
+Galerkin system is J - 1 scalar recursions on the discrete eigenvalues
+lam_k, marched all at once ("modal").  Separable data (finite sums of
+sine modes with time-dependent amplitudes) enters that basis in closed
+form: the per-mode Gauss load vectors are exact multiples of the sine
+vectors, and a mode whose index is a multiple of J vanishes at every
+node and is dropped.  Callable subdiffusion data f(x, t) is sampled
+on the whole grid in one call, and its nodal loads are transformed to
+the sine basis.  ``method="full"`` runs the same time scheme on the nodal
+unknowns with a banded local solve per step; it is algebraically
+identical, and the test suite pins the two paths together.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
 
 * subdiffusion d^a u - Lap u = f: the L1 convolution weights on a
-  possibly graded mesh, one symmetric-banded (or scalar) solve per
-  step with the diagonal weight refreshed;
+  possibly graded mesh, marched by march_l1 for all modes at once;
 * integrodifferential u' - I^a Lap u = f: trapezoidal convolution
   quadrature for the memory term on half-step averages combined with
   Crank-Nicolson, written on the increments V^m - V^{m-1} as a
@@ -141,9 +142,10 @@ class IntervalFem:
         return self.mode_load_coeff(k) * self.sine_vector(k)
 
     def nodal_load(self, fvals: np.ndarray) -> np.ndarray:
-        """Load of the nodal interpolant; fvals has all J+1 node values."""
+        """Load of the nodal interpolant; the last axis of fvals has all
+        J+1 node values."""
         d, e = self.mass_diags
-        return d * fvals[1:-1] + e * (fvals[:-2] + fvals[2:])
+        return d * fvals[..., 1:-1] + e * (fvals[..., :-2] + fvals[..., 2:])
 
 
 def assemble_fem(a: float, b: float, J: int) -> IntervalFem:
@@ -297,7 +299,10 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     output fields carry exact per-mode profiles.
 
     f may instead be a callable f(x, t) when n = 0 (nodal-interpolation
-    load assembly; no closed-form splitting exists for such data).
+    load assembly; no closed-form splitting exists for such data).  It
+    is called with broadcastable arrays, a row of nodes x against a
+    column of times t, and must return an array that broadcasts to their
+    common shape; a scalar is spread over the grid.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
@@ -310,7 +315,7 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
         lap = u0.laplacian()
 
         def forcing(x, t, _f=f, _lap=lap):
-            return _f(x, t) + _lap.evaluate(x, t)
+            return _sample(_f, x, t) + _lap.evaluate(x, t)
 
         return PdeData(forcing=forcing, reconstruction=SeparableField.zero(u0.domain), initial=u0)
 
@@ -318,15 +323,38 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     return _split_data(f + u0.laplacian(), u0, alpha, alpha, n)
 
 
-def _modal_data(forcing: SeparableField, fem: IntervalFem, times: np.ndarray):
-    """(eigenvalues, amplitudes at ``times``, sine rows) of separable forcing.
+def _sample(f, x, t) -> np.ndarray:
+    """f(x, t) broadcast to the common shape of x and t."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+    vals = np.asarray(f(x, t), dtype=float)
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise ValueError(
+            f"forcing f(x, t) returned shape {vals.shape}, which does not"
+            f" broadcast to {shape}, the shape of x and t together"
+        ) from None
 
-    Column j of the amplitudes is mode j's load coefficient over its mass
-    eigenvalue times its profile; a modal trace maps to nodes as ``@ sines``.
-    Modes with k a multiple of J are left out: their Gauss load vanishes on
-    every hat function, so their Galerkin solution is exactly 0, and their
-    discrete eigenvalue is 0 when k is a multiple of 2J.
+
+def _modal_data(forcing, fem: IntervalFem, times: np.ndarray):
+    """(eigenvalues, amplitudes at ``times``, sine rows) of the forcing.
+
+    Column j of the amplitudes is mode j's load in the sine basis over its
+    mass eigenvalue; a modal trace maps to nodes as ``@ sines``.
+
+    Callable forcing keeps all J - 1 modes: the nodal loads b at each time
+    are b = (2/J) sum_k (s_k . b) s_k.  Separable forcing keeps its own
+    modes, each a load coefficient times its profile.  Modes with k a
+    multiple of J are left out: their Gauss load vanishes on every hat
+    function, so their Galerkin solution is exactly 0, and their discrete
+    eigenvalue is 0 when k is a multiple of 2J.
     """
+    if not isinstance(forcing, SeparableField):
+        ks = range(1, fem.J)
+        sines = np.array([fem.sine_vector(k) for k in ks])
+        mu = np.array([fem.mass_eigenvalue(k) for k in ks])
+        amps = _load_rows(forcing, fem, times) @ sines.T * (2.0 / (fem.J * mu))
+        return np.array([fem.discrete_eigenvalue(k) for k in ks]), amps, sines
     modes = [mode for mode in forcing.modes if mode[0] % fem.J]
     lam = np.array([fem.discrete_eigenvalue(k) for k, _, _ in modes])
     amps = np.zeros((len(times), len(modes)))
@@ -340,16 +368,22 @@ def _modal_data(forcing: SeparableField, fem: IntervalFem, times: np.ndarray):
 
 def _load_rows(forcing, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
     """FEM loads at each time, (len(times), J-1): exact Gauss loads of the
-    modes of separable forcing, else the load of the nodal interpolant."""
+    modes of separable forcing, else the load of the nodal interpolant of
+    f, sampled on the whole grid by one call f(x[None, :], t[:, None])."""
+    if not isinstance(forcing, SeparableField):
+        xs = fem.a + fem.h * np.arange(fem.J + 1)
+        return fem.nodal_load(_sample(forcing, xs[None, :], times[:, None]))
     out = np.zeros((len(times), fem.J - 1))
-    if isinstance(forcing, SeparableField):
-        for k, _, amp in forcing.modes:
-            out += np.outer(amp(times), fem.mode_load_vector(k))
-        return out
-    xs = fem.a + fem.h * np.arange(fem.J + 1)
-    for i, t in enumerate(times):
-        out[i] = fem.nodal_load(np.asarray(forcing(xs, t), dtype=float))
+    for k, _, amp in forcing.modes:
+        out += np.outer(amp(times), fem.mode_load_vector(k))
     return out
+
+
+def _check_fem(data: PdeData, fem: IntervalFem) -> None:
+    if (fem.a, fem.b) != data.initial.domain:
+        raise ValueError(
+            f"fem is assembled on ({fem.a}, {fem.b}), but the data live on {data.initial.domain}"
+        )
 
 
 def _reconstruct(V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
@@ -372,19 +406,18 @@ def solve_subdiffusion(
     """L1-in-time Galerkin marching for the subdiffusion remainder.
 
     Each step solves (a0 M + K) V^m = load(t_m) + M (a0 V^{m-1} - hist)
-    with the diagonal L1 weight a0 of the current step.  With separable
-    forcing the iteration decouples into scalar recursions on the
-    discrete eigenvalues, and ``march_l1`` runs all modes at once
-    ("modal"); "full" passes ``march_l1`` the banded solve as the local
-    solve instead.  "auto" picks modal whenever the forcing is separable.
+    with the diagonal L1 weight a0 of the current step.  In the sine
+    basis the iteration decouples into scalar recursions on the discrete
+    eigenvalues, and "auto" or "modal" runs all modes in one batched
+    ``march_l1`` call, for separable and callable forcing alike (see
+    ``_modal_data``).  "full" marches the nodal unknowns instead, with
+    the banded solve as ``march_l1``'s local solve, one per step.
     """
     if method not in ("auto", "modal", "full"):
         raise ValueError(f"unknown method {method!r}")
-    separable = isinstance(data.forcing, SeparableField)
-    if method == "modal" and not separable:
-        raise ValueError("modal path needs separable forcing")
+    _check_fem(data, fem)
     times = mesh.nodes[1:]  # rhs[0] is never read, and profiles may be singular at 0
-    if separable and method != "full":
+    if method != "full":
         lam, amps, sines = _modal_data(data.forcing, fem, times)
         V = march_l1(alpha, mesh, lam, np.vstack([np.zeros_like(lam), amps])) @ sines
     else:
@@ -458,6 +491,7 @@ def solve_integro(
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(data.forcing, SeparableField):
         raise TypeError("this stepper needs separable forcing")
+    _check_fem(data, fem)
     if not mesh.uniform:
         raise ValueError("convolution quadrature needs a uniform mesh")
     tau = mesh.T / mesh.M

@@ -289,6 +289,8 @@ def make_subdiffusion_study(
         if field is None:
             raise ValueError("domain is required when no argument is a SeparableField")
         domain = field.domain
+    if u0 is None:
+        u0 = SeparableField.zero(domain)
     fem = assemble_fem(domain[0], domain[1], J)
     data = msd_subdiffusion_data(f, u0, n, alpha)
     return StudySpec(

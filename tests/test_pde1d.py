@@ -275,6 +275,74 @@ def test_subdiffusion_callable_forcing_matches_separable():
     assert np.max(np.abs(us - uc)) < 5e-3
 
 
+def _nonseparable(x, t):
+    return x * (1.0 - x) * np.exp(-x * t) + np.sqrt(t) * np.cos(3.0 * x)
+
+
+_TRANSFORM_MESHES = [(100, 1.0), (255, 1.0), (256, 1.0), (257, 1.0)] + [
+    (M, r) for r in (2.0, 5.0 / 12.0) for M in (31, 32, 33)
+]
+
+
+@pytest.mark.filterwarnings("ignore:grading r =")
+@pytest.mark.parametrize("M,r", _TRANSFORM_MESHES)
+@pytest.mark.parametrize("J", [16, 32, 128])
+def test_subdiffusion_transformed_loads_match_full(J, M, r):
+    # callable forcing runs all J - 1 sine modes through one batched march;
+    # the banded step-by-step solve on the nodal loads is the same scheme.
+    # The uniform meshes cross the Toeplitz block edge at 256 steps (M = 100
+    # has steps equal only up to rounding); the graded ones cross the edge
+    # of a block of weight rows at 32
+    alpha = 0.6
+    u0 = SeparableField((0.0, 1.0), ((1, TimeProfile.constant(1.0)), (3, TimeProfile.constant(-0.5))))
+    data = msd_subdiffusion_data(_nonseparable, u0, 0, alpha)
+    fem = assemble_fem(0.0, 1.0, J)
+    mesh = build_mesh(1.0, M, r)
+    auto = solve_subdiffusion(alpha, 0, data, mesh, fem).U
+    full = solve_subdiffusion(alpha, 0, data, mesh, fem, method="full").U
+    assert np.max(np.abs(auto - full)) <= 1e-12 * np.max(np.abs(full))
+    modal = solve_subdiffusion(alpha, 0, data, mesh, fem, method="modal").U
+    assert np.array_equal(modal, auto)
+
+
+def test_callable_forcing_is_sampled_once_on_the_grid():
+    dom = (0.0, 1.0)
+    u0 = SeparableField.zero(dom)
+    fem = assemble_fem(0.0, 1.0, 8)
+    mesh = build_mesh(1.0, 16, 2.0)
+    shapes = []
+
+    def f(x, t):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return 1.0 + 0.0 * x * t
+
+    for method in ("auto", "full"):
+        shapes.clear()
+        ref = solve_subdiffusion(0.5, 0, msd_subdiffusion_data(f, u0, 0, 0.5), mesh, fem, method=method)
+        assert shapes == [(mesh.M, fem.J + 1)]
+        # a scalar return is spread over the grid
+        scalar = msd_subdiffusion_data(lambda x, t: 1.0, u0, 0, 0.5)
+        assert np.array_equal(solve_subdiffusion(0.5, 0, scalar, mesh, fem, method=method).U, ref.U)
+        bad = msd_subdiffusion_data(lambda x, t: np.ones(3), u0, 0, 0.5)
+        with pytest.raises(ValueError, match=r"f\(x, t\) returned shape \(3,\)"):
+            solve_subdiffusion(0.5, 0, bad, mesh, fem, method=method)
+
+
+def test_fem_on_another_interval_is_rejected():
+    # fields on (0, 1) solved on a grid over (0, 2) gave meaningless values
+    f, u0 = _subdiffusion_problem()
+    fem = assemble_fem(0.0, 2.0, 8)
+    mesh = build_mesh(1.0, 16, 1.0)
+    for data in (msd_subdiffusion_data(f, u0, 1, 0.5), msd_subdiffusion_data(_nonseparable, u0, 0, 0.5)):
+        for method in ("auto", "full"):
+            with pytest.raises(ValueError, match="fem is assembled on"):
+                solve_subdiffusion(0.5, 0, data, mesh, fem, method=method)
+    with pytest.raises(ValueError, match="fem is assembled on"):
+        solve_integro(0.5, msd_integro_data(f, u0, 0.5), mesh, fem)
+    with pytest.raises(ValueError, match="fem is assembled on"):
+        solve_diffusion_wave(1.5, f, u0, u0, mesh, fem)
+
+
 def test_subdiffusion_initial_value_reproduced():
     alpha = 0.3
     f, u0 = _subdiffusion_problem()

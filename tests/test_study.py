@@ -185,6 +185,15 @@ def test_make_subdiffusion_study_requires_domain_for_callables():
         make_subdiffusion_study(0.5, f=lambda x, t: x * t, u0=lambda x, t: 0.0)
 
 
+def test_make_subdiffusion_study_with_callable_forcing_and_no_initial_value():
+    # the domain is given, so a missing u0 is the zero field on it
+    spec = make_subdiffusion_study(
+        0.5, J=16, f=lambda x, t: x * (1.0 - x) * np.exp(-t), domain=(0.0, 1.0)
+    )
+    report = run_study(spec, [32, 64])
+    assert all(np.isfinite(e) and e > 0.0 for e in report.errors)
+
+
 def test_make_subdiffusion_study_rejects_non_integer_cell_count():
     with pytest.raises(ValueError, match="J must be an integer"):
         make_subdiffusion_study(0.5, J=16.5)
