@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import check_count
+
 __all__ = ["CQWeights", "build_cq", "apply_cq"]
 
 
@@ -40,10 +42,7 @@ def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"step must be positive, got {tau}")
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer number of steps, got M={M!r}")
-    if M < 1:
-        raise ValueError(f"need at least one step, got M={M}")
+    M = check_count(M, "M", 1)
 
     w = [1.0, 2.0 * alpha]
     for k in range(1, M):

@@ -54,6 +54,8 @@ def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float
     for c, p in terms:
         c = float(c)
         p = float(p)
+        if not (math.isfinite(c) and math.isfinite(p)):
+            raise ValueError(f"TimeProfile terms must be finite, got ({c}, {p})")
         if c == 0.0:
             continue
         by_exp[p] = by_exp.get(p, 0.0) + c
@@ -147,6 +149,8 @@ def as_forcing(f):
     if isinstance(f, TimeProfile) or callable(f):
         return f
     if isinstance(f, numbers.Real) and not isinstance(f, bool):
+        if not math.isfinite(f):
+            raise ValueError(f"forcing f must be finite, got {f}")
         return TimeProfile.constant(float(f))
     raise TypeError(
         f"forcing f must be a TimeProfile, a real number or a callable of t, got {type(f).__name__}"

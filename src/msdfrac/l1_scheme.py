@@ -21,8 +21,7 @@ the scaled increments E_k = (v^k - v^{k-1}) / (tau_k Gamma(2-a)), so the
 far history, from earlier blocks, is one product of the numerators with
 E, and each cancelling difference is rounded as in a row.  With a
 relaxation coefficient or one eigenvalue per mode the near block is a
-lower-triangular system in E, solved for all modes as one stack; a local
-solve given as a callable steps through the block's rows.
+lower-triangular system in E, solved for all modes as one stack.
 
 On a uniform mesh the weights depend only on the gap, a_g, and written
 on the values instead of the differences the derivative is D^a v^m =
@@ -35,12 +34,11 @@ solves it a block of steps at a time.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .mesh import GradedMesh
-from .toeplitz import march, modal_inverse, stepwise
+from .toeplitz import march, modal_inverse
 
 __all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_block", "l1_weight_row", "march_l1"]
 
@@ -145,51 +143,43 @@ def apply_dfrac(sys: L1System, values) -> float:
 
 
 def march_l1(
-    alpha: float, mesh: GradedMesh, lam: float | np.ndarray | Callable, rhs: np.ndarray
+    alpha: float, mesh: GradedMesh, lam: float | np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve D^a V^m + lam V^m = rhs^m for m = 1..M with V^0 = 0.
 
     ``lam`` is a scalar, or a vector of eigenvalues with one column of
-    ``rhs`` per mode sharing each weight row, or, for a non-diagonal
-    operator, a callable ``lam(a0, rhs[m], b)`` returning V^m, where
-    b = a0 V^{m-1} - hist.  ``rhs`` has one row per node; rhs[0] is
-    ignored.  On a uniform mesh (``mesh.uniform``) the scheme is the
-    lower-triangular Toeplitz system sum_{k<=m} c_{m-k} V^k + lam V^m =
-    rhs^m, with c_0 = a_0 and c_g = a_g - a_{g-1} from the gap weights a_g
-    for tau = T/M, so b = -sum_{k<m} c_{m-k} V^k; it is solved by
-    toeplitz.march.  Graded meshes are marched a block of weight rows at a
-    time (see the module docstring).
+    ``rhs`` per mode sharing each weight row.  ``rhs`` has one row per
+    node; rhs[0] is ignored.  On a uniform mesh (``mesh.uniform``) the
+    scheme is the lower-triangular Toeplitz system sum_{k<=m} c_{m-k} V^k
+    + lam V^m = rhs^m, with c_0 = a_0 and c_g = a_g - a_{g-1} from the gap
+    weights a_g for tau = T/M; it is solved by toeplitz.march.  Graded
+    meshes are marched a block of weight rows at a time (see the module
+    docstring).
     """
     M = mesh.M
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim == 0 or len(rhs) != M + 1:
         raise ValueError(f"rhs must have M + 1 = {M + 1} rows, one per node, got shape {rhs.shape}")
-    solve = lam if callable(lam) else None
-    if solve is None:
+    try:
         lam = np.asarray(lam, dtype=float)
-        if lam.ndim > 1 or (lam.ndim == 1 and lam.shape != rhs.shape[1:]):
-            raise ValueError(
-                f"lam must be a scalar or a vector with one entry per rhs column,"
-                f" got shape {lam.shape} for rhs of shape {rhs.shape}"
-            )
-        a0_min = mesh.steps.max() ** (-alpha) / math.gamma(2.0 - alpha)
-        if a0_min + np.min(lam, initial=np.inf) <= 0.0:
-            raise ValueError(f"degenerate L1 step: diagonal weight + lam <= 0 for lam = {lam}")
-        lam = float(lam) if lam.ndim == 0 else lam  # scalar steps stay in Python floats
+    except (TypeError, ValueError):
+        raise ValueError(f"lam must be a scalar or a vector of eigenvalues, got {lam!r}") from None
+    if lam.ndim > 1 or (lam.ndim == 1 and lam.shape != rhs.shape[1:]):
+        raise ValueError(
+            f"lam must be a scalar or a vector with one entry per rhs column,"
+            f" got shape {lam.shape} for rhs of shape {rhs.shape}"
+        )
+    a0_min = mesh.steps.max() ** (-alpha) / math.gamma(2.0 - alpha)
+    if a0_min + np.min(lam, initial=np.inf) <= 0.0:
+        raise ValueError(f"degenerate L1 step: diagonal weight + lam <= 0 for lam = {lam}")
+    lam = float(lam) if lam.ndim == 0 else lam  # scalar steps stay in Python floats
 
     V = np.zeros(rhs.shape)
     if mesh.uniform:
         pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)
         a = (pw[1:] - pw[:-1]) * (mesh.T / M) ** (-alpha) / math.gamma(2.0 - alpha)
         c = np.concatenate([a[:1], np.diff(a)])
-        if solve is not None:
-
-            def step(j, b):
-                return solve(c[0], rhs[j + 1], b)
-
-            V[1:] = march(c, np.zeros(rhs[1:].shape), stepwise(c, step))
-        else:
-            V[1:] = march(c, rhs[1:].copy(), modal_inverse(c, lam))
+        V[1:] = march(c, rhs[1:].copy(), modal_inverse(c, lam))
         return V
 
     scale = mesh.steps * math.gamma(2.0 - alpha)  # a^{(m)}_{m-k} = block[., k-1] / scale[k-1]
@@ -197,23 +187,14 @@ def march_l1(
     for start in range(0, M, _ROWS):
         stop = min(start + _ROWS, M)
         W = l1_weight_block(alpha, mesh, start, stop)
-        far = W[:, :start] @ E[:start]
         near = W[:, start:]
-        if solve is None:
-            # sum_{k<=m} W[m, k] E_k + lam (V^start + sum_{start<k<=m} scale_k E_k) = rhs^m
-            S = np.tril(np.broadcast_to(scale[start:stop], near.shape))
-            b = rhs[start + 1 : stop + 1] - far - lam * V[start]
-            if np.ndim(lam):  # one system per mode column, solved as one stack
-                Eb = np.linalg.solve(near + lam[:, None, None] * S, b.T[..., None])[..., 0].T
-            else:
-                Eb = np.linalg.solve(near + lam * S, b)
-            E[start:stop] = Eb
-            V[start + 1 : stop + 1] = V[start] + np.cumsum((Eb.T * scale[start:stop]).T, axis=0)
+        # sum_{k<=m} W[m, k] E_k + lam (V^start + sum_{start<k<=m} scale_k E_k) = rhs^m
+        S = np.tril(np.broadcast_to(scale[start:stop], near.shape))
+        b = rhs[start + 1 : stop + 1] - W[:, :start] @ E[:start] - lam * V[start]
+        if np.ndim(lam):  # one system per mode column, solved as one stack
+            Eb = np.linalg.solve(near + lam[:, None, None] * S, b.T[..., None])[..., 0].T
         else:
-            for i in range(stop - start):
-                m = start + 1 + i
-                a0 = near[i, i] / scale[m - 1]
-                hist = far[i] + near[i, :i] @ E[start : m - 1]
-                V[m] = solve(a0, rhs[m], a0 * V[m - 1] - hist)
-                E[m - 1] = (V[m] - V[m - 1]) / scale[m - 1]
+            Eb = np.linalg.solve(near + lam * S, b)
+        E[start:stop] = Eb
+        V[start + 1 : stop + 1] = V[start] + np.cumsum((Eb.T * scale[start:stop]).T, axis=0)
     return V

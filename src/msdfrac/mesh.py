@@ -20,6 +20,16 @@ import numpy as np
 __all__ = ["GradedMesh", "build_mesh", "refine"]
 
 
+def check_count(value, name: str, low: int) -> int:
+    """value as an int; a bool, a non-integer or a value below low raises
+    a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {name}={value}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class GradedMesh:
     """Time grid t_m = T (m/M)^r for m = 0..M.
@@ -56,10 +66,7 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"time horizon must be positive and finite, got {T}")
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer number of steps, got M={M!r}")
-    if M < 1:
-        raise ValueError(f"mesh level M must be >= 1, got {M}")
+    M = check_count(M, "M", 1)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"grading exponent must be positive, got {r}")
     if r < 1.0:
@@ -73,7 +80,7 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     steps = np.diff(nodes)
     if np.any(steps <= 0.0):
         raise ValueError("mesh steps must be positive; M too large for this T, r")
-    return GradedMesh(T=float(T), M=int(M), r=float(r), nodes=nodes, steps=steps)
+    return GradedMesh(T=float(T), M=M, r=float(r), nodes=nodes, steps=steps)
 
 
 def refine(mesh: GradedMesh) -> GradedMesh:

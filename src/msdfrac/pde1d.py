@@ -12,9 +12,9 @@ form: the per-mode Gauss load vectors are exact multiples of the sine
 vectors, and a mode whose index is a multiple of J vanishes at every
 node and is dropped.  Callable subdiffusion data f(x, t) is sampled
 on the whole grid in one call, and its nodal loads are transformed to
-the sine basis.  ``method="full"`` runs the same time scheme on the nodal
-unknowns with a banded local solve per step; it is algebraically
-identical, and the test suite pins the two paths together.
+the sine basis.  ``method="full"`` is the same time scheme written out
+step by step on the nodal unknowns, with a banded solve per step: an
+O(M^2) reference for checks that shares no marcher with the modal path.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
@@ -26,7 +26,7 @@ splitting:
   Crank-Nicolson, written on the increments V^m - V^{m-1} as a
   lower-triangular Toeplitz system in time with one shared kernel and
   1/tau on the diagonal only, solved a block of steps at a time by
-  toeplitz.march, with the banded system matrix factored once;
+  toeplitz.march;
 * diffusion-wave d^g u - Lap u = f for g in (1, 2): reduced to the
   integrodifferential form with a = g - 1 and a two-term splitting.
 
@@ -50,9 +50,9 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split
-from .l1_scheme import march_l1
-from .mesh import GradedMesh
-from .toeplitz import march, modal_inverse, stepwise
+from .l1_scheme import l1_weight_row, march_l1
+from .mesh import GradedMesh, check_count
+from .toeplitz import march, modal_inverse
 
 __all__ = [
     "IntervalFem",
@@ -148,14 +148,15 @@ class IntervalFem:
         return d * fvals[..., 1:-1] + e * (fvals[..., :-2] + fvals[..., 2:])
 
 
+def _check_domain(a, b) -> tuple[float, float]:
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError(f"domain (a, b) must be finite and nonempty, got ({a}, {b})")
+    return float(a), float(b)
+
+
 def assemble_fem(a: float, b: float, J: int) -> IntervalFem:
-    if isinstance(J, bool) or not isinstance(J, (int, np.integer)):
-        raise ValueError(f"J must be an integer number of cells, got J={J!r}")
-    if J < 2:
-        raise ValueError(f"need at least two cells, got J={J}")
-    if not b > a:
-        raise ValueError(f"empty domain ({a}, {b})")
-    return IntervalFem(a=float(a), b=float(b), J=int(J), h=(b - a) / J)
+    J = check_count(J, "J", 2)
+    return IntervalFem(*_check_domain(a, b), J=J, h=(b - a) / J)
 
 
 def _as_profile(amp) -> TimeProfile:
@@ -177,9 +178,7 @@ class SeparableField:
     modes: tuple
 
     def __post_init__(self):
-        a, b = self.domain
-        if not b > a:
-            raise ValueError(f"empty domain {self.domain}")
+        a, b = _check_domain(*self.domain)
         xi = math.pi / (b - a)
         norm = []
         for mode in self.modes:
@@ -193,7 +192,7 @@ class SeparableField:
         norm.sort(key=lambda m: m[0])
         if len({m[0] for m in norm}) != len(norm):
             raise ValueError("duplicate mode indices")
-        object.__setattr__(self, "domain", (float(a), float(b)))
+        object.__setattr__(self, "domain", (a, b))
         object.__setattr__(self, "modes", tuple(norm))
 
     @staticmethod
@@ -306,8 +305,7 @@ def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
+    n = check_count(n, "n", 0)
     if callable(f) and not isinstance(f, SeparableField):
         if n > 0:
             raise ValueError("non-separable forcing is only supported at depth 0")
@@ -386,6 +384,11 @@ def _check_fem(data: PdeData, fem: IntervalFem) -> None:
         )
 
 
+def _check_method(method: str) -> None:
+    if method not in ("modal", "full"):
+        raise ValueError(f'method must be "modal" or "full", got {method!r}')
+
+
 def _reconstruct(V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
     U = V.copy()
     if isinstance(data.reconstruction, SeparableField) and not data.reconstruction.is_zero:
@@ -401,32 +404,34 @@ def solve_subdiffusion(
     data: PdeData,
     mesh: GradedMesh,
     fem: IntervalFem,
-    method: str = "auto",
+    method: str = "modal",
 ) -> FieldTrace:
     """L1-in-time Galerkin marching for the subdiffusion remainder.
 
     Each step solves (a0 M + K) V^m = load(t_m) + M (a0 V^{m-1} - hist)
     with the diagonal L1 weight a0 of the current step.  In the sine
     basis the iteration decouples into scalar recursions on the discrete
-    eigenvalues, and "auto" or "modal" runs all modes in one batched
-    ``march_l1`` call, for separable and callable forcing alike (see
-    ``_modal_data``).  "full" marches the nodal unknowns instead, with
-    the banded solve as ``march_l1``'s local solve, one per step.
+    eigenvalues, and "modal" runs all modes in one batched ``march_l1``
+    call, for separable and callable forcing alike (see ``_modal_data``).
+    "full" is the scheme written out step by step on the nodal unknowns,
+    with one banded solve per step: an O(M^2) reference for checks that
+    shares no marcher with "modal".  ``n`` is not read; ``data`` fixes it.
     """
-    if method not in ("auto", "modal", "full"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     _check_fem(data, fem)
     times = mesh.nodes[1:]  # rhs[0] is never read, and profiles may be singular at 0
-    if method != "full":
+    if method == "modal":
         lam, amps, sines = _modal_data(data.forcing, fem, times)
         V = march_l1(alpha, mesh, lam, np.vstack([np.zeros_like(lam), amps])) @ sines
     else:
-        loads = np.vstack([np.zeros(fem.J - 1), _load_rows(data.forcing, fem, times)])
-
-        def local_solve(a0: float, load: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
-
-        V = march_l1(alpha, mesh, local_solve, loads)
+        loads = _load_rows(data.forcing, fem, times)
+        V = np.zeros((mesh.M + 1, fem.J - 1))
+        D = np.zeros((mesh.M, fem.J - 1))  # D[k-1] = V^k - V^{k-1}
+        for m in range(1, mesh.M + 1):
+            a = l1_weight_row(alpha, mesh, m)
+            b = a[-1] * V[m - 1] - a[:-1] @ D[: m - 1]
+            V[m] = solveh_banded(fem.banded(a[-1], 1.0), loads[m - 1] + fem.mass_apply(b))
+            D[m - 1] = V[m] - V[m - 1]
 
     return _reconstruct(V, data, mesh, fem)
 
@@ -469,7 +474,7 @@ def solve_integro(
     data: PdeData,
     mesh: GradedMesh,
     fem: IntervalFem,
-    method: str = "auto",
+    method: str = "modal",
 ) -> FieldTrace:
     """Convolution-quadrature Crank-Nicolson marching for u' = I^a Lap u + F.
 
@@ -481,14 +486,14 @@ def solve_integro(
     stiffness K).  It is marched on the increments D^m = V^m - V^{m-1}:
     with G = cumsum(F), sum_g F_g V^{m-g} = sum_g G_g D^{m-g}, so
     M D^m/tau + K sum_g G_g D^{m-g} = fbar^m is a lower-triangular
-    Toeplitz system with 1/tau on its diagonal only, solved by
-    toeplitz.march, and V is the running sum of D.  "modal" divides
-    mode k by its eigenvalue lam_k > 0, which leaves the shared kernel
-    G with the diagonal shift 1/(tau lam_k); "full" steps with the
-    banded factor of M/tau + G_0 K, factored once.
+    Toeplitz system with 1/tau on its diagonal only, and V is the
+    running sum of D.  "modal" divides mode k by its eigenvalue
+    lam_k > 0, which leaves the shared kernel G with the diagonal shift
+    1/(tau lam_k), and solves it by toeplitz.march.  "full" steps the
+    nodal increments one at a time with the banded factor of M/tau + G_0 K:
+    an O(M^2) reference for checks that shares no marcher with "modal".
     """
-    if method not in ("auto", "modal", "full"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     if not isinstance(data.forcing, SeparableField):
         raise TypeError("this stepper needs separable forcing")
     _check_fem(data, fem)
@@ -498,19 +503,22 @@ def solve_integro(
     w = build_cq(alpha, tau, mesh.M).omega[: mesh.M]
     G = np.cumsum(tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]]))
 
-    if method != "full":
+    if method == "modal":
         lam, amps, sines = _modal_data(data.forcing, fem, mesh.nodes)
         D = march(G, 0.5 * (amps[1:] + amps[:-1]) / lam, modal_inverse(G, 1.0 / (tau * lam)))
         V = np.cumsum(D, axis=0) @ sines
     else:
         loads = _load_rows(data.forcing, fem, mesh.nodes)
         fbar = 0.5 * (loads[1:] + loads[:-1])
-        factor = cholesky_banded(fem.banded(1.0 / tau, G[0]))
-
-        def step(j: int, b: np.ndarray) -> np.ndarray:
-            return cho_solve_banded((factor, False), fbar[j] + fem.stiff_apply(b))
-
-        V = np.cumsum(march(G, np.zeros_like(fbar), stepwise(G, step)), axis=0)
+        factor = (cholesky_banded(fem.banded(1.0 / tau, G[0])), False)
+        # one row of increments D^1..D^M per node: numpy sums a contiguous row
+        # pairwise, which at M = 4096 keeps this within 1.5e-14 of max |V| of a
+        # long-double solve, where a BLAS product's running sum was 4.3e-14 off
+        D = np.zeros(fbar.T.shape)
+        for m in range(mesh.M):
+            hist = (D[:, :m] * G[m:0:-1]).sum(axis=1)
+            D[:, m] = cho_solve_banded(factor, fbar[m] - fem.stiff_apply(hist))
+        V = np.cumsum(D.T, axis=0)
     V = np.vstack([np.zeros(fem.J - 1), V])
 
     return _reconstruct(V, data, mesh, fem)
@@ -523,7 +531,7 @@ def solve_diffusion_wave(
     du0,
     mesh: GradedMesh,
     fem: IntervalFem,
-    method: str = "auto",
+    method: str = "modal",
 ) -> FieldTrace:
     """Wave-regime solver via reduction to the integrodifferential form.
 
@@ -531,7 +539,7 @@ def solve_diffusion_wave(
     w' = I^a Lap w + g0, g0 = I^{g-1} f + beta_g Lap u0 + du0, and two
     split levels by L = Lap I^{1+a} leave the remainder forcing L^2 g0
     with reconstruction I^1 (g0 + L g0).  Runs the same CQ/CN stepper as
-    solve_integro.
+    solve_integro, with the same ``method``.
     """
     if not 1.0 < gamma < 2.0:
         raise ValueError(f"wave exponent must lie in (1, 2), got {gamma}")

@@ -27,7 +27,7 @@ from .fracint import (
     TimeProfile, as_forcing, frac_integrate, frac_integrate_numeric, msd_split, sample
 )
 from .l1_scheme import march_l1
-from .mesh import GradedMesh
+from .mesh import GradedMesh, check_count
 
 __all__ = [
     "RelaxationProblem",
@@ -54,8 +54,9 @@ class RelaxationProblem:
             raise ValueError(f"order must lie in (0, 1), got {self.alpha}")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"horizon must be positive, got {self.T}")
-        if self.n < 0:
-            raise ValueError(f"decomposition depth must be >= 0, got {self.n}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        object.__setattr__(self, "n", check_count(self.n, "n", 0))
         object.__setattr__(self, "f", as_forcing(self.f))
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fracint import TimeProfile
-from .mesh import build_mesh
+from .mesh import build_mesh, check_count
 from .pde1d import (
     FieldTrace,
     PdeData,
@@ -193,15 +193,9 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     The fine solve of row k is the coarse solve of row k+1, so a study
     over k rows costs k+1 solves.
     """
-    Ms = list(Ms)
-    for M in Ms:
-        if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-            raise ValueError(f"M must be an integer number of steps, got M={M!r}")
-    Ms = [int(M) for M in Ms]
+    Ms = [check_count(M, "M", 1) for M in Ms]
     if not Ms:
         raise ValueError("empty M list")
-    if any(M <= 0 for M in Ms):
-        raise ValueError(f"M values must be positive, got {Ms}")
     for a, b in zip(Ms, Ms[1:]):
         if b != 2 * a:
             raise ValueError(f"M list must strictly double, got {a} followed by {b}")

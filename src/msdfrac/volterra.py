@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
-from .mesh import GradedMesh, build_mesh
+from .mesh import GradedMesh, build_mesh, check_count
 from .toeplitz import block_inverse, march
 
 __all__ = [
@@ -82,8 +82,9 @@ class VolterraProblem:
             raise ValueError(f"exponent must lie in (0, 1), got {self.alpha}")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"horizon must be positive, got {self.T}")
-        if self.n < 0:
-            raise ValueError(f"decomposition depth must be >= 0, got {self.n}")
+        object.__setattr__(self, "n", check_count(self.n, "n", 0))
+        if not callable(self.kernel) and not math.isfinite(self.kernel):
+            raise ValueError(f"kernel must be a finite number or a callable, got {self.kernel}")
         c = tuple(float(x) for x in self.c)
         if len(c) != self.q or self.q < 1:
             raise ValueError(f"need q = {self.q} collocation parameters, got {c}")
@@ -295,10 +296,7 @@ def _forcing_at(prob: VolterraProblem, pts: np.ndarray):
 
 def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     """March the collocation scheme for the remainder and reconstruct u."""
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer number of cells, got M={M!r}")
-    if M < 1:
-        raise ValueError(f"need at least one cell, got M={M}")
+    M = check_count(M, "M", 1)
     psi, phi, scale = _weights(prob, M)
     pts = _collocation_points(prob.T, M, prob.c)
     rhs, recon = _forcing_at(prob, pts)

@@ -106,3 +106,13 @@ def test_numeric_integration_matches_analytic():
     ref = frac_integrate(ref, 0.5)
     assert np.max(np.abs(out[1:] - ref(mesh.nodes[1:]))) < 5e-6
     assert out[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "term", [(1.0, math.nan), (math.inf, 1.0), (math.nan, 0.0), (1.0, math.inf)]
+)
+def test_non_finite_profile_terms_are_rejected(term):
+    with pytest.raises(ValueError, match="TimeProfile terms must be finite"):
+        TimeProfile.of(term)
+    with pytest.raises(ValueError, match="TimeProfile terms must be finite"):
+        TimeProfile.of((1.0, 0.5), term)

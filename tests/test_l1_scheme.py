@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg import solveh_banded
-
 from msdfrac import (
     apply_dfrac,
-    assemble_fem,
     build_l1,
     build_mesh,
     l1_scheme,
@@ -141,19 +138,13 @@ def test_march_uniform_and_graded_paths_agree():
 def test_blocked_toeplitz_march_matches_graded_rows(alpha, M):
     # the uniform march solves whole blocks of 256 steps at once (far
     # history by FFT); the graded rows on the same nodes step one at a
-    # time, for a scalar, three modes up to 2e4 and a banded local solve
+    # time, for a scalar and three modes up to 2e4
     mesh = build_mesh(1.0, M, 1.0)
     stepped = dataclasses.replace(mesh, r=1.0 + 1e-12)
     t = mesh.nodes
-    fem = assemble_fem(0.0, 1.0, 8)
-
-    def banded(a0, load, b):
-        return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
-
     cases = (
         (2.5, np.sin(3.0 * t) + t**0.7),
         (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
-        (banded, np.outer(t**0.6, np.linspace(1.0, 2.0, 7))),
     )
     for lam, rhs in cases:
         V = march_l1(alpha, mesh, lam, rhs)
@@ -173,6 +164,8 @@ def test_validation():
     with pytest.raises(ValueError, match="degenerate"):
         march_l1(0.5, mesh, np.array([1.0, -1e6]), np.zeros((9, 2)))  # a0 + lam <= 0
     for grid in (mesh, build_mesh(1.0, 8, 2.0)):
+        with pytest.raises(ValueError, match="lam"):
+            march_l1(0.5, grid, lambda a0, load, b: b, np.zeros((9, 3)))  # no local-solve callable
         for shape in (8, 10, (8, 2), ()):
             with pytest.raises(ValueError, match="rhs"):
                 march_l1(0.5, grid, 1.0, np.zeros(shape))  # one row per node 0..8
@@ -215,10 +208,7 @@ def _stepped_march(alpha, mesh, lam, rhs):
     for m in range(1, mesh.M + 1):
         row = _weight_numerators(alpha, t, m) / (mesh.steps[:m] * math.gamma(2.0 - alpha))
         a0, hist = row[-1], row[:-1] @ D[: m - 1]
-        if callable(lam):
-            V[m] = lam(a0, rhs[m], a0 * V[m - 1] - hist)
-        else:
-            V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
+        V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
         D[m - 1] = V[m] - V[m - 1]
     return V
 
@@ -227,19 +217,13 @@ def _stepped_march(alpha, mesh, lam, rhs):
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 200])
 def test_block_march_matches_stepped_graded_march(alpha, r, M):
     # blocks of rows (far history one product, near block one solve)
-    # against the step-by-step march, for a scalar, three modes up to
-    # 2e4 and a banded local solve
+    # against the step-by-step march, for a scalar and three modes up to
+    # 2e4
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
-    fem = assemble_fem(0.0, 1.0, 8)
-
-    def banded(a0, load, b):
-        return solveh_banded(fem.banded(a0, 1.0), load + fem.mass_apply(b))
-
     cases = (
         (2.5, np.sin(3.0 * t) + t**0.7),
         (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
-        (banded, np.outer(t**0.6, np.linspace(1.0, 2.0, 7))),
     )
     for lam, rhs in cases:
         V = march_l1(alpha, mesh, lam, rhs)

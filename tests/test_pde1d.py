@@ -13,12 +13,15 @@ from msdfrac import (
     build_mesh,
     frac_integrate,
     integro_direct_data,
+    l1_scheme,
     ml_eval,
     msd_integro_data,
     msd_subdiffusion_data,
+    pde1d,
     solve_diffusion_wave,
     solve_integro,
     solve_subdiffusion,
+    toeplitz,
 )
 
 
@@ -152,6 +155,22 @@ def test_field_validation():
         SeparableField((0.0, 1.0), ((0, TimeProfile.constant(1.0)),))  # k must be >= 1
     with pytest.raises(ValueError):
         SeparableField((0.0, 1.0), ((2, TimeProfile.zero()), (2, TimeProfile.zero())))
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0)])
+def test_domain_must_be_finite_and_nonempty(a, b):
+    # an infinite end gave h = inf, or a field with eigenvalue 0
+    with pytest.raises(ValueError, match="domain"):
+        assemble_fem(a, b, 8)
+    with pytest.raises(ValueError, match="domain"):
+        SeparableField((a, b), ((1, 1.0),))
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, -1])
+def test_subdiffusion_depth_must_be_a_nonnegative_integer(n):
+    f, u0 = SeparableField((0.0, 1.0), ((2, 1.0),)), SeparableField((0.0, 1.0), ((1, 1.0),))
+    with pytest.raises(ValueError, match="n must be"):
+        msd_subdiffusion_data(f, u0, n, 0.5)
 
 
 # --- subdiffusion ------------------------------------------------------------
@@ -298,11 +317,9 @@ def test_subdiffusion_transformed_loads_match_full(J, M, r):
     data = msd_subdiffusion_data(_nonseparable, u0, 0, alpha)
     fem = assemble_fem(0.0, 1.0, J)
     mesh = build_mesh(1.0, M, r)
-    auto = solve_subdiffusion(alpha, 0, data, mesh, fem).U
+    modal = solve_subdiffusion(alpha, 0, data, mesh, fem).U
     full = solve_subdiffusion(alpha, 0, data, mesh, fem, method="full").U
-    assert np.max(np.abs(auto - full)) <= 1e-12 * np.max(np.abs(full))
-    modal = solve_subdiffusion(alpha, 0, data, mesh, fem, method="modal").U
-    assert np.array_equal(modal, auto)
+    assert np.max(np.abs(modal - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_callable_forcing_is_sampled_once_on_the_grid():
@@ -316,7 +333,7 @@ def test_callable_forcing_is_sampled_once_on_the_grid():
         shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
         return 1.0 + 0.0 * x * t
 
-    for method in ("auto", "full"):
+    for method in ("modal", "full"):
         shapes.clear()
         ref = solve_subdiffusion(0.5, 0, msd_subdiffusion_data(f, u0, 0, 0.5), mesh, fem, method=method)
         assert shapes == [(mesh.M, fem.J + 1)]
@@ -334,7 +351,7 @@ def test_fem_on_another_interval_is_rejected():
     fem = assemble_fem(0.0, 2.0, 8)
     mesh = build_mesh(1.0, 16, 1.0)
     for data in (msd_subdiffusion_data(f, u0, 1, 0.5), msd_subdiffusion_data(_nonseparable, u0, 0, 0.5)):
-        for method in ("auto", "full"):
+        for method in ("modal", "full"):
             with pytest.raises(ValueError, match="fem is assembled on"):
                 solve_subdiffusion(0.5, 0, data, mesh, fem, method=method)
     with pytest.raises(ValueError, match="fem is assembled on"):
@@ -466,6 +483,47 @@ def test_integro_modal_equals_full():
                 um = solve_integro(alpha, data, mesh, fem, method="modal").U
                 uf = solve_integro(alpha, data, mesh, fem, method="full").U
                 assert np.max(np.abs(um - uf)) < 1e-10
+
+
+def test_full_method_shares_no_marcher_with_modal(monkeypatch):
+    # "full" is an independent reference: it must run with the batched
+    # L1 march and the Toeplitz march both unavailable, so a fault in
+    # either (the far history, say) shows as a full-vs-modal difference
+    alpha = 0.5
+    f, u0 = _subdiffusion_problem()
+    fem = assemble_fem(0.0, 1.0, 8)
+    meshes = (build_mesh(1.0, 300), build_mesh(1.0, 40, 2.0))
+    sub = msd_subdiffusion_data(f, u0, 1, alpha)
+    integro = msd_integro_data(f, u0, alpha)
+    modal = [solve_subdiffusion(alpha, 1, sub, mesh, fem).U for mesh in meshes]
+    modal.append(solve_integro(alpha, integro, meshes[0], fem).U)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("method='full' reached a shared marcher")
+
+    for module in (pde1d, l1_scheme, toeplitz):
+        for name in ("march_l1", "march"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unavailable)
+    full = [solve_subdiffusion(alpha, 1, sub, mesh, fem, method="full").U for mesh in meshes]
+    full.append(solve_integro(alpha, integro, meshes[0], fem, method="full").U)
+    for um, uf in zip(modal, full):
+        assert np.max(np.abs(um - uf)) < 1e-12 * np.max(np.abs(uf))
+    with pytest.raises(AssertionError, match="shared marcher"):
+        solve_subdiffusion(alpha, 1, sub, meshes[0], fem)
+
+
+def test_method_names_one_path_each():
+    f, u0 = _subdiffusion_problem()
+    fem = assemble_fem(0.0, 1.0, 8)
+    mesh = build_mesh(1.0, 16)
+    for bad in ("auto", "banded", None):
+        with pytest.raises(ValueError, match="method"):
+            solve_subdiffusion(0.5, 1, msd_subdiffusion_data(f, u0, 1, 0.5), mesh, fem, method=bad)
+        with pytest.raises(ValueError, match="method"):
+            solve_integro(0.5, msd_integro_data(f, u0, 0.5), mesh, fem, method=bad)
+        with pytest.raises(ValueError, match="method"):
+            solve_diffusion_wave(1.5, f, u0, u0, mesh, fem, method=bad)
 
 
 def _cq_cn_steps(alpha, tau, fbar, solve, mass, stiff):

@@ -147,3 +147,22 @@ def test_numpy_integer_forcing_is_a_constant():
 def test_non_real_forcing_is_rejected(f):
     with pytest.raises(TypeError, match="forcing f"):
         RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=f)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("lam", math.nan), ("lam", math.inf), ("f", math.nan), ("f", -math.inf)]
+)
+def test_non_finite_input_is_rejected(field, value):
+    # a NaN or infinite coefficient or forcing used to run to NaN traces
+    args = dict(alpha=0.5, lam=1.0, T=1.0, f=1.0) | {field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RelaxationProblem(**args)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "1", -1])
+def test_depth_must_be_a_nonnegative_integer(n):
+    # a float depth used to fail inside the solve with a bare TypeError,
+    # and True was taken as depth 1
+    with pytest.raises(ValueError, match="n must be"):
+        RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0, n=n)
+    assert RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0, n=np.int64(2)).n == 2

@@ -168,3 +168,16 @@ def test_validation():
         with pytest.raises(ValueError, match="M must be an integer"):
             solve_volterra(prob, M)
     assert solve_volterra(prob, np.int64(16)).nodal_values.shape == (16,)
+
+
+@pytest.mark.parametrize("kernel", [math.nan, math.inf])
+def test_non_finite_kernel_is_rejected(kernel):
+    with pytest.raises(ValueError, match="kernel must be a finite number"):
+        VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=1.0)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, -1])
+def test_depth_must_be_a_nonnegative_integer(n):
+    with pytest.raises(ValueError, match="n must be"):
+        VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=n)
+    assert VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=np.int32(1)).n == 1
