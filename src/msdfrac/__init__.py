@@ -65,7 +65,6 @@ from .volterra import (
     msd_volterra_forcing,
     singular_moment,
     solve_volterra,
-    volterra_transform,
 )
 
 __version__ = "0.1.0"
@@ -129,5 +128,4 @@ __all__ = [
     "solve_volterra",
     "theory_order",
     "two_mesh_error",
-    "volterra_transform",
 ]

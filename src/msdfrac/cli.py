@@ -39,12 +39,11 @@ _DEFAULT_MS = {
 def _parse_c(text: str) -> tuple:
     out = []
     for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
+        num, slash, den = tok.partition("/")
+        den = float(den) if slash else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError(f"--c has a zero denominator in {tok.strip()!r}")
+        out.append(float(num) / den)
     return tuple(out)
 
 

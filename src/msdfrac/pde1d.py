@@ -13,8 +13,8 @@ vectors, and a mode whose index is a multiple of J vanishes at every
 node and is dropped.  Callable subdiffusion data f(x, t) is sampled
 on the whole grid in one call, and its nodal loads are transformed to
 the sine basis.  ``method="full"`` is the same time scheme written out
-step by step on the nodal unknowns, with a banded solve per step: an
-O(M^2) reference for checks that shares no marcher with the modal path.
+step by step on the nodal unknowns, with an LDL^T tridiagonal solve per
+step: an O(M^2) reference that shares no marcher with the modal path.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split
@@ -77,6 +76,37 @@ def _tridiag_apply(d: float, e: float, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pivots(d: float, e: float, n: int) -> list:
+    """LDL^T pivots of the n x n tridiagonal (d, e).  The FEM systems are
+    symmetric positive definite, so no pivoting is needed."""
+    piv = [d]
+    for _ in range(n - 1):
+        piv.append(d - e * e / piv[-1])
+    return piv
+
+
+def _tridiag_solve(piv: list, e: float, b: np.ndarray) -> np.ndarray:
+    """(d, e) x = b from its pivots: a sweep with L, then one with D L^T."""
+    x = b.tolist()
+    for i in range(1, len(x)):
+        x[i] -= e / piv[i - 1] * x[i - 1]
+    x[-1] /= piv[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - e * x[i + 1]) / piv[i]
+    return np.array(x)
+
+
+# The per-step solves keep these names for perfbench's tracer until ROADMAP item 1.
+def solveh_banded(d: float, e: float, b: np.ndarray) -> np.ndarray:
+    """One subdiffusion step; d changes with the step on a graded mesh."""
+    return _tridiag_solve(_pivots(d, e, len(b)), e, b)
+
+
+def cho_solve_banded(piv: list, e: float, b: np.ndarray) -> np.ndarray:
+    """One integro step, from pivots computed once."""
+    return _tridiag_solve(piv, e, b)
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalFem:
     """Linear elements on (a, b) with J cells and Dirichlet ends."""
@@ -105,14 +135,10 @@ class IntervalFem:
     def stiff_apply(self, v: np.ndarray) -> np.ndarray:
         return _tridiag_apply(*self.stiff_diags, v)
 
-    def banded(self, cm: float, ck: float) -> np.ndarray:
-        """Upper-banded form of cm*mass + ck*stiffness for scipy."""
-        md, me = self.mass_diags
-        kd, ke = self.stiff_diags
-        ab = np.zeros((2, self.J - 1))
-        ab[0, 1:] = cm * me + ck * ke
-        ab[1, :] = cm * md + ck * kd
-        return ab
+    def diags(self, cm: float, ck: float) -> tuple[float, float]:
+        """(diagonal, off-diagonal) of cm*mass + ck*stiffness."""
+        (md, me), (kd, ke) = self.mass_diags, self.stiff_diags
+        return cm * md + ck * kd, cm * me + ck * ke
 
     def mode_frequency(self, k: int) -> float:
         return k * math.pi / (self.b - self.a)
@@ -186,9 +212,8 @@ class SeparableField:
                 k, amp = mode
             except (TypeError, ValueError):
                 raise ValueError(f"modes must be (k, amplitude) pairs, got {mode!r}") from None
-            if k < 1 or k != int(k):
-                raise ValueError(f"mode index must be a positive integer, got {k}")
-            norm.append((int(k), (k * xi) ** 2, _as_profile(amp)))
+            k = check_count(k, "mode index", 1)
+            norm.append((k, (k * xi) ** 2, _as_profile(amp)))
         norm.sort(key=lambda m: m[0])
         if len({m[0] for m in norm}) != len(norm):
             raise ValueError("duplicate mode indices")
@@ -414,8 +439,8 @@ def solve_subdiffusion(
     eigenvalues, and "modal" runs all modes in one batched ``march_l1``
     call, for separable and callable forcing alike (see ``_modal_data``).
     "full" is the scheme written out step by step on the nodal unknowns,
-    with one banded solve per step: an O(M^2) reference for checks that
-    shares no marcher with "modal".  ``n`` is not read; ``data`` fixes it.
+    with one tridiagonal solve per step: an O(M^2) reference for checks
+    that shares no marcher with "modal".  ``n`` is not read; ``data`` fixes it.
     """
     _check_method(method)
     _check_fem(data, fem)
@@ -430,7 +455,7 @@ def solve_subdiffusion(
         for m in range(1, mesh.M + 1):
             a = l1_weight_row(alpha, mesh, m)
             b = a[-1] * V[m - 1] - a[:-1] @ D[: m - 1]
-            V[m] = solveh_banded(fem.banded(a[-1], 1.0), loads[m - 1] + fem.mass_apply(b))
+            V[m] = solveh_banded(*fem.diags(a[-1], 1.0), loads[m - 1] + fem.mass_apply(b))
             D[m - 1] = V[m] - V[m - 1]
 
     return _reconstruct(V, data, mesh, fem)
@@ -490,7 +515,7 @@ def solve_integro(
     running sum of D.  "modal" divides mode k by its eigenvalue
     lam_k > 0, which leaves the shared kernel G with the diagonal shift
     1/(tau lam_k), and solves it by toeplitz.march.  "full" steps the
-    nodal increments one at a time with the banded factor of M/tau + G_0 K:
+    nodal increments one at a time with the LDL^T pivots of M/tau + G_0 K:
     an O(M^2) reference for checks that shares no marcher with "modal".
     """
     _check_method(method)
@@ -510,14 +535,15 @@ def solve_integro(
     else:
         loads = _load_rows(data.forcing, fem, mesh.nodes)
         fbar = 0.5 * (loads[1:] + loads[:-1])
-        factor = (cholesky_banded(fem.banded(1.0 / tau, G[0])), False)
+        d, e = fem.diags(1.0 / tau, G[0])
+        piv = _pivots(d, e, fem.J - 1)
         # one row of increments D^1..D^M per node: numpy sums a contiguous row
         # pairwise, which at M = 4096 keeps this within 1.5e-14 of max |V| of a
         # long-double solve, where a BLAS product's running sum was 4.3e-14 off
         D = np.zeros(fbar.T.shape)
         for m in range(mesh.M):
             hist = (D[:, :m] * G[m:0:-1]).sum(axis=1)
-            D[:, m] = cho_solve_banded(factor, fbar[m] - fem.stiff_apply(hist))
+            D[:, m] = cho_solve_banded(piv, e, fbar[m] - fem.stiff_apply(hist))
         V = np.cumsum(D.T, axis=0)
     V = np.vstack([np.zeros(fem.J - 1), V])
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "VolterraProblem",
     "CollocationTrace",
     "collocation_depth",
-    "volterra_transform",
     "msd_volterra_forcing",
     "solve_volterra",
     "collocation_residual",
@@ -189,16 +188,6 @@ def _current_block(alpha: float, c: tuple, A: np.ndarray) -> np.ndarray:
                 / math.gamma(k + 2.0 - alpha)
             )
     return mom @ A
-
-
-def volterra_transform(prob: VolterraProblem, M: int | None = None):
-    """The zero-at-origin forcing f~ = L f(0) + f - f(0).
-
-    Analytic path (constant kernel, profile f): returns a TimeProfile.
-    Otherwise returns the (M, q) array of values at the collocation
-    points, computed by product integration.
-    """
-    return msd_volterra_forcing(replace(prob, n=0), M)[0]
 
 
 def msd_volterra_forcing(prob: VolterraProblem, M: int | None = None):

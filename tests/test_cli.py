@@ -95,6 +95,14 @@ def test_fraction_collocation_nodes(capsys):
     assert out.count("\n") == 3
 
 
+def test_zero_denominator_in_c_exits_2(capsys):
+    # 1/0 used to escape as a ZeroDivisionError traceback with exit 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["volterra", "--alpha", "0.5", "--c", "1/0", "--M", "8", "--M", "16"])
+    assert exc.value.code == 2
+    assert "--c" in capsys.readouterr().err
+
+
 def test_collocation_count_follows_c(capsys):
     # --c fixes the number of collocation points per step
     code, out, err = _run(

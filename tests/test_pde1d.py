@@ -153,6 +153,9 @@ def test_field_validation():
         SeparableField((0.0, 1.0), ((1, math.pi**2, TimeProfile.constant(1.0)),))
     with pytest.raises(ValueError):
         SeparableField((0.0, 1.0), ((0, TimeProfile.constant(1.0)),))  # k must be >= 1
+    for k in (math.inf, math.nan, True, 2.5):
+        with pytest.raises(ValueError, match="mode index"):
+            SeparableField((0.0, 1.0), ((k, 1.0),))
     with pytest.raises(ValueError):
         SeparableField((0.0, 1.0), ((2, TimeProfile.zero()), (2, TimeProfile.zero())))
 
@@ -185,7 +188,7 @@ def _subdiffusion_problem(dom=(0.0, 1.0)):
 @pytest.mark.parametrize("n", [0, 2])
 def test_subdiffusion_modal_equals_full(n):
     # the sine loads are exactly proportional to the eigenvectors, so
-    # per-mode marching and the assembled banded solve must coincide;
+    # per-mode marching and the assembled tridiagonal solve must coincide;
     # several modes share one batched march, and a decimal step count
     # leaves the gaps of a uniform mesh equal only up to rounding
     alpha = 0.4
@@ -201,7 +204,8 @@ def test_subdiffusion_modal_equals_full(n):
     fem = assemble_fem(0.0, 1.0, 16)
     for forcing in (f, three):
         data = msd_subdiffusion_data(forcing, u0, n, alpha)
-        for mesh in (build_mesh(1.0, 64, 2.0), build_mesh(1.0, 100)):
+        # M = 300 reaches past the first Toeplitz block of 256 steps
+        for mesh in (build_mesh(1.0, 64, 2.0), build_mesh(1.0, 100), build_mesh(1.0, 300)):
             um = solve_subdiffusion(alpha, n, data, mesh, fem, method="modal").U
             uf = solve_subdiffusion(alpha, n, data, mesh, fem, method="full").U
             assert np.max(np.abs(um - uf)) < 1e-10
@@ -305,10 +309,11 @@ _TRANSFORM_MESHES = [(100, 1.0), (255, 1.0), (256, 1.0), (257, 1.0)] + [
 
 @pytest.mark.filterwarnings("ignore:grading r =")
 @pytest.mark.parametrize("M,r", _TRANSFORM_MESHES)
-@pytest.mark.parametrize("J", [16, 32, 128])
+@pytest.mark.parametrize("J", [2, 16, 32, 128])
 def test_subdiffusion_transformed_loads_match_full(J, M, r):
     # callable forcing runs all J - 1 sine modes through one batched march;
-    # the banded step-by-step solve on the nodal loads is the same scheme.
+    # the tridiagonal step-by-step solve on the nodal loads is the same
+    # scheme.  J = 2 has a single interior node, where the solve has no sweep.
     # The uniform meshes cross the Toeplitz block edge at 256 steps (M = 100
     # has steps equal only up to rounding); the graded ones cross the edge
     # of a block of weight rows at 32
@@ -477,7 +482,8 @@ def test_integro_modal_equals_full():
     )
     f_multi = f + SeparableField(dom, ((3, TimeProfile.of((2.0, 1.0))),))
     fem = assemble_fem(0.0, 1.0, 16)
-    for mesh in (build_mesh(1.0, 64, 1.0), build_mesh(1.0, 100)):
+    # M = 300 reaches past the first Toeplitz block of 256 steps
+    for mesh in (build_mesh(1.0, 64, 1.0), build_mesh(1.0, 100), build_mesh(1.0, 300)):
         for ff, uu in ((f, u0), (f_multi, u0_multi)):
             for data in (msd_integro_data(ff, uu, alpha), integro_direct_data(ff, uu, alpha)):
                 um = solve_integro(alpha, data, mesh, fem, method="modal").U
