@@ -157,10 +157,20 @@ def as_forcing(f):
     )
 
 
-def sample(f, t) -> np.ndarray:
-    """Values of the forcing f at the points t, broadcast to the shape of t."""
-    tv = np.asarray(t, dtype=float)
-    return np.broadcast_to(np.asarray(f(tv), dtype=float), tv.shape).copy()
+def sample(f, *args) -> np.ndarray:
+    """f(t) or f(x, t) at broadcastable points, as a read-only view of the
+    common shape of the arguments: a scalar return is spread over it."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    vals = np.asarray(f(*args), dtype=float)
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        names = ", ".join("xt"[-len(args) :])
+        raise ValueError(
+            f"forcing f({names}) returned shape {vals.shape}, which does not"
+            f" broadcast to {shape}, the common shape of its arguments"
+        ) from None
 
 
 def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:

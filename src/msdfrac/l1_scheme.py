@@ -49,6 +49,12 @@ __all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_block", "l1_weight_
 _ROWS = 32
 
 
+def check_alpha(alpha) -> None:
+    """An L1 order outside (0, 1), NaN included, raises a ValueError naming alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got alpha={alpha}")
+
+
 def l1_weight_block(alpha: float, mesh: GradedMesh, start: int, stop: int) -> np.ndarray:
     """Numerators of the L1 weight rows m = start+1..stop.
 
@@ -119,8 +125,7 @@ class L1System:
 
 
 def build_l1(mesh: GradedMesh, alpha: float) -> L1System:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     M = mesh.M
     a = np.zeros((M + 1, M + 1))
     a[1:, 1:] = l1_weight_block(alpha, mesh, 0, M) / (mesh.steps * math.gamma(2.0 - alpha))
@@ -156,6 +161,7 @@ def march_l1(
     meshes are marched a block of weight rows at a time (see the module
     docstring).
     """
+    check_alpha(alpha)
     M = mesh.M
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim == 0 or len(rhs) != M + 1:

@@ -10,9 +10,12 @@ lam_k, marched all at once ("modal").  Separable data (finite sums of
 sine modes with time-dependent amplitudes) enters that basis in closed
 form: the per-mode Gauss load vectors are exact multiples of the sine
 vectors, and a mode whose index is a multiple of J vanishes at every
-node and is dropped.  Callable subdiffusion data f(x, t) is sampled
-on the whole grid in one call, and its nodal loads are transformed to
-the sine basis.  ``method="full"`` is the same time scheme written out
+node and is dropped.  Callable data f(x, t), which subdiffusion and
+the integrodifferential model take at depth 0, is sampled on the whole
+grid in one call, a row of nodes x against a column of times t; it
+must return an array that broadcasts to their common shape (a scalar
+is spread over the grid).  Its nodal loads are transformed to the sine
+basis.  ``method="full"`` is the same time scheme written out
 step by step on the nodal unknowns, with an LDL^T tridiagonal solve per
 step: an O(M^2) reference that shares no marcher with the modal path.
 
@@ -30,9 +33,14 @@ splitting:
 * diffusion-wave d^g u - Lap u = f for g in (1, 2): reduced to the
   integrodifferential form with a = g - 1 and a two-term splitting.
 
-All three split their data with fracint.msd_split by L = Lap I^nu,
-mode by mode (nu = a for subdiffusion, 1 + a for the other two), and
-map the split-off sum through I^a or I^1 respectively.
+One routine builds the data of all three.  The substitution w = u - u0
+moves the initial value into the forcing g = f + beta_kappa Lap u0
+(kappa = 1 for subdiffusion, where beta_1 = 1, and 1 + a for the other
+two); fracint.msd_split splits g by L = Lap I^nu, mode by mode (nu = a
+for subdiffusion, 1 + a for the other two), and the split-off sum is
+mapped through I^a or I^1 respectively.  Diffusion-wave data stays
+separable: its forcing enters as I^{g-1} f, and both that integral and
+the two-level split need closed-form time profiles.
 
 Reconstruction adds the split-off analytic part back at the nodes; the
 result is not an element of the FEM space, it is the element solution
@@ -42,14 +50,15 @@ plus exact node samples of the correction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .conv_quad import build_cq
-from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split
-from .l1_scheme import l1_weight_row, march_l1
+from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split, sample
+from .l1_scheme import check_alpha, l1_weight_row, march_l1
 from .mesh import GradedMesh, check_count
 from .toeplitz import march, modal_inverse
 
@@ -185,10 +194,12 @@ def assemble_fem(a: float, b: float, J: int) -> IntervalFem:
     return IntervalFem(*_check_domain(a, b), J=J, h=(b - a) / J)
 
 
-def _as_profile(amp) -> TimeProfile:
+def _as_profile(k: int, amp) -> TimeProfile:
     if isinstance(amp, TimeProfile):
         return amp
-    return TimeProfile.constant(float(amp))
+    if isinstance(amp, numbers.Real) and not isinstance(amp, bool):
+        return TimeProfile.constant(float(amp))
+    raise ValueError(f"amplitude of mode {k} must be a TimeProfile or a real number, got {amp!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +224,7 @@ class SeparableField:
             except (TypeError, ValueError):
                 raise ValueError(f"modes must be (k, amplitude) pairs, got {mode!r}") from None
             k = check_count(k, "mode index", 1)
-            norm.append((k, (k * xi) ** 2, _as_profile(amp)))
+            norm.append((k, (k * xi) ** 2, _as_profile(k, amp)))
         norm.sort(key=lambda m: m[0])
         if len({m[0] for m in norm}) != len(norm):
             raise ValueError("duplicate mode indices")
@@ -302,61 +313,50 @@ def _fields(**fields) -> list:
     return [_check_field(f, domain, what) for what, f in fields.items()]
 
 
-def _split_data(g: SeparableField, u0: SeparableField, nu: float, outer: float, n: int) -> PdeData:
-    """msd_split of g by L = Lap I^nu, mode by mode: the remainder forcing
-    L^n g and the reconstruction I^outer sum_{i<n} L^i g."""
+def _pde_data(f, u0, n: int, nu: float, outer: float, kappa: float = 1.0) -> PdeData:
+    """The data of all three models, split at depth n.
+
+    The substitution w = u - u0 moves the initial value into the forcing
+    g = f + beta_kappa Lap u0, where beta_1 = 1.  The split of g by
+    L = Lap I^nu leaves the remainder forcing L^n g, and the solution is
+    recovered as u = v + u0 + I^outer sum_{i<n} L^i g.  Both output
+    fields carry exact per-mode profiles.  f may instead be a callable
+    f(x, t) when n = 0: no closed-form splitting exists for such data.
+    """
+    n = check_count(n, "n", 0)
+    if not callable(f):
+        f, u0 = _fields(f=f, u0=u0)
+    elif n > 0:
+        raise ValueError("non-separable forcing is only supported at depth 0")
+    else:
+        (u0,) = _fields(u0=u0)
+    beta = beta_profile(kappa)
+    lap = u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
+    g = (lambda x, t: sample(f, x, t) + lap.evaluate(x, t)) if callable(f) else f + lap
     forcing, head = msd_split(
         g, lambda h: h.map_amplitudes(lambda lam, amp: frac_integrate(amp, nu) * (-lam)), n
     )
-    head = sum(head, SeparableField.zero(g.domain))
+    head = sum(head, SeparableField.zero(u0.domain))
     reconstruction = head.map_amplitudes(lambda lam, amp: frac_integrate(amp, outer))
     return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
 
 
+def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
+    """amp is constant for initial data; scale beta by that constant."""
+    if amp.is_zero:
+        return TimeProfile.zero()
+    if len(amp.terms) == 1 and amp.terms[0][1] == 0.0:
+        return beta * amp.terms[0][0]
+    raise ValueError("u0 amplitudes must be constant in time")
+
+
 def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
-    """Split the subdiffusion problem at depth n.
-
-    The substitution w = u - u0 moves the initial value into the
-    forcing g = f + Lap u0; the depth-n split by L = Lap I^a leaves the
-    remainder equation with forcing L^n g = (Lap)^n I^{na} g, and the
-    solution is recovered as u = v + u0 + I^a sum_{i<n} L^i g.  Both
-    output fields carry exact per-mode profiles.
-
-    f may instead be a callable f(x, t) when n = 0 (nodal-interpolation
-    load assembly; no closed-form splitting exists for such data).  It
-    is called with broadcastable arrays, a row of nodes x against a
-    column of times t, and must return an array that broadcasts to their
-    common shape; a scalar is spread over the grid.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
-    n = check_count(n, "n", 0)
-    if callable(f) and not isinstance(f, SeparableField):
-        if n > 0:
-            raise ValueError("non-separable forcing is only supported at depth 0")
-        (u0,) = _fields(u0=u0)
-        lap = u0.laplacian()
-
-        def forcing(x, t, _f=f, _lap=lap):
-            return _sample(_f, x, t) + _lap.evaluate(x, t)
-
-        return PdeData(forcing=forcing, reconstruction=SeparableField.zero(u0.domain), initial=u0)
-
-    f, u0 = _fields(f=f, u0=u0)
-    return _split_data(f + u0.laplacian(), u0, alpha, alpha, n)
-
-
-def _sample(f, x, t) -> np.ndarray:
-    """f(x, t) broadcast to the common shape of x and t."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    vals = np.asarray(f(x, t), dtype=float)
-    try:
-        return np.broadcast_to(vals, shape)
-    except ValueError:
-        raise ValueError(
-            f"forcing f(x, t) returned shape {vals.shape}, which does not"
-            f" broadcast to {shape}, the shape of x and t together"
-        ) from None
+    """Split the subdiffusion problem at depth n: g = f + Lap u0, split by
+    L = Lap I^a, remainder forcing L^n g = (Lap)^n I^{na} g and
+    reconstruction I^a sum_{i<n} L^i g.  f may be a callable f(x, t) at
+    n = 0 (see the module docstring)."""
+    check_alpha(alpha)
+    return _pde_data(f, u0, n, alpha, alpha)
 
 
 def _modal_data(forcing, fem: IntervalFem, times: np.ndarray):
@@ -395,7 +395,7 @@ def _load_rows(forcing, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
     f, sampled on the whole grid by one call f(x[None, :], t[:, None])."""
     if not isinstance(forcing, SeparableField):
         xs = fem.a + fem.h * np.arange(fem.J + 1)
-        return fem.nodal_load(_sample(forcing, xs[None, :], times[:, None]))
+        return fem.nodal_load(sample(forcing, xs[None, :], times[:, None]))
     out = np.zeros((len(times), fem.J - 1))
     for k, _, amp in forcing.modes:
         out += np.outer(amp(times), fem.mode_load_vector(k))
@@ -416,7 +416,7 @@ def _check_method(method: str) -> None:
 
 def _reconstruct(V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
     U = V.copy()
-    if isinstance(data.reconstruction, SeparableField) and not data.reconstruction.is_zero:
+    if not data.reconstruction.is_zero:
         U[1:] += data.reconstruction.node_matrix(fem, mesh.nodes[1:])
     if not data.initial.is_zero:
         U += data.initial.node_matrix(fem, np.zeros(1))
@@ -442,6 +442,7 @@ def solve_subdiffusion(
     with one tridiagonal solve per step: an O(M^2) reference for checks
     that shares no marcher with "modal".  ``n`` is not read; ``data`` fixes it.
     """
+    check_alpha(alpha)
     _check_method(method)
     _check_fem(data, fem)
     times = mesh.nodes[1:]  # rhs[0] is never read, and profiles may be singular at 0
@@ -461,37 +462,19 @@ def solve_subdiffusion(
     return _reconstruct(V, data, mesh, fem)
 
 
-def _integro_data(f, u0, alpha: float, n: int) -> PdeData:
-    """w = u - u0 turns the initial value into g = f + Lap u0 * beta_{a+1};
-    the depth-n split of g by L = Lap I^{1+a} leaves the remainder forcing
-    L^n g and the reconstruction I^1 sum_{i<n} L^i g."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {alpha}")
-    f, u0 = _fields(f=f, u0=u0)
-    beta = beta_profile(alpha + 1.0)
-    g = f + u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
-    return _split_data(g, u0, 1.0 + alpha, 1.0, n)
-
-
 def msd_integro_data(f, u0, alpha: float) -> PdeData:
-    """One-level split of the integrodifferential problem: remainder forcing
-    Lap I^{1+a} g and reconstruction I^1 g.  One level is enough for the
-    scheme's full second order."""
-    return _integro_data(f, u0, alpha, 1)
+    """One-level split of the integrodifferential problem: g = f + beta_{1+a}
+    Lap u0, remainder forcing Lap I^{1+a} g and reconstruction I^1 g.  One
+    level is enough for the scheme's full second order."""
+    check_alpha(alpha)
+    return _pde_data(f, u0, 1, 1.0 + alpha, 1.0, 1.0 + alpha)
 
 
 def integro_direct_data(f, u0, alpha: float) -> PdeData:
-    """Unsplit forcing for the same stepper: g = f + Lap u0 * beta_{a+1}."""
-    return _integro_data(f, u0, alpha, 0)
-
-
-def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
-    """amp is constant for initial data; scale beta by that constant."""
-    if amp.is_zero:
-        return TimeProfile.zero()
-    if len(amp.terms) == 1 and amp.terms[0][1] == 0.0:
-        return beta * amp.terms[0][0]
-    raise ValueError("initial data amplitudes must be time-constant")
+    """Unsplit forcing for the same stepper: g = f + beta_{1+a} Lap u0.
+    f may be a callable f(x, t) (see the module docstring)."""
+    check_alpha(alpha)
+    return _pde_data(f, u0, 0, 1.0 + alpha, 1.0, 1.0 + alpha)
 
 
 def solve_integro(
@@ -517,10 +500,10 @@ def solve_integro(
     1/(tau lam_k), and solves it by toeplitz.march.  "full" steps the
     nodal increments one at a time with the LDL^T pivots of M/tau + G_0 K:
     an O(M^2) reference for checks that shares no marcher with "modal".
+    Both take separable forcing and the callable f(x, t) that
+    ``integro_direct_data`` passes through.
     """
     _check_method(method)
-    if not isinstance(data.forcing, SeparableField):
-        raise TypeError("this stepper needs separable forcing")
     _check_fem(data, fem)
     if not mesh.uniform:
         raise ValueError("convolution quadrature needs a uniform mesh")
@@ -565,16 +548,12 @@ def solve_diffusion_wave(
     w' = I^a Lap w + g0, g0 = I^{g-1} f + beta_g Lap u0 + du0, and two
     split levels by L = Lap I^{1+a} leave the remainder forcing L^2 g0
     with reconstruction I^1 (g0 + L g0).  Runs the same CQ/CN stepper as
-    solve_integro, with the same ``method``.
+    solve_integro, with the same ``method``.  f must be a SeparableField:
+    I^{g-1} f and its two-level split need closed-form time profiles.
     """
     if not 1.0 < gamma < 2.0:
         raise ValueError(f"wave exponent must lie in (1, 2), got {gamma}")
     alpha = gamma - 1.0
     f, u0, du0 = _fields(f=f, u0=u0, du0=du0)
-    beta = beta_profile(gamma)
-    g = (
-        f.map_amplitudes(lambda lam, amp: frac_integrate(amp, gamma - 1.0))
-        + u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
-        + du0
-    )
-    return solve_integro(alpha, _split_data(g, u0, 1.0 + alpha, 1.0, 2), mesh, fem, method=method)
+    f = f.map_amplitudes(lambda lam, amp: frac_integrate(amp, alpha)) + du0
+    return solve_integro(alpha, _pde_data(f, u0, 2, 1.0 + alpha, 1.0, gamma), mesh, fem, method=method)

@@ -202,8 +202,6 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
 
     traces = {}
     for M in Ms + [2 * Ms[-1]]:
-        if M in traces:
-            continue
         try:
             traces[M] = spec.solve(M)
         except Exception as e:

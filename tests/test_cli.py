@@ -123,6 +123,14 @@ def test_diffusion_wave_runs(capsys):
     assert rows[1][1] == "1.5"
 
 
+def test_subdiffusion_runs(capsys):
+    code, out, err = _run(
+        capsys, ["subdiffusion", "--alpha", "0.5", "--J", "16", "--M", "32", "--M", "64"]
+    )
+    assert code == 0, err
+    assert "subdiffusion" in out
+
+
 def test_integro_decimal_step_counts(capsys):
     # M = 100 gives uniform steps that differ in the last bit; the
     # convolution quadrature must still accept the mesh

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdfrac import TimeProfile, beta_profile, build_mesh, frac_integrate, frac_integrate_numeric
+from msdfrac.fracint import sample
 
 
 def test_profile_algebra():
@@ -106,6 +107,10 @@ def test_numeric_integration_matches_analytic():
     ref = frac_integrate(ref, 0.5)
     assert np.max(np.abs(out[1:] - ref(mesh.nodes[1:]))) < 5e-6
     assert out[0] == 0.0
+    # forcing data is sampled at the nodes: the same integral bit for bit
+    assert np.array_equal(frac_integrate_numeric(np.cos, 0.5, mesh), out)
+    ones = frac_integrate_numeric(np.ones(513), 0.5, mesh)
+    assert np.array_equal(frac_integrate_numeric(lambda t: 1.0, 0.5, mesh), ones)
 
 
 @pytest.mark.parametrize(
@@ -116,3 +121,39 @@ def test_non_finite_profile_terms_are_rejected(term):
         TimeProfile.of(term)
     with pytest.raises(ValueError, match="TimeProfile terms must be finite"):
         TimeProfile.of((1.0, 0.5), term)
+
+
+_MESH8 = build_mesh(1.0, 8, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: TimeProfile.of((1.0, -1.0)), "not integrable"),
+        (lambda: TimeProfile.of((1.0, 0.5), (2.0, -1.5)), "not integrable"),
+        (lambda: beta_profile(0.0), "kernel order"),
+        (lambda: beta_profile(-0.5), "kernel order"),
+        (lambda: beta_profile(math.nan), "kernel order"),
+        (lambda: frac_integrate(TimeProfile.constant(1.0), 0.0), "integration order"),
+        (lambda: frac_integrate(TimeProfile.constant(1.0), -1.0), "integration order"),
+        (lambda: frac_integrate_numeric(np.ones(9), 0.0, _MESH8), r"\(0, 2\]"),
+        (lambda: frac_integrate_numeric(np.ones(9), 2.5, _MESH8), r"\(0, 2\]"),
+        (lambda: frac_integrate_numeric(np.ones(9), math.nan, _MESH8), r"\(0, 2\]"),
+        (lambda: frac_integrate_numeric(np.ones(8), 0.5, _MESH8), "nodal values have shape"),
+        (lambda: frac_integrate_numeric(lambda t: np.ones(3), 0.5, _MESH8), r"f\(t\) returned"),
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_sample_spreads_a_scalar_as_a_view():
+    t = np.linspace(0.0, 1.0, 5)
+    vals = sample(lambda t: 2.0, t)
+    assert vals.shape == t.shape and np.all(vals == 2.0)
+    assert vals.strides == (0,) and not vals.flags.writeable  # no copy
+    grid = sample(lambda x, t: x + t, np.arange(3.0)[None, :], t[:, None])
+    assert np.array_equal(grid, np.arange(3.0)[None, :] + t[:, None])
+    with pytest.raises(ValueError, match=r"f\(x, t\) returned shape \(2,\)"):
+        sample(lambda x, t: np.ones(2), np.arange(3.0)[None, :], t[:, None])

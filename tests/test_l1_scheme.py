@@ -163,6 +163,13 @@ def test_validation():
         apply_dfrac(sysm, np.ones(10))  # beyond the mesh
     with pytest.raises(ValueError, match="degenerate"):
         march_l1(0.5, mesh, np.array([1.0, -1e6]), np.zeros((9, 2)))  # a0 + lam <= 0
+    for alpha in (0.0, 1.0, 1.5, -0.5, math.nan):
+        # 1.5 and NaN marched to NaN, 0 to a number
+        for grid in (mesh, build_mesh(1.0, 8, 2.0)):
+            with pytest.raises(ValueError, match="alpha"):
+                march_l1(alpha, grid, 1.0, np.zeros(9))
+        with pytest.raises(ValueError, match="alpha"):
+            build_l1(mesh, alpha)
     for grid in (mesh, build_mesh(1.0, 8, 2.0)):
         with pytest.raises(ValueError, match="lam"):
             march_l1(0.5, grid, lambda a0, load, b: b, np.zeros((9, 3)))  # no local-solve callable

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,9 @@ def test_validation():
         build_mesh(1.0, 0)
     with pytest.warns(UserWarning):
         build_mesh(1.0, 8, 0.5)  # r < 1 allowed but outside the theory
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grading exponent"):
+            build_mesh(1.0, 8, r)
 
 
 @pytest.mark.parametrize("M", [2.5, 8.0, "8", True])

@@ -74,6 +74,12 @@ def test_validation():
         ml_eval(0.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         ml_eval(-0.5, 1.0, -1.0)
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="order"):
+            relaxation_exact(alpha, 1.0, 1.0)
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="relaxation coefficient"):
+            relaxation_exact(0.5, lam, 1.0)
 
 
 def test_relaxation_exact_limits():

@@ -158,6 +158,12 @@ def test_field_validation():
             SeparableField((0.0, 1.0), ((k, 1.0),))
     with pytest.raises(ValueError):
         SeparableField((0.0, 1.0), ((2, TimeProfile.zero()), (2, TimeProfile.zero())))
+    # float() took the string "1.5" and True as amplitudes
+    for amp in ("1.5", True, np.bool_(True), None, 1.0 + 0.5j, lambda t: t):
+        with pytest.raises(ValueError, match="amplitude of mode 2"):
+            SeparableField((0.0, 1.0), ((2, amp),))
+    for amp in (3, np.int64(3), np.float32(3.0)):
+        assert SeparableField((0.0, 1.0), ((2, amp),)).modes[0][2] == TimeProfile.constant(3.0)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0)])
@@ -394,6 +400,20 @@ def test_msd_data_validation():
         integro_direct_data(None, 3.0, 0.5)
     with pytest.raises(TypeError, match="u0"):
         msd_subdiffusion_data(lambda x, t: x * t, None, 0, 0.5)
+    with pytest.raises(ValueError, match="depth 0"):
+        msd_integro_data(lambda x, t: x * t, u0, 0.5)
+    # alpha outside (0, 1) marched to NaN, or at 0 to a number
+    mesh, fem = build_mesh(1.0, 8, 1.0), assemble_fem(0.0, 1.0, 4)
+    data = msd_subdiffusion_data(f, u0, 0, 0.5)
+    for alpha in (0.0, 1.0, 1.5, math.nan):
+        for method in ("modal", "full"):
+            with pytest.raises(ValueError, match="alpha"):
+                solve_subdiffusion(alpha, 0, data, mesh, fem, method=method)
+        for build in (msd_integro_data, integro_direct_data):
+            with pytest.raises(ValueError, match="alpha"):
+                build(f, u0, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            msd_subdiffusion_data(f, u0, 0, alpha)
 
 
 def _three_mode_data(alpha):
@@ -676,6 +696,42 @@ def test_integro_direct_and_msd_agree():
     assert np.max(np.abs(ud[-1] - um[-1])) < 1e-3
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_integro_callable_forcing_modal_equals_full(alpha):
+    # callable f(x, t) at depth 0: all J - 1 sine modes share one Toeplitz
+    # march, and the step-by-step nodal solve is the same scheme
+    u0 = SeparableField((0.0, 1.0), ((1, 1.0), (3, -0.5)))
+    data = integro_direct_data(_nonseparable, u0, alpha)
+    fem = assemble_fem(0.0, 1.0, 32)
+    for M in (100, 300):
+        mesh = build_mesh(1.0, M, 1.0)
+        modal = solve_integro(alpha, data, mesh, fem).U
+        full = solve_integro(alpha, data, mesh, fem, method="full").U
+        assert np.max(np.abs(modal - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_integro_callable_forcing_matches_separable():
+    alpha = 0.5
+    f, u0 = _integro_problem(alpha)
+    data_s = integro_direct_data(f, u0, alpha)
+    data_c = integro_direct_data(lambda x, t: t**alpha * np.sin(math.pi * x), u0, alpha)
+    mesh, fem = build_mesh(1.0, 64, 1.0), assemble_fem(0.0, 1.0, 16)
+    shapes = []
+
+    def counted(x, t):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return data_c.forcing(x, t)
+
+    for method in ("modal", "full"):
+        shapes.clear()
+        us = solve_integro(alpha, data_s, mesh, fem, method=method).U
+        uc = solve_integro(alpha, PdeData(counted, data_c.reconstruction, u0), mesh, fem, method=method).U
+        # one call on the whole grid, t = 0 included
+        assert shapes == [(mesh.M + 1, fem.J + 1)]
+        # exact Gauss loads against nodal loads: an O(h^2) quadrature term
+        assert np.max(np.abs(us - uc)) < 5e-3
+
+
 def test_integro_requires_uniform_mesh():
     alpha = 0.5
     f, u0 = _integro_problem(alpha)
@@ -707,6 +763,15 @@ def test_initial_profile_must_be_constant_in_time():
     u0 = SeparableField(dom, ((1, TimeProfile.of((1.0, 1.0))),))  # t-dependent
     with pytest.raises(ValueError):
         msd_integro_data(f, u0, 0.5)
+    # subdiffusion took it and solved another problem: U[0] = 0 while
+    # Lap u0 drove the solve
+    for fc in (f, _nonseparable):
+        with pytest.raises(ValueError, match="u0 amplitudes must be constant"):
+            msd_subdiffusion_data(fc, u0, 0, 0.5)
+        with pytest.raises(ValueError, match="u0 amplitudes must be constant"):
+            integro_direct_data(fc, u0, 0.5)
+    with pytest.raises(ValueError, match="u0 amplitudes must be constant"):
+        msd_subdiffusion_data(f, u0, 2, 0.5)
 
 
 # --- diffusion-wave -----------------------------------------------------------
@@ -746,6 +811,9 @@ def test_diffusion_wave_validation():
         solve_diffusion_wave(1.5, None, None, None, mesh, fem)
     with pytest.raises(TypeError, match="du0"):
         solve_diffusion_wave(1.5, f, u0, 0.5, mesh, fem)
+    # I^{g-1} f and its two-level split need closed-form profiles
+    with pytest.raises(TypeError, match="f must be a SeparableField"):
+        solve_diffusion_wave(1.5, _nonseparable, u0, du0, mesh, fem)
 
 
 def test_diffusion_wave_matches_closed_form_split():

@@ -121,6 +121,10 @@ def test_validation():
     prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0)
     with pytest.raises(ValueError):
         solve_relaxation(prob, build_mesh(2.0, 16, 1.0))  # horizon mismatch
+    # numpy's bare "operands could not be broadcast" named no argument
+    bad = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=lambda t: np.ones(3))
+    with pytest.raises(ValueError, match=r"f\(t\) returned shape \(3,\)"):
+        solve_relaxation(bad, build_mesh(1.0, 16, 1.0))
 
 
 def test_reconstruction_identity():

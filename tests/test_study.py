@@ -151,11 +151,21 @@ def test_two_mesh_error_rejects_type_mismatch():
     scalar = _constant_trace(16, 0.0)
     with pytest.raises(TypeError):
         two_mesh_error(scalar, field)
+    with pytest.raises(TypeError, match="unsupported trace type"):
+        two_mesh_error(np.zeros(17), np.zeros(33))
+    # the same meshes under another spatial grid
+    with pytest.raises(ValueError, match="different spatial grids"):
+        two_mesh_error(field, make_integro_study(0.5, n=1, J=16).solve(32))
 
 
 def test_two_mesh_error_requires_nested_meshes():
     with pytest.raises(ValueError):
         two_mesh_error(_constant_trace(32, 0.0), _constant_trace(32, 0.0))
+    # twice the steps, but a graded fine mesh shares only the end nodes
+    graded = build_mesh(1.0, 64, 2.0)
+    fine = ScalarTrace(mesh=graded, V=np.zeros(65), U=np.zeros(65))
+    with pytest.raises(ValueError, match="not nested"):
+        two_mesh_error(_constant_trace(32, 0.0), fine)
 
 
 def test_two_mesh_error_relaxation_reference_value():
@@ -166,6 +176,20 @@ def test_two_mesh_error_relaxation_reference_value():
 
 
 # --- study constructors -----------------------------------------------------
+
+
+def test_integro_callable_forcing_converges_at_the_unsplit_rate():
+    # depth 0 keeps the t^{1+a} layer of u0 in the solution, so the
+    # two-mesh rate is 1 + a, as for separable data
+    u0 = SeparableField((0.0, 1.0), ((1, TimeProfile.constant(1.0)),))
+
+    def f(x, t):
+        return x * (1.0 - x) * np.exp(-x * t) + t * np.cos(3.0 * x)
+
+    for alpha in (0.25, 0.75):
+        rep = run_study(make_integro_study(alpha, n=0, f=f, u0=u0), [256, 512, 1024])
+        for row in rep.rows[1:]:
+            assert row.rate == pytest.approx(1.0 + alpha, abs=0.1)
 
 
 def test_make_volterra_study_runs():

@@ -156,6 +156,15 @@ def test_validation():
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(0.5,))  # q mismatch
     with pytest.raises(ValueError):
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(1.0, 2.0 / 3.0))
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            VolterraProblem(alpha=0.5, T=T, kernel=1.0, f=1.0)
+    for d in (0.999, 0.0, -2.0):
+        with pytest.raises(ValueError, match="d >= 1"):
+            singular_moment(0.5, d, 0)
+    bad = VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=lambda t: np.ones(3))
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match=r"f\(t\) returned shape \(3,\)"):
+        solve_volterra(bad, 8)
     prob = _default_problem(0.5)
     prob_half = VolterraProblem(
         alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(1.0 / 3.0, 2.0 / 3.0)
