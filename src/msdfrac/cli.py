@@ -15,9 +15,9 @@ import argparse
 import sys
 
 from .study import (
-    ConvergenceReport,
     StudyError,
     TABLE_IDS,
+    default_ms,
     emit_csv,
     make_diffusion_wave_study,
     make_integro_study,
@@ -27,13 +27,6 @@ from .study import (
     reproduce_table,
     run_study,
 )
-
-_DEFAULT_MS = {
-    "relaxation": [128, 256, 512, 1024, 2048],
-    "volterra": [512, 1024, 2048, 4096, 8192],
-    "integro": [128, 256, 512, 1024, 2048],
-    "diffusion-wave": [128, 256, 512, 1024],
-}
 
 
 def _parse_c(text: str) -> tuple:
@@ -47,7 +40,10 @@ def _parse_c(text: str) -> tuple:
     return tuple(out)
 
 
-def _add_common(p: argparse.ArgumentParser, *, gamma: bool = False):
+def _add_common(p: argparse.ArgumentParser, make, *, gamma: bool = False):
+    """The options every model shares; make is the model's study constructor,
+    called with the parsed options other than --M, --out and --format."""
+    p.set_defaults(make=make)
     if gamma:
         p.add_argument("--gamma", type=float, required=True, help="wave exponent in (1, 2)")
     else:
@@ -78,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("relaxation", help="scalar fractional relaxation, L1 scheme")
-    _add_common(p)
+    _add_common(p, make_relaxation_study)
     p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
     p.add_argument("--r", type=float, default=1.0, help="mesh grading (default 1)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="coefficient (default 1)")
 
     p = sub.add_parser("volterra", help="weakly singular Volterra equation, collocation")
-    _add_common(p)
+    _add_common(p, make_volterra_study)
     p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
     p.add_argument(
         "--c",
@@ -94,18 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("subdiffusion", help="1D subdiffusion, L1 + linear FEM")
-    _add_common(p)
+    _add_common(p, make_subdiffusion_study)
     p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
     p.add_argument("--r", type=float, default=1.0, help="mesh grading (default 1)")
     p.add_argument("--J", type=int, default=128, help="spatial cells (default 128)")
 
     p = sub.add_parser("integro", help="1D integrodifferential, CQ + Crank-Nicolson")
-    _add_common(p)
+    _add_common(p, make_integro_study)
     p.add_argument("--n", type=int, default=1, help="0 = direct stepper, 1 = one-term split")
     p.add_argument("--J", type=int, default=32, help="spatial cells (default 32)")
 
     p = sub.add_parser("diffusion-wave", help="1D diffusion-wave via the integro stepper")
-    _add_common(p, gamma=True)
+    _add_common(p, make_diffusion_wave_study, gamma=True)
     p.add_argument("--J", type=int, default=32, help="spatial cells (default 32)")
 
     p = sub.add_parser("table", help="rerun a published table")
@@ -114,24 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
 
     return ap
-
-
-def _make_spec(args):
-    if args.command == "relaxation":
-        return make_relaxation_study(args.alpha, n=args.n, r=args.r, lam=args.lam, T=args.T)
-    if args.command == "volterra":
-        return make_volterra_study(args.alpha, n=args.n, c=args.c, T=args.T)
-    if args.command == "subdiffusion":
-        return make_subdiffusion_study(args.alpha, n=args.n, r=args.r, J=args.J, T=args.T)
-    if args.command == "integro":
-        return make_integro_study(args.alpha, n=args.n, J=args.J, T=args.T)
-    return make_diffusion_wave_study(args.gamma, J=args.J, T=args.T)
-
-
-def _default_ms(args) -> list:
-    if args.command == "subdiffusion":
-        return [64, 128, 256, 512, 1024] if args.alpha <= 0.5 else [512, 1024, 2048, 4096, 8192]
-    return _DEFAULT_MS[args.command]
 
 
 def _emit(reports: list, fmt: str, out_path):
@@ -146,21 +124,23 @@ def _emit(reports: list, fmt: str, out_path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
+    command, fmt, out_path = opts.pop("command"), opts.pop("format"), opts.pop("out")
     try:
-        if args.command == "table":
-            left, right = reproduce_table(args.id)
+        if command == "table":
+            left, right = reproduce_table(opts["id"])
             reports = list(left) + list(right)
         else:
-            spec = _make_spec(args)
-            reports = [run_study(spec, args.Ms or _default_ms(args))]
+            make, Ms = opts.pop("make"), opts.pop("Ms")
+            spec = make(**opts)
+            reports = [run_study(spec, Ms or default_ms(spec))]
     except StudyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(reports, args.format, args.out)
+    _emit(reports, fmt, out_path)
     return 0
 
 

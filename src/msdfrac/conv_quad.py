@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import check_count
+from .mesh import check_alpha, check_count
 
 __all__ = ["CQWeights", "build_cq", "apply_cq"]
 
@@ -38,8 +38,7 @@ class CQWeights:
 
 
 def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"step must be positive, got {tau}")
     M = check_count(M, "M", 1)

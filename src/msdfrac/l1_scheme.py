@@ -37,22 +37,16 @@ import math
 
 import numpy as np
 
-from .mesh import GradedMesh
+from .mesh import GradedMesh, check_alpha
 from .toeplitz import march, modal_inverse
 
-__all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_block", "l1_weight_row", "march_l1"]
+__all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_row", "march_l1"]
 
 
 # Steps per block of the graded march.  Tables 2 and 5 ran fastest with
 # 32 of 16, 32 and 64 rows: fewer rows add Python work per step, more
 # lengthen the block, _ROWS x (M + 1) doubles (4.2 MB at M = 16384).
 _ROWS = 32
-
-
-def check_alpha(alpha) -> None:
-    """An L1 order outside (0, 1), NaN included, raises a ValueError naming alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got alpha={alpha}")
 
 
 def l1_weight_block(alpha: float, mesh: GradedMesh, start: int, stop: int) -> np.ndarray:

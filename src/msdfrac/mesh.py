@@ -30,6 +30,19 @@ def check_count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def check_alpha(alpha) -> None:
+    """A fractional order outside (0, 1), NaN included, raises a ValueError
+    naming alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"the order alpha must lie in (0, 1), got alpha={alpha}")
+
+
+def check_horizon(T) -> None:
+    """A time horizon that is not positive and finite raises a ValueError."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"time horizon must be positive and finite, got T={T}")
+
+
 @dataclass(frozen=True, eq=False)
 class GradedMesh:
     """Time grid t_m = T (m/M)^r for m = 0..M.
@@ -64,8 +77,7 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     is accepted with a warning since some tabulated parameter choices
     evaluate to r < 1.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"time horizon must be positive and finite, got {T}")
+    check_horizon(T)
     M = check_count(M, "M", 1)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"grading exponent must be positive, got {r}")

@@ -41,6 +41,8 @@ import math
 
 import numpy as np
 
+from .mesh import check_alpha
+
 __all__ = ["ml_eval", "relaxation_exact"]
 
 _L = 40.0  # discretization and truncation errors are about e^-_L
@@ -125,10 +127,9 @@ def relaxation_exact(alpha: float, lam: float, t):
 
     u(t) = (1 - E_{alpha,1}(-lam t^alpha)) / lam.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"order must lie in (0, 1), got {alpha}")
-    if lam <= 0.0:
-        raise ValueError(f"relaxation coefficient must be positive, got {lam}")
+    check_alpha(alpha)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"relaxation coefficient lam must be positive and finite, got lam={lam}")
     scalar = np.isscalar(t)
     tv = np.asarray(t, dtype=float)
     vals = ml_eval(alpha, 1.0, -lam * tv**alpha)

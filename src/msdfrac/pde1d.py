@@ -58,8 +58,8 @@ import numpy as np
 
 from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split, sample
-from .l1_scheme import check_alpha, l1_weight_row, march_l1
-from .mesh import GradedMesh, check_count
+from .l1_scheme import l1_weight_row, march_l1
+from .mesh import GradedMesh, check_alpha, check_count
 from .toeplitz import march, modal_inverse
 
 __all__ = [
@@ -331,7 +331,7 @@ def _pde_data(f, u0, n: int, nu: float, outer: float, kappa: float = 1.0) -> Pde
     else:
         (u0,) = _fields(u0=u0)
     beta = beta_profile(kappa)
-    lap = u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta))
+    lap = u0.laplacian().map_amplitudes(lambda lam, amp: _profile_times(amp, beta, "u0"))
     g = (lambda x, t: sample(f, x, t) + lap.evaluate(x, t)) if callable(f) else f + lap
     forcing, head = msd_split(
         g, lambda h: h.map_amplitudes(lambda lam, amp: frac_integrate(amp, nu) * (-lam)), n
@@ -341,13 +341,13 @@ def _pde_data(f, u0, n: int, nu: float, outer: float, kappa: float = 1.0) -> Pde
     return PdeData(forcing=forcing, reconstruction=reconstruction, initial=u0)
 
 
-def _profile_times(amp: TimeProfile, beta: TimeProfile) -> TimeProfile:
-    """amp is constant for initial data; scale beta by that constant."""
+def _profile_times(amp: TimeProfile, beta: TimeProfile, name: str) -> TimeProfile:
+    """amp is constant for initial data such as ``name``; scale beta by that constant."""
     if amp.is_zero:
         return TimeProfile.zero()
     if len(amp.terms) == 1 and amp.terms[0][1] == 0.0:
         return beta * amp.terms[0][0]
-    raise ValueError("u0 amplitudes must be constant in time")
+    raise ValueError(f"{name} amplitudes must be constant in time")
 
 
 def msd_subdiffusion_data(f, u0, n: int, alpha: float) -> PdeData:
@@ -550,10 +550,13 @@ def solve_diffusion_wave(
     with reconstruction I^1 (g0 + L g0).  Runs the same CQ/CN stepper as
     solve_integro, with the same ``method``.  f must be a SeparableField:
     I^{g-1} f and its two-level split need closed-form time profiles.
+    The amplitudes of u0 and du0 must be constant in time.
     """
     if not 1.0 < gamma < 2.0:
         raise ValueError(f"wave exponent must lie in (1, 2), got {gamma}")
     alpha = gamma - 1.0
     f, u0, du0 = _fields(f=f, u0=u0, du0=du0)
+    one = TimeProfile.constant(1.0)
+    du0 = du0.map_amplitudes(lambda lam, amp: _profile_times(amp, one, "du0"))
     f = f.map_amplitudes(lambda lam, amp: frac_integrate(amp, alpha)) + du0
     return solve_integro(alpha, _pde_data(f, u0, 2, 1.0 + alpha, 1.0, gamma), mesh, fem, method=method)

@@ -27,7 +27,7 @@ from .fracint import (
     TimeProfile, as_forcing, frac_integrate, frac_integrate_numeric, msd_split, sample
 )
 from .l1_scheme import march_l1
-from .mesh import GradedMesh, check_count
+from .mesh import GradedMesh, check_alpha, check_count, check_horizon
 
 __all__ = [
     "RelaxationProblem",
@@ -50,10 +50,8 @@ class RelaxationProblem:
     n: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"order must lie in (0, 1), got {self.alpha}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        check_alpha(self.alpha)
+        check_horizon(self.T)
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
         object.__setattr__(self, "n", check_count(self.n, "n", 0))

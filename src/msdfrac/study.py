@@ -12,10 +12,13 @@ L2 norm sqrt(h sum_j d_j^2) in space first.  A study over a doubling
 list of M values therefore needs one solve per distinct M: the fine
 solve of each row is reused as the coarse solve of the next.
 
-reproduce_table() bakes in the example problems of the published
-tables (relaxation, Volterra, subdiffusion, integrodifferential) and
-returns the classical-method block and the decomposition block side
-by side, each as one report per alpha.
+reproduce_table() reruns a published table from its row in _TABLES:
+the study constructor of its model (relaxation, Volterra, subdiffusion,
+integrodifferential), whose defaults are the tables' example problems,
+and a map from alpha to the keyword arguments of the classical-method
+block (left) and of the decomposition block (right).  Each block is
+one report per alpha = 0.25, 0.75 over default_ms(), the table's
+published column of M values, which the CLI also uses.
 
 CSV format: header ``model,alpha,n,r,M,error,rate``, floats at six
 significant digits, rate empty on each study's first row.  The
@@ -350,12 +353,46 @@ def make_diffusion_wave_study(
 # ---------------------------------------------------------------------------
 # Table reproduction.
 
-TABLE_IDS = (1, 2, 3, 4, 5, 6)
+# First M and row count of each model's published column.  Subdiffusion
+# starts at 64 for alpha <= 0.5 and at 512 above.
+_COLUMNS = {
+    "relaxation": (128, 5),
+    "volterra": (512, 5),
+    "subdiffusion": (512, 5),
+    "integro": (128, 5),
+    "diffusion-wave": (128, 4),
+}
 
-_SCALAR_MS = [128, 256, 512, 1024, 2048]
-_VOLTERRA_MS = [512, 1024, 2048, 4096, 8192]
-_PDE_MS = {0.25: [64, 128, 256, 512, 1024], 0.75: [512, 1024, 2048, 4096, 8192]}
-_INTEGRO_MS = [128, 256, 512, 1024, 2048]
+
+def default_ms(spec: StudySpec) -> list[int]:
+    """The doubling M list of the published table column for spec's model."""
+    first, rows = _COLUMNS[spec.model]
+    if spec.model == "subdiffusion" and spec.params["alpha"] <= 0.5:
+        first = 64
+    return [first * 2**k for k in range(rows)]
+
+
+def _full_order(alpha: float):
+    """Tables 1 and 4: depth 0 against the least depth of order 2 - alpha."""
+    return {"n": 0}, {"n": full_order_depth(alpha)}
+
+
+def _graded(alpha: float):
+    """Tables 2 and 5: the mesh grading that gives order 2 - alpha at depth
+    0 and at depth 3."""
+    return {"n": 0, "r": (2.0 - alpha) / alpha}, {"n": 3, "r": (2.0 - alpha) / (4.0 * alpha)}
+
+
+# table id -> (study constructor, alpha -> (left, right) keyword arguments)
+_TABLES = {
+    1: (make_relaxation_study, _full_order),
+    2: (make_relaxation_study, _graded),
+    3: (make_volterra_study, lambda a: ({"n": 0}, {"n": collocation_depth(a)})),
+    4: (make_subdiffusion_study, _full_order),
+    5: (make_subdiffusion_study, _graded),
+    6: (make_integro_study, lambda a: ({"n": 0}, {"n": 1})),
+}
+TABLE_IDS = tuple(_TABLES)
 
 
 def reproduce_table(table_id: int):
@@ -367,41 +404,12 @@ def reproduce_table(table_id: int):
     """
     if table_id not in TABLE_IDS:
         raise ValueError(f"table id must be one of {TABLE_IDS}, got {table_id}")
-
+    make, blocks = _TABLES[table_id]
     left, right = [], []
-    if table_id == 1:
-        for alpha in (0.25, 0.75):
-            left.append(run_study(make_relaxation_study(alpha, n=0, r=1.0), _SCALAR_MS))
-            n = full_order_depth(alpha)
-            right.append(run_study(make_relaxation_study(alpha, n=n, r=1.0), _SCALAR_MS))
-    elif table_id == 2:
-        for alpha in (0.25, 0.75):
-            r0 = (2.0 - alpha) / alpha
-            left.append(run_study(make_relaxation_study(alpha, n=0, r=r0), _SCALAR_MS))
-            r3 = (2.0 - alpha) / (4.0 * alpha)
-            right.append(run_study(make_relaxation_study(alpha, n=3, r=r3), _SCALAR_MS))
-    elif table_id == 3:
-        for alpha in (0.25, 0.75):
-            left.append(run_study(make_volterra_study(alpha, n=0), _VOLTERRA_MS))
-            n = collocation_depth(alpha)
-            right.append(run_study(make_volterra_study(alpha, n=n), _VOLTERRA_MS))
-    elif table_id == 4:
-        for alpha in (0.25, 0.75):
-            Ms = _PDE_MS[alpha]
-            left.append(run_study(make_subdiffusion_study(alpha, n=0, r=1.0), Ms))
-            n = full_order_depth(alpha)
-            right.append(run_study(make_subdiffusion_study(alpha, n=n, r=1.0), Ms))
-    elif table_id == 5:
-        for alpha in (0.25, 0.75):
-            Ms = _PDE_MS[alpha]
-            r0 = (2.0 - alpha) / alpha
-            left.append(run_study(make_subdiffusion_study(alpha, n=0, r=r0), Ms))
-            r3 = (2.0 - alpha) / (4.0 * alpha)
-            right.append(run_study(make_subdiffusion_study(alpha, n=3, r=r3), Ms))
-    else:
-        for alpha in (0.25, 0.75):
-            left.append(run_study(make_integro_study(alpha, n=0), _INTEGRO_MS))
-            right.append(run_study(make_integro_study(alpha, n=1), _INTEGRO_MS))
+    for alpha in (0.25, 0.75):
+        for out, kwargs in zip((left, right), blocks(alpha)):
+            spec = make(alpha, **kwargs)
+            out.append(run_study(spec, default_ms(spec)))
     return tuple(left), tuple(right)
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
-from .mesh import GradedMesh, build_mesh, check_count
+from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon
 from .toeplitz import block_inverse, march
 
 __all__ = [
@@ -77,10 +77,8 @@ class VolterraProblem:
     c: tuple = (2.0 / 3.0, 1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"exponent must lie in (0, 1), got {self.alpha}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        check_alpha(self.alpha)
+        check_horizon(self.T)
         object.__setattr__(self, "n", check_count(self.n, "n", 0))
         if not callable(self.kernel) and not math.isfinite(self.kernel):
             raise ValueError(f"kernel must be a finite number or a callable, got {self.kernel}")

@@ -27,6 +27,13 @@ def test_relaxation_csv_parses(capsys):
     assert float(rows[2][6]) > 0.0
 
 
+def test_default_ms_are_the_table_column(capsys):
+    code, out, err = _run(capsys, ["relaxation", "--alpha", "0.5", "--format", "csv"])
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[4] for r in rows[1:]] == ["128", "256", "512", "1024", "2048"]
+
+
 def test_pretty_output_has_theory_line(capsys):
     code, out, _ = _run(capsys, ["relaxation", "--alpha", "0.5", "--M", "64", "--M", "128"])
     assert code == 0

@@ -77,8 +77,9 @@ def test_validation():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="order"):
             relaxation_exact(alpha, 1.0, 1.0)
-    for lam in (0.0, -1.0):
-        with pytest.raises(ValueError, match="relaxation coefficient"):
+    # a NaN lam passed the sign test and failed later with "x must be finite"
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="relaxation coefficient lam"):
             relaxation_exact(0.5, lam, 1.0)
 
 

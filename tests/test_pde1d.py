@@ -811,6 +811,10 @@ def test_diffusion_wave_validation():
         solve_diffusion_wave(1.5, None, None, None, mesh, fem)
     with pytest.raises(TypeError, match="du0"):
         solve_diffusion_wave(1.5, f, u0, 0.5, mesh, fem)
+    # a du0 amplitude of t used to run and solve a different problem
+    du0_t = SeparableField(dom, ((1, TimeProfile.of((1.0, 1.0))),))
+    with pytest.raises(ValueError, match="du0"):
+        solve_diffusion_wave(1.5, f, u0, du0_t, mesh, fem)
     # I^{g-1} f and its two-level split need closed-form profiles
     with pytest.raises(TypeError, match="f must be a SeparableField"):
         solve_diffusion_wave(1.5, _nonseparable, u0, du0, mesh, fem)

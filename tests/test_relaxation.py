@@ -116,8 +116,9 @@ def test_remainder_is_smoother_near_origin():
 def test_validation():
     with pytest.raises(ValueError):
         RelaxationProblem(alpha=1.2, lam=1.0, T=1.0, f=1.0)
-    with pytest.raises(ValueError):
-        RelaxationProblem(alpha=0.5, lam=1.0, T=-1.0, f=1.0)
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            RelaxationProblem(alpha=0.5, lam=1.0, T=T, f=1.0)
     prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0)
     with pytest.raises(ValueError):
         solve_relaxation(prob, build_mesh(2.0, 16, 1.0))  # horizon mismatch

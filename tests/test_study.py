@@ -16,6 +16,7 @@ from msdfrac import (
     TimeProfile,
     build_mesh,
     emit_csv,
+    make_diffusion_wave_study,
     make_integro_study,
     make_relaxation_study,
     make_subdiffusion_study,
@@ -26,6 +27,7 @@ from msdfrac import (
     theory_order,
     two_mesh_error,
 )
+from msdfrac.study import default_ms
 
 
 # --- theory_order ---------------------------------------------------------
@@ -236,6 +238,13 @@ def test_reproduce_table_rejects_bad_id():
         reproduce_table(0)
     with pytest.raises(ValueError):
         reproduce_table(7)
+
+
+def test_default_ms_are_the_published_columns():
+    # subdiffusion picks its column by alpha <= 0.5; the wave model has four rows
+    assert default_ms(make_subdiffusion_study(0.5, J=4)) == [64, 128, 256, 512, 1024]
+    assert default_ms(make_subdiffusion_study(0.75, J=4)) == [512, 1024, 2048, 4096, 8192]
+    assert default_ms(make_diffusion_wave_study(1.5, J=4)) == [128, 256, 512, 1024]
 
 
 # --- CSV exchange -----------------------------------------------------------
