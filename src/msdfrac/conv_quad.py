@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import check_alpha, check_count
+from .mesh import check_alpha, check_count, check_real
 
 __all__ = ["CQWeights", "build_cq", "apply_cq"]
 
@@ -39,8 +39,7 @@ class CQWeights:
 
 def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
     check_alpha(alpha)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"step must be positive, got {tau}")
+    check_real(tau, "tau", lambda t: 0.0 < t < math.inf, "be a positive finite step")
     M = check_count(M, "M", 1)
 
     w = [1.0, 2.0 * alpha]

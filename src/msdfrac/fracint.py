@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .mesh import GradedMesh
+from .mesh import GradedMesh, check_real
 
 __all__ = [
     "TimeProfile",
@@ -124,8 +124,7 @@ class TimeProfile:
 
 def beta_profile(nu: float) -> TimeProfile:
     """The kernel beta_nu(t) = t^{nu-1}/Gamma(nu) as a TimeProfile."""
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"kernel order must be positive, got {nu}")
+    check_real(nu, "nu", lambda v: 0.0 < v < math.inf, "be a positive finite kernel order")
     return TimeProfile.of((1.0 / math.gamma(nu), nu - 1.0))
 
 
@@ -135,8 +134,7 @@ def frac_integrate(p: TimeProfile, nu: float) -> TimeProfile:
     I^nu t^q = Gamma(q+1)/Gamma(q+1+nu) t^{q+nu}; the semigroup law
     I^a I^b = I^{a+b} holds exactly on this representation.
     """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"integration order must be positive, got {nu}")
+    check_real(nu, "nu", lambda v: 0.0 < v < math.inf, "be a positive finite integration order")
     terms = []
     for c, q in p.terms:
         factor = math.gamma(q + 1.0) / math.gamma(q + 1.0 + nu)
@@ -184,8 +182,7 @@ def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:
 
     reduces to the two power moments of (t_m - s) on the cell.
     """
-    if not (0.0 < nu <= 2.0):
-        raise ValueError(f"integration order must lie in (0, 2], got {nu}")
+    check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     t = mesh.nodes
     if isinstance(f, np.ndarray):
         fv = np.asarray(f, dtype=float)

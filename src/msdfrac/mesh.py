@@ -12,6 +12,7 @@ in the study harness depends on that alignment.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,17 +31,31 @@ def check_count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def check_real(value, name: str, ok=math.isfinite, need: str = "be finite (a real number)"):
+    """A bool, a value that is not a real number, or one failing ok, raises
+    a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} must {need}, got {name}={value!r}")
+
+
 def check_alpha(alpha) -> None:
-    """A fractional order outside (0, 1), NaN included, raises a ValueError
-    naming alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"the order alpha must lie in (0, 1), got alpha={alpha}")
+    """A fractional order outside (0, 1), NaN included, raises a ValueError."""
+    check_real(alpha, "alpha", lambda a: 0.0 < a < 1.0, "lie in (0, 1) as a fractional order")
+
+
+def check_gamma(gamma) -> None:
+    """A wave exponent outside (1, 2), NaN included, raises a ValueError."""
+    check_real(gamma, "gamma", lambda g: 1.0 < g < 2.0, "lie in (1, 2)")
 
 
 def check_horizon(T) -> None:
     """A time horizon that is not positive and finite raises a ValueError."""
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"time horizon must be positive and finite, got T={T}")
+    check_real(T, "T", lambda t: 0.0 < t < math.inf, "be a positive finite time horizon")
+
+
+def check_grading(r) -> None:
+    """A grading exponent that is not positive and finite raises a ValueError."""
+    check_real(r, "r", lambda q: 0.0 < q < math.inf, "be a positive finite grading exponent")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +94,7 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     """
     check_horizon(T)
     M = check_count(M, "M", 1)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"grading exponent must be positive, got {r}")
+    check_grading(r)
     if r < 1.0:
         warnings.warn(
             f"grading r = {r} < 1 coarsens the mesh near t = 0; "

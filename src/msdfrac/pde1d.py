@@ -59,7 +59,7 @@ import numpy as np
 from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split, sample
 from .l1_scheme import l1_weight_row, march_l1
-from .mesh import GradedMesh, check_alpha, check_count
+from .mesh import GradedMesh, check_alpha, check_count, check_gamma
 from .toeplitz import march, modal_inverse
 
 __all__ = [
@@ -552,8 +552,7 @@ def solve_diffusion_wave(
     I^{g-1} f and its two-level split need closed-form time profiles.
     The amplitudes of u0 and du0 must be constant in time.
     """
-    if not 1.0 < gamma < 2.0:
-        raise ValueError(f"wave exponent must lie in (1, 2), got {gamma}")
+    check_gamma(gamma)
     alpha = gamma - 1.0
     f, u0, du0 = _fields(f=f, u0=u0, du0=du0)
     one = TimeProfile.constant(1.0)

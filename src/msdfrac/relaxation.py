@@ -27,7 +27,7 @@ from .fracint import (
     TimeProfile, as_forcing, frac_integrate, frac_integrate_numeric, msd_split, sample
 )
 from .l1_scheme import march_l1
-from .mesh import GradedMesh, check_alpha, check_count, check_horizon
+from .mesh import GradedMesh, check_alpha, check_count, check_horizon, check_real
 
 __all__ = [
     "RelaxationProblem",
@@ -52,8 +52,7 @@ class RelaxationProblem:
     def __post_init__(self):
         check_alpha(self.alpha)
         check_horizon(self.T)
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
+        check_real(self.lam, "lam")
         object.__setattr__(self, "n", check_count(self.n, "n", 0))
         object.__setattr__(self, "f", as_forcing(self.f))
 

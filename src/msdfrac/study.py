@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fracint import TimeProfile
-from .mesh import build_mesh, check_count
+from .mesh import build_mesh, check_count, check_gamma, check_grading, check_horizon
 from .pde1d import (
     FieldTrace,
     PdeData,
@@ -229,6 +229,7 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
 def make_relaxation_study(
     alpha: float, n: int = 0, r: float = 1.0, lam: float = 1.0, T: float = 1.0, f=1.0
 ) -> StudySpec:
+    check_grading(r)
     prob = RelaxationProblem(alpha=alpha, lam=lam, T=T, f=f, n=n)
     return StudySpec(
         model="relaxation",
@@ -258,13 +259,6 @@ def make_volterra_study(
     )
 
 
-def _default_subdiffusion_problem():
-    dom = (0.0, 2.0 * math.pi)
-    f = SeparableField(dom, ((2, TimeProfile.constant(1.0)),))
-    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))
-    return dom, f, u0
-
-
 def make_subdiffusion_study(
     alpha: float,
     n: int = 0,
@@ -275,8 +269,12 @@ def make_subdiffusion_study(
     u0=None,
     domain=None,
 ) -> StudySpec:
+    check_horizon(T)
+    check_grading(r)
     if f is None and u0 is None and domain is None:
-        domain, f, u0 = _default_subdiffusion_problem()
+        domain = (0.0, 2.0 * math.pi)
+        f = SeparableField(domain, ((2, TimeProfile.constant(1.0)),))
+        u0 = SeparableField(domain, ((1, TimeProfile.constant(1.0)),))
     field = next((cand for cand in (f, u0) if isinstance(cand, SeparableField)), None)
     if field is not None and domain is not None and tuple(domain) != tuple(field.domain):
         raise ValueError(f"domain {tuple(domain)} differs from the fields' domain {field.domain}")
@@ -296,13 +294,6 @@ def make_subdiffusion_study(
     )
 
 
-def _default_integro_problem(alpha: float):
-    dom = (0.0, 1.0)
-    f = SeparableField(dom, ((1, TimeProfile.of((1.0, alpha))),))
-    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))
-    return dom, f, u0
-
-
 def make_integro_study(
     alpha: float,
     n: int = 1,
@@ -314,8 +305,10 @@ def make_integro_study(
     """n = 0 runs the undecomposed stepper, n = 1 the one-term split."""
     if n not in (0, 1):
         raise ValueError(f"the stepper supports n = 0 (direct) or n = 1 (split), got {n}")
+    check_horizon(T)
     if f is None and u0 is None:
-        _, f, u0 = _default_integro_problem(alpha)
+        f = SeparableField((0.0, 1.0), ((1, TimeProfile.of((1.0, alpha))),))
+        u0 = SeparableField((0.0, 1.0), ((1, TimeProfile.constant(1.0)),))
     data = (msd_integro_data if n == 1 else integro_direct_data)(f, u0, alpha)
     dom = data.initial.domain
     fem = assemble_fem(dom[0], dom[1], J)
@@ -336,6 +329,8 @@ def make_diffusion_wave_study(
     du0=None,
 ) -> StudySpec:
     """Wave solver study; always the two-term split (n = 2 in the CSV)."""
+    check_gamma(gamma)
+    check_horizon(T)
     dom = (0.0, 1.0)
     if u0 is None and du0 is None and f is None:
         u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))

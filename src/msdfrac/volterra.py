@@ -13,12 +13,14 @@ f~ = L f(0) + f - f(0) vanishing at zero, and the decomposition
     w = v + sum_{i=0}^{n-1} L^i f~
 
 leaves a remainder v solving the same equation with forcing L^n f~,
-which is in C^m once n(1-a) >= m.  Both come from fracint.msd_split:
-L acts on profiles for a constant kernel and analytic f, else on
-values at the collocation points by product integration.  The
-collocation scheme is applied to v on a uniform mesh with q points
-t_m + c_i tau per cell; the split-off sum is added back at the
-collocation points.
+which is in C^m once n(1-a) >= m.  Both come from fracint.msd_split,
+with L acting exactly on profiles: a constant kernel and a TimeProfile
+f.  The collocation scheme is applied to v on a uniform mesh with q
+points t_m + c_i tau per cell; the split-off sum is added back at the
+collocation points.  Pointwise data (a callable kernel or f) is solved
+undecomposed, at n = 0: there L could only be the scheme's own
+collocation operator L_h, and (I - L_h)(v + f(0) + sum_{i<n} L_h^i f~)
+= f makes every depth the n = 0 solution, at n + 1 times the cost.
 
 The singular cell integrals reduce to moments of the Lagrange basis.
 On the current cell they are exact Beta-function values.  For a history
@@ -40,13 +42,12 @@ breaks the Toeplitz structure and keeps the direct per-step sum
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
-from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon
+from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon, check_real
 from .toeplitz import block_inverse, march
 
 __all__ = [
@@ -64,8 +65,8 @@ __all__ = [
 class VolterraProblem:
     """u = f + integral of (t-s)^{-a} K(s,t) u(s), decomposed to depth n.
 
-    ``kernel`` is either a real number (constant K, the analytic path)
-    or a callable K(s, t).
+    ``kernel`` is a real number (constant K) or a callable K(s, t); n > 0
+    needs the analytic path, a constant kernel and a TimeProfile f.
     """
 
     alpha: float
@@ -80,8 +81,8 @@ class VolterraProblem:
         check_alpha(self.alpha)
         check_horizon(self.T)
         object.__setattr__(self, "n", check_count(self.n, "n", 0))
-        if not callable(self.kernel) and not math.isfinite(self.kernel):
-            raise ValueError(f"kernel must be a finite number or a callable, got {self.kernel}")
+        if not callable(self.kernel):
+            check_real(self.kernel, "kernel", need="be a finite number or a callable")
         c = tuple(float(x) for x in self.c)
         if len(c) != self.q or self.q < 1:
             raise ValueError(f"need q = {self.q} collocation parameters, got {c}")
@@ -89,10 +90,17 @@ class VolterraProblem:
             raise ValueError(f"collocation parameters must be distinct, increasing, in (0, 1]: {c}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f", as_forcing(self.f))
+        if self.n and not self.analytic:
+            raise ValueError(f"a callable kernel or f is solved at depth n = 0, got n={self.n}")
 
     @property
     def constant_kernel(self) -> bool:
         return not callable(self.kernel)
+
+    @property
+    def analytic(self) -> bool:
+        """Constant kernel and TimeProfile f: the data msd_volterra_forcing splits."""
+        return self.constant_kernel and isinstance(self.f, TimeProfile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +108,7 @@ class CollocationTrace:
     """Remainder and reconstructed values at the collocation points.
 
     V and U have shape (M, q); row m holds the values at t_m + c_i tau.
+    On pointwise data V is the solution itself, and U is V.
     nodal_values lists U at the mesh points t_1..t_M (requires c_q = 1).
     """
 
@@ -188,41 +197,25 @@ def _current_block(alpha: float, c: tuple, A: np.ndarray) -> np.ndarray:
     return mom @ A
 
 
-def msd_volterra_forcing(prob: VolterraProblem, M: int | None = None):
-    """The pair (L^n f~, sum_{i<n} L^i f~) from msd_split, profiles or
-    (M, q) point arrays."""
-    alpha = prob.alpha
-    f = prob.f
-    if prob.constant_kernel and isinstance(f, TimeProfile):
-        kappa = float(prob.kernel)
-        f0 = f(0.0)
-        ft = _apply_L_profile(TimeProfile.constant(f0), kappa, alpha) + f - TimeProfile.constant(f0)
-        forcing, head = msd_split(ft, lambda g: _apply_L_profile(g, kappa, alpha), prob.n)
-        return forcing, sum(head, TimeProfile.zero())
+def msd_volterra_forcing(prob: VolterraProblem):
+    """The profile pair (L^n f~, sum_{i<n} L^i f~) from msd_split, for
+    analytic data only: solve_volterra solves pointwise data undecomposed."""
+    if not prob.analytic:
+        raise ValueError("only a constant kernel and a TimeProfile f split")
+    s = 1.0 - prob.alpha
+    scale = float(prob.kernel) * math.gamma(s)
 
-    if M is None:
-        raise ValueError("the general-kernel path needs the mesh size M")
-    warnings.warn(
-        "non-constant kernel or pointwise forcing: decomposition terms are "
-        "computed by product integration at the collocation points",
-        stacklevel=2,
-    )
-    pts = _collocation_points(prob.T, M, prob.c)
-    fv = sample(f, pts)
-    f0 = float(sample(f, 0.0))
-    ft = f0 * _apply_L_points(np.ones_like(fv), prob, pts) + fv - f0
-    forcing, head = msd_split(ft, lambda g: _apply_L_points(g, prob, pts), prob.n)
-    return forcing, sum(head, np.zeros_like(ft))
+    def L(g):  # int_0^t (t-s)^{-a} g ds = Gamma(1-a) I^{1-a} g
+        return scale * frac_integrate(g, s)
+
+    f0 = prob.f(0.0)
+    forcing, head = msd_split(L(TimeProfile.constant(f0)) + prob.f - TimeProfile.constant(f0), L, prob.n)
+    return forcing, sum(head, TimeProfile.zero())
 
 
 def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
     tau = T / M
     return tau * (np.arange(M)[:, None] + np.asarray(c)[None, :])
-
-
-def _apply_L_profile(g: TimeProfile, kappa: float, alpha: float) -> TimeProfile:
-    # int_0^t (t-s)^{-a} g ds = Gamma(1-a) I^{1-a} g
-    return (kappa * math.gamma(1.0 - alpha)) * frac_integrate(g, 1.0 - alpha)
 
 
 def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):
@@ -276,9 +269,12 @@ def _apply_L_points(vals: np.ndarray, prob: VolterraProblem, pts: np.ndarray) ->
 
 
 def _forcing_at(prob: VolterraProblem, pts: np.ndarray):
-    """msd_volterra_forcing's pair as values at the (M, q) collocation points."""
-    pair = msd_volterra_forcing(prob, len(pts))
-    return tuple(x(pts) if isinstance(x, TimeProfile) else x for x in pair)
+    """(march forcing, split-off sum) at the (M, q) collocation points; the
+    sum is None on pointwise data, whose forcing is f itself."""
+    if not prob.analytic:
+        return sample(prob.f, pts), None
+    forcing, head = msd_volterra_forcing(prob)
+    return forcing(pts), head(pts)
 
 
 def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
@@ -301,7 +297,7 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
             mat = _local_matrix(phi, scale, cur_k)
             V[m] = np.linalg.solve(mat, rhs[m] + scale * _history(psi, V, m, hist_k))
 
-    U = V + float(sample(prob.f, 0.0)) + recon
+    U = V if recon is None else V + prob.f(0.0) + recon
     mesh = build_mesh(prob.T, M, 1.0)
     return CollocationTrace(mesh=mesh, c=prob.c, V=V, U=U)
 

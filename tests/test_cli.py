@@ -55,6 +55,20 @@ def test_invalid_alpha_exits_2(capsys):
     code, _, err = _run(capsys, ["relaxation", "--alpha", "1.5", "--M", "64", "--M", "128"])
     assert code == 2
     assert "order" in err
+    # wave exponent, horizon and grading are checked when the study is
+    # built, not by the first solve (which would exit 3)
+    cases = [
+        (["diffusion-wave", "--gamma", "2.5"], "gamma must lie in (1, 2), got gamma=2.5"),
+        (["subdiffusion", "--alpha", "0.5", "--T", "-1"], "T=-1"),
+        (["integro", "--alpha", "0.5", "--T", "-1"], "T=-1"),
+        (["diffusion-wave", "--gamma", "1.5", "--T", "-1"], "T=-1"),
+        (["relaxation", "--alpha", "0.5", "--r", "0"], "r=0"),
+        (["subdiffusion", "--alpha", "0.5", "--r", "0"], "r=0"),
+    ]
+    for argv, named in cases:
+        code, _, err = _run(capsys, argv + ["--M", "8", "--M", "16"])
+        assert code == 2, argv
+        assert named in err, (argv, err)
 
 
 def test_non_doubling_ms_exit_2(capsys):

@@ -42,7 +42,7 @@ def test_validation():
         build_mesh(1.0, 0)
     with pytest.warns(UserWarning):
         build_mesh(1.0, 8, 0.5)  # r < 1 allowed but outside the theory
-    for r in (0.0, -1.0, math.nan, math.inf):
+    for r in (0.0, -1.0, math.nan, math.inf, "2", True):
         with pytest.raises(ValueError, match="grading exponent"):
             build_mesh(1.0, 8, r)
 

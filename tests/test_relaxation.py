@@ -119,6 +119,12 @@ def test_validation():
     for T in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="horizon"):
             RelaxationProblem(alpha=0.5, lam=1.0, T=T, f=1.0)
+    # a bool is not a coefficient, and a string names its field
+    for lam in (True, "1", math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            RelaxationProblem(alpha=0.5, lam=lam, T=1.0, f=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        RelaxationProblem(alpha="0.5", lam=1.0, T=1.0, f=1.0)
     prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0)
     with pytest.raises(ValueError):
         solve_relaxation(prob, build_mesh(2.0, 16, 1.0))  # horizon mismatch

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -80,13 +81,12 @@ def test_collocation_equations_hold(alpha, n):
         for M in (64, 256, 257, 1000, 3001):
             trace = solve_volterra(prob_c, M)
             assert collocation_residual(prob_c, trace) < 1e-12
-    prob = _default_problem(alpha, n=n)
+    prob = _default_problem(alpha, n=0)
     # a callable kernel runs the kernel-weighted history on both sides
     kappa = float(prob.kernel)
     prob_k = dataclasses.replace(prob, kernel=lambda s, t: kappa * (1.0 + 0.5 * s * t))
-    with pytest.warns(UserWarning, match="product integration"):
-        trace = solve_volterra(prob_k, 64)
-        assert collocation_residual(prob_k, trace) < 1e-12
+    trace = solve_volterra(prob_k, 64)
+    assert collocation_residual(prob_k, trace) < 1e-12
 
 
 def test_msd_depths_agree():
@@ -117,7 +117,7 @@ def test_forcing_transform_for_constant_f():
 
 def test_general_kernel_path_warns_and_stays_close():
     # K(s, t) = 1/Gamma(1-a) as a callable must give the constant-path
-    # answer up to the product-quadrature error of the forcing terms
+    # depth-1 answer up to the undecomposed scheme's discretization error
     alpha = 0.5
     kconst = 1.0 / math.gamma(1.0 - alpha)
     prob_c = _default_problem(alpha, n=1)
@@ -126,27 +126,55 @@ def test_general_kernel_path_warns_and_stays_close():
         T=1.0,
         kernel=lambda s, t: np.full_like(np.broadcast_arrays(s, t)[0], kconst),
         f=1.0,
-        n=1,
+        n=0,
         q=2,
         c=(2.0 / 3.0, 1.0),
     )
     ref = solve_volterra(prob_c, 256)
-    with pytest.warns(UserWarning):
-        got = solve_volterra(prob_g, 256)
-    # the pointwise path approximates the decomposition terms by product
-    # quadrature, so agreement is first-order-ish, not exact
+    got = solve_volterra(prob_g, 256)
+    # the callable kernel is solved without the split, at order 2(1 - a)
+    # rather than the split's 2, so agreement is first-order-ish, not exact
     assert np.max(np.abs(got.nodal_values - ref.nodal_values)) < 5e-4
 
 
 def test_pointwise_forcing_with_scalar_return_matches_constant():
     # a callable f returning one number is broadcast over the collocation
     # points and gives the same solve as the constant profile, bit for bit
-    prob = dataclasses.replace(_default_problem(0.5, n=1), kernel=lambda s, t: 1.0 + 0.5 * s * t)
-    with pytest.warns(UserWarning):
-        ref = solve_volterra(prob, 32)
-    with pytest.warns(UserWarning):
-        got = solve_volterra(dataclasses.replace(prob, f=lambda t: 1.0), 32)
+    prob = dataclasses.replace(_default_problem(0.5), kernel=lambda s, t: 1.0 + 0.5 * s * t)
+    ref = solve_volterra(prob, 32)
+    got = solve_volterra(dataclasses.replace(prob, f=lambda t: 1.0), 32)
     assert np.array_equal(got.U, ref.U)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_toeplitz_march_matches_step_loop(alpha):
+    # pointwise f with a constant kernel takes toeplitz.march; the same
+    # constant as a callable K(s, t) takes the per-step loop.  M = 257 ends
+    # just past a block edge, 1000 crosses several FFT levels.  Neither
+    # pointwise solve warns.
+    kappa = 1.0 / math.gamma(1.0 - alpha)
+    const = VolterraProblem(alpha=alpha, T=1.0, kernel=kappa, f=lambda t: np.cos(t) + t**0.5)
+    loop = dataclasses.replace(const, kernel=lambda s, t: np.full(np.broadcast(s, t).shape, kappa))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (64, 257, 1000):
+            ref = solve_volterra(loop, M).U
+            got = solve_volterra(const, M).U
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_pointwise_data_runs_at_depth_zero():
+    # the split of pointwise data could only use the scheme's own operator,
+    # which makes every depth the n = 0 solution: n > 0 is refused
+    def kernel(s, t):
+        return 1.0 + 0.5 * s * t
+
+    for data in ({"kernel": kernel}, {"f": np.cos}, {"kernel": kernel, "f": np.cos}):
+        args = {"alpha": 0.5, "T": 1.0, "kernel": 1.0, "f": 1.0, **data}
+        with pytest.raises(ValueError, match="n=1"):
+            VolterraProblem(n=1, **args)
+        with pytest.raises(ValueError, match="TimeProfile f"):
+            msd_volterra_forcing(VolterraProblem(**args))
 
 
 def test_validation():
@@ -163,8 +191,14 @@ def test_validation():
         with pytest.raises(ValueError, match="d >= 1"):
             singular_moment(0.5, d, 0)
     bad = VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=lambda t: np.ones(3))
-    with pytest.warns(UserWarning), pytest.raises(ValueError, match=r"f\(t\) returned shape \(3,\)"):
+    with pytest.raises(ValueError, match=r"f\(t\) returned shape \(3,\)"):
         solve_volterra(bad, 8)
+    # a bool is not a kernel constant, and a string names its field
+    for kernel in (True, "1"):
+        with pytest.raises(ValueError, match="kernel"):
+            VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        VolterraProblem(alpha="0.5", T=1.0, kernel=1.0, f=1.0)
     prob = _default_problem(0.5)
     prob_half = VolterraProblem(
         alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(1.0 / 3.0, 2.0 / 3.0)
