@@ -42,9 +42,12 @@ mapped through I^a or I^1 respectively.  Diffusion-wave data stays
 separable: its forcing enters as I^{g-1} f, and both that integral and
 the two-level split need closed-form time profiles.
 
-Reconstruction adds the split-off analytic part back at the nodes; the
-result is not an element of the FEM space, it is the element solution
-plus exact node samples of the correction.
+A solve returns time coefficients times spatial rows: the remainder's
+modal amplitudes against their sine vectors (nodal values against the
+identity for "full"), then per mode of the split-off part and of u0 its
+exact node samples against its sine vector; V and U are formed only
+when read.  U is the element solution plus exact node samples of the
+correction, not an element of the FEM space.
 """
 
 from __future__ import annotations
@@ -267,22 +270,26 @@ class SeparableField:
             out = out + np.asarray(amp(t)) * np.sin(k * xi * (x - a))
         return out
 
-    def node_matrix(self, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
-        """Samples at the interior nodes: shape (len(times), J-1)."""
-        out = np.zeros((len(times), fem.J - 1))
-        for k, _, amp in self.modes:
-            out += np.outer(amp(times), fem.sine_vector(k))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class FieldTrace:
-    """Remainder and reconstructed nodal values over the time mesh."""
+    """Time coefficients ``coef`` (M+1, K) times spatial rows ``rows`` (K, J-1),
+    the first ``nv`` making up the remainder.  The nodal V (row 0 zero) and
+    U are formed on each access and not kept."""
 
     mesh: GradedMesh
     fem: IntervalFem
-    V: np.ndarray  # (M+1, J-1), row 0 zero
-    U: np.ndarray
+    coef: np.ndarray
+    rows: np.ndarray
+    nv: int
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.coef[:, : self.nv] @ self.rows[: self.nv]
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.coef @ self.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,23 +301,18 @@ class PdeData:
     initial: SeparableField
 
 
-def _check_field(f, domain, what: str) -> SeparableField:
-    if f is None:
-        return SeparableField.zero(domain)
-    if isinstance(f, SeparableField):
-        if f.domain != domain:
-            raise ValueError(f"{what} lives on {f.domain}, expected {domain}")
-        return f
-    raise TypeError(f"{what} must be a SeparableField")
-
-
 def _fields(**fields) -> list:
     """The named arguments as SeparableFields on the domain of the first one
     that is a field; None becomes the zero field."""
     domain = next((f.domain for f in fields.values() if isinstance(f, SeparableField)), None)
     if domain is None:
         raise TypeError(f"{' or '.join(fields)} must be a SeparableField")
-    return [_check_field(f, domain, what) for what, f in fields.items()]
+    for what, f in fields.items():
+        if f is not None and not isinstance(f, SeparableField):
+            raise TypeError(f"{what} must be a SeparableField")
+        if f is not None and f.domain != domain:
+            raise ValueError(f"{what} lives on {f.domain}, expected {domain}")
+    return [SeparableField.zero(domain) if f is None else f for f in fields.values()]
 
 
 def _pde_data(f, u0, n: int, nu: float, outer: float, kappa: float = 1.0) -> PdeData:
@@ -414,13 +416,15 @@ def _check_method(method: str) -> None:
         raise ValueError(f'method must be "modal" or "full", got {method!r}')
 
 
-def _reconstruct(V: np.ndarray, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
-    U = V.copy()
-    if not data.reconstruction.is_zero:
-        U[1:] += data.reconstruction.node_matrix(fem, mesh.nodes[1:])
-    if not data.initial.is_zero:
-        U += data.initial.node_matrix(fem, np.zeros(1))
-    return FieldTrace(mesh=mesh, fem=fem, V=V, U=U)
+def _reconstruct(coef, rows, data: PdeData, mesh: GradedMesh, fem: IntervalFem) -> FieldTrace:
+    """The remainder coef @ rows plus one column and sine row per mode of the
+    reconstruction (its profile at t_1..t_M, 0 at t_0) and of the initial
+    data (its constant amplitude)."""
+    parts = [(k, np.append(0.0, amp(mesh.nodes[1:]))) for k, _, amp in data.reconstruction.modes]
+    parts += [(k, np.full(mesh.M + 1, amp(0.0))) for k, _, amp in data.initial.modes]
+    coef_all = np.column_stack([coef] + [col for _, col in parts])
+    rows_all = np.vstack([rows] + [fem.sine_vector(k) for k, _ in parts])
+    return FieldTrace(mesh, fem, coef_all, rows_all, nv=coef.shape[1])
 
 
 def solve_subdiffusion(
@@ -447,9 +451,10 @@ def solve_subdiffusion(
     _check_fem(data, fem)
     times = mesh.nodes[1:]  # rhs[0] is never read, and profiles may be singular at 0
     if method == "modal":
-        lam, amps, sines = _modal_data(data.forcing, fem, times)
-        V = march_l1(alpha, mesh, lam, np.vstack([np.zeros_like(lam), amps])) @ sines
+        lam, amps, rows = _modal_data(data.forcing, fem, times)
+        V = march_l1(alpha, mesh, lam, np.vstack([np.zeros_like(lam), amps]))
     else:
+        rows = np.eye(fem.J - 1)
         loads = _load_rows(data.forcing, fem, times)
         V = np.zeros((mesh.M + 1, fem.J - 1))
         D = np.zeros((mesh.M, fem.J - 1))  # D[k-1] = V^k - V^{k-1}
@@ -459,7 +464,7 @@ def solve_subdiffusion(
             V[m] = solveh_banded(*fem.diags(a[-1], 1.0), loads[m - 1] + fem.mass_apply(b))
             D[m - 1] = V[m] - V[m - 1]
 
-    return _reconstruct(V, data, mesh, fem)
+    return _reconstruct(V, rows, data, mesh, fem)
 
 
 def msd_integro_data(f, u0, alpha: float) -> PdeData:
@@ -512,10 +517,11 @@ def solve_integro(
     G = np.cumsum(tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]]))
 
     if method == "modal":
-        lam, amps, sines = _modal_data(data.forcing, fem, mesh.nodes)
+        lam, amps, rows = _modal_data(data.forcing, fem, mesh.nodes)
         D = march(G, 0.5 * (amps[1:] + amps[:-1]) / lam, modal_inverse(G, 1.0 / (tau * lam)))
-        V = np.cumsum(D, axis=0) @ sines
+        V = np.cumsum(D, axis=0)
     else:
+        rows = np.eye(fem.J - 1)
         loads = _load_rows(data.forcing, fem, mesh.nodes)
         fbar = 0.5 * (loads[1:] + loads[:-1])
         d, e = fem.diags(1.0 / tau, G[0])
@@ -528,9 +534,9 @@ def solve_integro(
             hist = (D[:, :m] * G[m:0:-1]).sum(axis=1)
             D[:, m] = cho_solve_banded(piv, e, fbar[m] - fem.stiff_apply(hist))
         V = np.cumsum(D.T, axis=0)
-    V = np.vstack([np.zeros(fem.J - 1), V])
+    V = np.vstack([np.zeros(V.shape[1]), V])
 
-    return _reconstruct(V, data, mesh, fem)
+    return _reconstruct(V, rows, data, mesh, fem)
 
 
 def solve_diffusion_wave(

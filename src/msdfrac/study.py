@@ -10,7 +10,8 @@ bit), so no closed-form solution is needed:
 with the max taken over coarse nodes; field traces use the discrete
 L2 norm sqrt(h sum_j d_j^2) in space first.  A study over a doubling
 list of M values therefore needs one solve per distinct M: the fine
-solve of each row is reused as the coarse solve of the next.
+solve of each row is reused as the coarse solve of the next, and at
+most two traces are alive at once.
 
 reproduce_table() reruns a published table from its row in _TABLES:
 the study constructor of its model (relaxation, Volterra, subdiffusion,
@@ -157,27 +158,29 @@ def two_mesh_error(trace_M, trace_2M) -> float:
     the same at mesh points (requires c_q = 1 so the last collocation
     point of each step is the mesh point).  Field traces: max over
     time of the discrete L2 spatial norm; both traces must share the
-    spatial grid.
+    FEM and their spatial rows, so the nodal difference is formed once,
+    from the difference of their time coefficients.
     """
     if type(trace_M) is not type(trace_2M):
         raise TypeError(
             f"trace types differ: {type(trace_M).__name__} vs {type(trace_2M).__name__}"
         )
+    if not isinstance(trace_M, (CollocationTrace, ScalarTrace, FieldTrace)):
+        raise TypeError(f"unsupported trace type {type(trace_M).__name__}")
+    _check_nested(trace_M.mesh.nodes, trace_2M.mesh.nodes)
     if isinstance(trace_M, CollocationTrace):
-        _check_nested(trace_M.mesh.nodes, trace_2M.mesh.nodes)
         d = trace_2M.nodal_values[1::2] - trace_M.nodal_values
         return float(np.max(np.abs(d)))
     if isinstance(trace_M, ScalarTrace):
-        _check_nested(trace_M.mesh.nodes, trace_2M.mesh.nodes)
         return float(np.max(np.abs(trace_2M.U[::2] - trace_M.U)))
-    if isinstance(trace_M, FieldTrace):
-        _check_nested(trace_M.mesh.nodes, trace_2M.mesh.nodes)
-        fa, fb = trace_M.fem, trace_2M.fem
-        if (fa.a, fa.b, fa.J) != (fb.a, fb.b, fb.J):
-            raise ValueError("field traces live on different spatial grids")
-        d = trace_2M.U[::2] - trace_M.U
-        return float(np.max(np.sqrt(trace_M.fem.h * np.sum(d * d, axis=1))))
-    raise TypeError(f"unsupported trace type {type(trace_M).__name__}")
+    fa, fb = trace_M.fem, trace_2M.fem
+    if (fa.a, fa.b, fa.J) != (fb.a, fb.b, fb.J):
+        raise ValueError("field traces live on different spatial grids")
+    if not np.array_equal(trace_M.rows, trace_2M.rows):
+        raise ValueError("field traces have different spatial rows (data or method differ)")
+    d = (trace_2M.coef[::2] - trace_M.coef) @ trace_M.rows
+    d *= d
+    return float(np.max(np.sqrt(fa.h * np.sum(d, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,9 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     """Solve at every M in a strictly doubling list plus one refinement.
 
     The fine solve of row k is the coarse solve of row k+1, so a study
-    over k rows costs k+1 solves.
+    over k rows costs k+1 solves.  Each row's error is taken as soon as
+    its fine solve returns, and only that trace is kept for the next
+    row: at most two traces are alive at any time.
     """
     Ms = [check_count(M, "M", 1) for M in Ms]
     if not Ms:
@@ -203,21 +208,18 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
         if b != 2 * a:
             raise ValueError(f"M list must strictly double, got {a} followed by {b}")
 
-    traces = {}
+    rows, coarse = [], None
     for M in Ms + [2 * Ms[-1]]:
         try:
-            traces[M] = spec.solve(M)
+            fine = spec.solve(M)
         except Exception as e:
             raise StudyError(f"{spec.model} solve failed at M={M}: {e}") from e
-
-    errors = [two_mesh_error(traces[M], traces[2 * M]) for M in Ms]
-    rows = []
-    for i, (M, err) in enumerate(zip(Ms, errors)):
-        if i == 0:
-            rate = None
-        else:
-            rate = math.log2(errors[i - 1] / err) if err > 0.0 and errors[i - 1] > 0.0 else None
-        rows.append(StudyRow(M=M, error=err, rate=rate))
+        if coarse is not None:
+            err = two_mesh_error(coarse, fine)
+            prev = rows[-1].error if rows else 0.0
+            rate = math.log2(prev / err) if err > 0.0 and prev > 0.0 else None
+            rows.append(StudyRow(M=M // 2, error=err, rate=rate))
+        coarse = fine
     return ConvergenceReport(
         model=spec.model, params=dict(spec.params), rows=tuple(rows), theory=spec.theory
     )
@@ -429,18 +431,10 @@ def emit_csv(reports) -> str:
         alpha = rep.params.get("alpha", rep.params.get("gamma"))
         n = rep.params.get("n", 0)
         r = rep.params.get("r", 1.0)
+        head = [rep.model, _sig6(float(alpha)), int(n), _sig6(float(r))]
         for row in rep.rows:
-            writer.writerow(
-                [
-                    rep.model,
-                    _sig6(float(alpha)),
-                    int(n),
-                    _sig6(float(r)),
-                    row.M,
-                    _sig6(row.error),
-                    "" if row.rate is None else _sig6(row.rate),
-                ]
-            )
+            rate = "" if row.rate is None else _sig6(row.rate)
+            writer.writerow(head + [row.M, _sig6(row.error), rate])
     return buf.getvalue()
 
 
@@ -462,13 +456,7 @@ def parse_csv(text: str) -> list[ConvergenceReport]:
     def flush():
         if rows:
             model, alpha, n, r = key
-            reports.append(
-                ConvergenceReport(
-                    model=model,
-                    params={"alpha": alpha, "n": n, "r": r},
-                    rows=tuple(rows),
-                )
-            )
+            reports.append(ConvergenceReport(model, {"alpha": alpha, "n": n, "r": r}, tuple(rows)))
 
     for rec in reader:
         if not rec:

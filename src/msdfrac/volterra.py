@@ -83,8 +83,11 @@ class VolterraProblem:
         object.__setattr__(self, "n", check_count(self.n, "n", 0))
         if not callable(self.kernel):
             check_real(self.kernel, "kernel", need="be a finite number or a callable")
+        object.__setattr__(self, "q", check_count(self.q, "q", 1))
+        for x in self.c:
+            check_real(x, "c", need="hold finite real numbers")
         c = tuple(float(x) for x in self.c)
-        if len(c) != self.q or self.q < 1:
+        if len(c) != self.q:
             raise ValueError(f"need q = {self.q} collocation parameters, got {c}")
         if not all(0.0 < x <= 1.0 for x in c) or len(set(c)) != len(c) or list(c) != sorted(c):
             raise ValueError(f"collocation parameters must be distinct, increasing, in (0, 1]: {c}")

@@ -820,28 +820,88 @@ def test_diffusion_wave_validation():
         solve_diffusion_wave(1.5, _nonseparable, u0, du0, mesh, fem)
 
 
-def test_diffusion_wave_matches_closed_form_split():
-    # the depth-2 split by L = Lap I^{1+a} equals the closed forms
-    # lam^2 I^{2+2a} g0 and I^1 g0 - lam I^{2+a} g0 run through solve_integro
-    gamma = 1.4
+def _wave_split_data(gamma, f, u0, du0):
+    # the depth-2 split by L = Lap I^{1+a} in closed form: remainder forcing
+    # lam^2 I^{2+2a} g0 and reconstruction I^1 g0 - lam I^{2+a} g0
     alpha = gamma - 1.0
-    f, u0 = _three_mode_data(alpha)
-    du0 = SeparableField(f.domain, ((2, TimeProfile.constant(0.5)),))
     beta = beta_profile(gamma)
     g0 = (
         f.map_amplitudes(lambda lam, amp: frac_integrate(amp, alpha))
         + u0.laplacian().map_amplitudes(lambda lam, amp: beta * amp.terms[0][0])
         + du0
     )
-    data = PdeData(
+    return PdeData(
         forcing=g0.map_amplitudes(lambda lam, amp: frac_integrate(amp, 2.0 + 2.0 * alpha) * lam**2),
         reconstruction=g0.map_amplitudes(
             lambda lam, amp: frac_integrate(amp, 1.0) + frac_integrate(amp, 2.0 + alpha) * (-lam)
         ),
         initial=u0,
     )
+
+
+def test_diffusion_wave_matches_closed_form_split():
+    # solve_diffusion_wave equals the closed-form split run through solve_integro
+    gamma = 1.4
+    alpha = gamma - 1.0
+    f, u0 = _three_mode_data(alpha)
+    du0 = SeparableField(f.domain, ((2, TimeProfile.constant(0.5)),))
+    data = _wave_split_data(gamma, f, u0, du0)
     fem = assemble_fem(0.0, 1.0, 16)
     mesh = build_mesh(1.0, 128, 1.0)
     got = solve_diffusion_wave(gamma, f, u0, du0, mesh, fem).U
     ref = solve_integro(alpha, data, mesh, fem).U
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+# --- field traces: time coefficients times spatial rows --------------------
+
+
+def _added_back(data, mesh, fem):
+    """The reconstruction at t_1..t_M (0 at t_0) plus the initial data, at
+    the interior nodes, from the fields' own evaluate."""
+    x = fem.interior_nodes
+    out = np.zeros((mesh.M + 1, fem.J - 1))
+    out[1:] = data.reconstruction.evaluate(x[None, :], mesh.nodes[1:, None])
+    return out + data.initial.evaluate(x, 0.0)
+
+
+@pytest.mark.parametrize("method", ["modal", "full"])
+@pytest.mark.parametrize("model", ["subdiffusion", "integro", "diffusion-wave"])
+def test_trace_U_is_V_plus_the_added_back_parts(model, method):
+    # on (0, 2 pi) the mode eigenvalues are k^2/4, so no split part grows
+    # much beyond |U| and the sum is held to rounding relative to max |U|
+    alpha = 0.6
+    dom = (0.0, 2.0 * math.pi)
+    f = SeparableField(
+        dom,
+        (
+            (1, TimeProfile.of((2.0, 0.0), (-0.5, 0.5))),
+            (2, TimeProfile.of((1.0, 1.5))),
+            (3, TimeProfile.of((0.25, 0.0), (3.0, 0.5))),
+        ),
+    )
+    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)), (3, TimeProfile.constant(-2.0))))
+    fem = assemble_fem(*dom, 16)
+    mesh = build_mesh(1.0, 300, 1.0)
+    if model == "subdiffusion":
+        data = msd_subdiffusion_data(f, u0, 3, alpha)
+        trace = solve_subdiffusion(alpha, 3, data, mesh, fem, method=method)
+    elif model == "integro":
+        data = msd_integro_data(f, u0, alpha)
+        trace = solve_integro(alpha, data, mesh, fem, method=method)
+    else:
+        du0 = SeparableField(dom, ((2, TimeProfile.constant(0.5)),))
+        data = _wave_split_data(1.0 + alpha, f, u0, du0)
+        trace = solve_diffusion_wave(1.0 + alpha, f, u0, du0, mesh, fem, method=method)
+    assert not data.reconstruction.is_zero and not data.initial.is_zero
+    # one remainder column per forcing mode (modal) or node (full), then
+    # one per mode of the reconstruction and of the initial data
+    nv = fem.J - 1 if method == "full" else len(data.forcing.modes)
+    K = nv + len(data.reconstruction.modes) + len(data.initial.modes)
+    assert trace.nv == nv
+    assert trace.coef.shape == (mesh.M + 1, K) and trace.rows.shape == (K, fem.J - 1)
+    U, V = trace.U, trace.V
+    assert U is not trace.U  # formed on each access
+    assert np.all(V[0] == 0.0)
+    dev = np.max(np.abs(U - V - _added_back(data, mesh, fem)))
+    assert dev <= 1e-14 * np.max(np.abs(U))

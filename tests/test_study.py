@@ -1,6 +1,8 @@
 """Two-mesh harness: error measurement, rate extraction, CSV exchange."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,16 +16,20 @@ from msdfrac import (
     StudySpec,
     TABLE_IDS,
     TimeProfile,
+    assemble_fem,
     build_mesh,
     emit_csv,
+    full_order_depth,
     make_diffusion_wave_study,
     make_integro_study,
     make_relaxation_study,
     make_subdiffusion_study,
     make_volterra_study,
+    msd_subdiffusion_data,
     parse_csv,
     reproduce_table,
     run_study,
+    solve_subdiffusion,
     theory_order,
     two_mesh_error,
 )
@@ -99,6 +105,35 @@ def test_run_study_reuses_fine_solve():
     assert sorted(calls) == [8, 16, 32, 64]
 
 
+def test_run_study_keeps_at_most_two_traces():
+    inner = make_subdiffusion_study(0.5, J=16)
+    refs, alive = [], []
+
+    def solve(M):
+        trace = inner.solve(M)
+        refs.append(weakref.ref(trace))
+        alive.append(sum(ref() is not None for ref in refs))
+        return trace
+
+    spec = StudySpec(inner.model, inner.params, inner.theory, solve)
+    run_study(spec, [16, 32, 64, 128])
+    # the new trace and the previous one, which is the coarse side of its row
+    assert alive == [1, 2, 2, 2, 2]
+
+
+def test_subdiffusion_study_peaks_below_one_nodal_field():
+    # finest solve at M = 4096: its nodal field alone is 4097 x 127 doubles
+    spec = make_subdiffusion_study(0.75, n=0, J=128)
+    run_study(spec, [16, 32])  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        run_study(spec, [1024, 2048])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4097 * 127 * 8
+
+
 def test_run_study_rejects_bad_m_lists():
     spec = StudySpec(
         model="synthetic",
@@ -168,6 +203,44 @@ def test_two_mesh_error_requires_nested_meshes():
     fine = ScalarTrace(mesh=graded, V=np.zeros(65), U=np.zeros(65))
     with pytest.raises(ValueError, match="not nested"):
         two_mesh_error(_constant_trace(32, 0.0), fine)
+
+
+def _nodal_two_mesh_error(coarse, fine):
+    # the field-trace formula on the nodal arrays
+    d = fine.U[::2] - coarse.U
+    return float(np.max(np.sqrt(coarse.fem.h * np.sum(d * d, axis=1))))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_two_mesh_error_from_coefficients_matches_nodal_formula(alpha):
+    # the table 4 (subdiffusion, J = 128) and table 6 (integro, J = 32) studies
+    specs = [
+        make_subdiffusion_study(alpha, n=0),
+        make_subdiffusion_study(alpha, n=full_order_depth(alpha)),
+        make_integro_study(alpha, n=0),
+        make_integro_study(alpha, n=1),
+    ]
+    for spec in specs:
+        coarse, fine = spec.solve(128), spec.solve(256)
+        want = _nodal_two_mesh_error(coarse, fine)
+        assert two_mesh_error(coarse, fine) == pytest.approx(want, rel=1e-12)
+
+
+def test_two_mesh_error_rejects_traces_with_different_rows():
+    dom = (0.0, 2.0 * math.pi)
+    f = SeparableField(dom, ((2, TimeProfile.constant(1.0)),))
+    u0 = SeparableField(dom, ((1, TimeProfile.constant(1.0)),))
+    fem = assemble_fem(*dom, 16)
+
+    def solve(M, n=0, method="modal"):
+        data = msd_subdiffusion_data(f, u0, n, 0.5)
+        return solve_subdiffusion(0.5, n, data, build_mesh(1.0, M), fem, method=method)
+
+    assert two_mesh_error(solve(16), solve(32)) > 0.0
+    # the same grid, but other data (more reconstruction modes) or the nodal method
+    for fine in (solve(32, n=2), solve(32, method="full")):
+        with pytest.raises(ValueError, match="different spatial rows"):
+            two_mesh_error(solve(16), fine)
 
 
 def test_two_mesh_error_relaxation_reference_value():

@@ -213,6 +213,23 @@ def test_validation():
     assert solve_volterra(prob, np.int64(16)).nodal_values.shape == (16,)
 
 
+@pytest.mark.parametrize(
+    "c, q, name",
+    [
+        ((True,), 1, "c"),  # a bool is not a collocation parameter
+        (("a",), 1, "c"),
+        ((None, 1.0), 2, "c"),
+        ((math.nan, 1.0), 2, "c"),
+        ((1.0,), True, "q"),
+        ((1.0,), 1.0, "q"),
+        ((1.0,), 0, "q"),
+    ],
+)
+def test_collocation_data_is_checked(c, q, name):
+    with pytest.raises(ValueError, match=rf"^{name} must .*got {name}="):
+        VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, q=q, c=c)
+
+
 @pytest.mark.parametrize("kernel", [math.nan, math.inf])
 def test_non_finite_kernel_is_rejected(kernel):
     with pytest.raises(ValueError, match="kernel must be a finite number"):
