@@ -25,7 +25,7 @@ import numpy as np
 
 from .mesh import check_alpha, check_count, check_real
 
-__all__ = ["CQWeights", "build_cq", "apply_cq"]
+__all__ = ["CQWeights", "build_cq"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +51,3 @@ def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
     chi = t**alpha / math.gamma(1.0 + alpha) - tau**alpha * np.cumsum(omega)
     return CQWeights(alpha=alpha, tau=tau, M=M, omega=omega, chi=chi)
 
-
-def apply_cq(w: CQWeights, values) -> float:
-    """Quadrature value approximating (I^a phi)(t_m) from phi^0..phi^m."""
-    phi = np.asarray(values, dtype=float)
-    if phi.ndim != 1 or phi.size < 1:
-        raise ValueError("expected a one-dimensional sequence of node values")
-    m = phi.size - 1
-    if m > w.M:
-        raise ValueError(f"got {phi.size} values but the rule holds {w.M + 1} weights")
-    return float(w.tau**w.alpha * (w.omega[: m + 1] @ phi[::-1]) + w.chi[m] * phi[0])

@@ -6,13 +6,7 @@ discrete convolution
 
     D^a v^m = sum_{k=1}^{m} a_{m-k}^{(m)} (v^k - v^{k-1}),
 
-with positive weights that decrease away from the diagonal.  The
-complementary kernel P inverts this convolution summatively: the rows
-of P against the columns of a sum to one exactly, which is the identity
-the stability analysis of every L1-based solver in the package rests
-on.  Both triangles are kept densely; the kernel triangle costs O(M^3)
-to fill and is only needed by the verification suite, so it is built on
-first access.
+with positive weights that decrease away from the diagonal.
 
 march_l1 marches a graded mesh _ROWS steps at a time.  l1_weight_block
 builds a block of weight-row numerators (t_m - t_{k-1})^{1-a} - (t_m -
@@ -40,7 +34,7 @@ import numpy as np
 from .mesh import GradedMesh, check_alpha
 from .toeplitz import march, modal_inverse
 
-__all__ = ["L1System", "build_l1", "apply_dfrac", "l1_weight_row", "march_l1"]
+__all__ = ["l1_weight_row", "march_l1"]
 
 
 # Steps per block of the graded march.  Tables 2 and 5 ran fastest with
@@ -75,70 +69,6 @@ def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
     row[-1] is the diagonal weight tau_m^{-alpha}/Gamma(2-alpha).
     """
     return l1_weight_block(alpha, mesh, m - 1, m)[0] / (mesh.steps[:m] * math.gamma(2.0 - alpha))
-
-
-def _kernel_row(a: np.ndarray, m: int) -> np.ndarray:
-    """P^{(m)}_{m-k} for k = 1..m, from the backward recursion."""
-    prow = np.zeros(m + 1)
-    prow[m] = 1.0 / a[m, m]
-    for k in range(m - 1, 0, -1):
-        d = a[k + 1 : m + 1, k + 1] - a[k + 1 : m + 1, k]
-        prow[k] = (d @ prow[k + 1 : m + 1]) / a[k, k]
-    return prow[1:]
-
-
-class L1System:
-    """L1 weights and complementary kernel on a fixed mesh.
-
-    ``a[m, k]`` holds the weight a^{(m)}_{m-k} for 1 <= k <= m <= M and
-    is zero elsewhere; ``P[m, j]`` holds the kernel value P^{(m)}_{m-j}
-    with the same layout.
-    """
-
-    def __init__(self, mesh: GradedMesh, alpha: float, weights: np.ndarray):
-        self.mesh = mesh
-        self.alpha = alpha
-        self.a = weights
-        self._P: np.ndarray | None = None
-
-    @property
-    def P(self) -> np.ndarray:
-        if self._P is None:
-            M = self.mesh.M
-            P = np.zeros_like(self.a)
-            for m in range(1, M + 1):
-                P[m, 1 : m + 1] = _kernel_row(self.a, m)
-            self._P = P
-        return self._P
-
-    def kernel_row(self, m: int) -> np.ndarray:
-        """Single kernel row P^{(m)}_{m-k}, k = 1..m, in O(m^2) work."""
-        if self._P is not None:
-            return self._P[m, 1 : m + 1]
-        return _kernel_row(self.a, m)
-
-
-def build_l1(mesh: GradedMesh, alpha: float) -> L1System:
-    check_alpha(alpha)
-    M = mesh.M
-    a = np.zeros((M + 1, M + 1))
-    a[1:, 1:] = l1_weight_block(alpha, mesh, 0, M) / (mesh.steps * math.gamma(2.0 - alpha))
-    return L1System(mesh, alpha, a)
-
-
-def apply_dfrac(sys: L1System, values) -> float:
-    """Discrete Caputo derivative at the last supplied node.
-
-    ``values`` are v^0..v^m with m <= M; returns
-    sum_k a^{(m)}_{m-k} (v^k - v^{k-1}).
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a one-dimensional sequence of node values")
-    m = v.size - 1
-    if not 1 <= m <= sys.mesh.M:
-        raise ValueError(f"need between 2 and {sys.mesh.M + 1} values, got {v.size}")
-    return float(sys.a[m, 1 : m + 1] @ np.diff(v))
 
 
 def march_l1(

@@ -1,0 +1,113 @@
+"""Reference constructions the tests check the solvers against.
+
+No solver calls these, and ``import msdfrac`` does not load this
+module.  Each is the direct, unoptimized form of a scheme:
+
+- build_l1: the dense L1 weight triangle, a[m, k] = a^{(m)}_{m-k};
+- complementary_kernel: the kernel P that inverts the L1 convolution
+  summatively, sum_{j=k}^{m} P^{(m)}_{m-j} a^{(j)}_{j-k} = 1, the
+  identity the stability analysis of every L1-based solver rests on.
+  It costs O(M^3);
+- apply_dfrac and apply_cq: one value of the discrete Caputo
+  derivative and of the convolution quadrature;
+- singular_moment: one history moment of the collocation scheme;
+- collocation_residual: the collocation equations checked by the
+  direct per-cell sum of a callable kernel, which a constant kernel K
+  takes as lambda s, t: K.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .conv_quad import CQWeights
+from .l1_scheme import l1_weight_block
+from .mesh import GradedMesh, check_alpha
+from .volterra import (
+    CollocationTrace,
+    VolterraProblem,
+    _collocation_points,
+    _forcing_at,
+    _history,
+    _kernel_samples,
+    _moments,
+    _weights,
+)
+
+__all__ = [
+    "build_l1",
+    "complementary_kernel",
+    "apply_dfrac",
+    "apply_cq",
+    "singular_moment",
+    "collocation_residual",
+]
+
+
+def build_l1(mesh: GradedMesh, alpha: float) -> np.ndarray:
+    """a[m, k] = a^{(m)}_{m-k} for 1 <= k <= m <= M, zero elsewhere."""
+    check_alpha(alpha)
+    M = mesh.M
+    a = np.zeros((M + 1, M + 1))
+    a[1:, 1:] = l1_weight_block(alpha, mesh, 0, M) / (mesh.steps * math.gamma(2.0 - alpha))
+    return a
+
+
+def complementary_kernel(a: np.ndarray) -> np.ndarray:
+    """P[m, j] = P^{(m)}_{m-j}, laid out as a, by the backward recursion."""
+    P = np.zeros_like(a)
+    for m in range(1, len(a)):
+        P[m, m] = 1.0 / a[m, m]
+        for k in range(m - 1, 0, -1):
+            d = a[k + 1 : m + 1, k + 1] - a[k + 1 : m + 1, k]
+            P[m, k] = (d @ P[m, k + 1 : m + 1]) / a[k, k]
+    return P
+
+
+def apply_dfrac(a: np.ndarray, values) -> float:
+    """Discrete Caputo derivative at the last supplied node.
+
+    ``values`` are v^0..v^m with m <= M; returns
+    sum_k a^{(m)}_{m-k} (v^k - v^{k-1}).
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("expected a one-dimensional sequence of node values")
+    m, M = v.size - 1, len(a) - 1
+    if not 1 <= m <= M:
+        raise ValueError(f"need between 2 and {M + 1} values, got {v.size}")
+    return float(a[m, 1 : m + 1] @ np.diff(v))
+
+
+def apply_cq(w: CQWeights, values) -> float:
+    """Quadrature value approximating (I^a phi)(t_m) from phi^0..phi^m."""
+    phi = np.asarray(values, dtype=float)
+    if phi.ndim != 1 or phi.size < 1:
+        raise ValueError("expected a one-dimensional sequence of node values")
+    m = phi.size - 1
+    if m > w.M:
+        raise ValueError(f"got {phi.size} values but the rule holds {w.M + 1} weights")
+    return float(w.tau**w.alpha * (w.omega[: m + 1] @ phi[::-1]) + w.chi[m] * phi[0])
+
+
+def singular_moment(alpha: float, d: float, k: int) -> float:
+    """int_0^1 (d - s)^{-alpha} s^k ds for d >= 1 (history cells)."""
+    if d < 1.0:
+        raise ValueError("history moment needs d >= 1")
+    return float(_moments(alpha, d, k + 1)[k])
+
+
+def collocation_residual(prob: VolterraProblem, trace: CollocationTrace) -> float:
+    """Max residual of the discrete equations over all collocation points."""
+    V = trace.V
+    pts = _collocation_points(prob.T, len(V), prob.c)
+    forcing, _ = _forcing_at(prob, pts)
+    psi, phi, scale = _weights(prob, len(V))
+    kernel = prob.kernel if callable(prob.kernel) else lambda s, t: float(prob.kernel)
+    LV = np.empty_like(V)
+    for m in range(len(V)):
+        hist_k, cur_k = _kernel_samples(kernel, pts, m)
+        LV[m] = scale * (_history(psi, V, m, hist_k) + (phi * cur_k) @ V[m])
+    return float(np.max(np.abs(V - LV - forcing)))

@@ -158,8 +158,9 @@ def two_mesh_error(trace_M, trace_2M) -> float:
     the same at mesh points (requires c_q = 1 so the last collocation
     point of each step is the mesh point).  Field traces: max over
     time of the discrete L2 spatial norm; both traces must share the
-    FEM and their spatial rows, so the nodal difference is formed once,
-    from the difference of their time coefficients.
+    FEM and their spatial rows, so the norm is the quadratic form of the
+    rows' Gram matrix in the difference of their time coefficients, and
+    no nodal field is formed.
     """
     if type(trace_M) is not type(trace_2M):
         raise TypeError(
@@ -178,9 +179,8 @@ def two_mesh_error(trace_M, trace_2M) -> float:
         raise ValueError("field traces live on different spatial grids")
     if not np.array_equal(trace_M.rows, trace_2M.rows):
         raise ValueError("field traces have different spatial rows (data or method differ)")
-    d = (trace_2M.coef[::2] - trace_M.coef) @ trace_M.rows
-    d *= d
-    return float(np.max(np.sqrt(fa.h * np.sum(d, axis=1))))
+    dc, G = trace_2M.coef[::2] - trace_M.coef, trace_M.rows @ trace_M.rows.T
+    return float(np.max(np.sqrt(fa.h * np.einsum("mi,mi->m", dc @ G, dc))))
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,8 @@ def make_volterra_study(
     if kernel is None:
         kernel = 1.0 / math.gamma(1.0 - alpha)
     prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, q=len(c), c=c)
+    if prob.c[-1] != 1.0:
+        raise ValueError(f"c must end at 1, the mesh point the two-mesh error reads, got c = {prob.c}")
     return StudySpec(
         model="volterra",
         params={"alpha": alpha, "n": n, "r": 1.0, "q": prob.q, "c": tuple(c), "T": T},

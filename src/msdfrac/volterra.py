@@ -36,7 +36,7 @@ is a lower-triangular block-Toeplitz convolution, and the march is
 toeplitz.march: FFT far history, and one FFT product per block of
 cells with the inverse of the block system.  A callable kernel
 breaks the Toeplitz structure and keeps the direct per-step sum
-(_history), which collocation_residual uses as the reference for both.
+(_history).
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ __all__ = [
     "collocation_depth",
     "msd_volterra_forcing",
     "solve_volterra",
-    "collocation_residual",
-    "singular_moment",
 ]
 
 
@@ -168,13 +166,6 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
     return mom
 
 
-def singular_moment(alpha: float, d: float, k: int) -> float:
-    """int_0^1 (d - s)^{-alpha} s^k ds for d >= 1 (history cells)."""
-    if d < 1.0:
-        raise ValueError("history moment needs d >= 1")
-    return float(_moments(alpha, d, k + 1)[k])
-
-
 def _history_blocks(alpha: float, c: tuple, A: np.ndarray, M: int) -> np.ndarray:
     """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M.
 
@@ -221,35 +212,24 @@ def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
     return tau * (np.arange(M)[:, None] + np.asarray(c)[None, :])
 
 
-def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):
-    """K(t_{e,j}, t_{m,i}) for the history cells e = 0..m-1 plus the current one."""
-    if prob.constant_kernel:
-        return None, None
+def _kernel_samples(kernel, pts: np.ndarray, m: int):
+    """K(t_{e,j}, t_{m,i}) for the history cells e = 0..m-1, indexed [i, e, j]
+    (empty at m = 0), and for the current cell, indexed [i, j]."""
     ti = pts[m]  # (q,)
-    hist = prob.kernel(pts[:m][None, :, :], ti[:, None, None]) if m else None
-    cur = prob.kernel(pts[m][None, :], ti[:, None])
-    return hist, cur
+    return kernel(pts[:m][None, :, :], ti[:, None, None]), kernel(pts[m][None, :], ti[:, None])
 
 
 def _history(psi: np.ndarray, vals: np.ndarray, m: int, hist_k) -> np.ndarray:
     """Memory of cell m: sum_{e<m} psi[m-e] vals[e], weighted by the kernel
-    samples ``hist_k[i, e, j]`` when K is not constant.
-
-    The constant kernel's factor stays outside the sum (the caller scales
-    the result once), which keeps each call to one contraction.
-    """
-    if hist_k is None:
-        return np.einsum("gij,gj->i", psi[m:0:-1], vals[:m])
+    samples ``hist_k[i, e, j]``."""
     return np.einsum("igj,gj->i", psi[m:0:-1].transpose(1, 0, 2) * hist_k, vals[:m])
 
 
 def _weights(prob: VolterraProblem, M: int):
     """(psi, phi, scale) on M cells: the history and current-cell blocks,
-    and the factor tau^{1-a} (times K when K is constant) of every cell
-    integral."""
+    and the factor tau^{1-a} of every cell integral."""
     A = _lagrange_coeffs(prob.c)
-    s = (prob.T / M) ** (1.0 - prob.alpha)
-    scale = s * float(prob.kernel) if prob.constant_kernel else s
+    scale = (prob.T / M) ** (1.0 - prob.alpha)
     return _history_blocks(prob.alpha, prob.c, A, M), _current_block(prob.alpha, prob.c, A), scale
 
 
@@ -258,17 +238,6 @@ def _local_matrix(phi: np.ndarray, scale: float, cur_k=1.0) -> np.ndarray:
     if abs(np.linalg.det(mat)) < 1e-14:
         raise ValueError("singular local collocation system; check the c_i")
     return mat
-
-
-def _apply_L_points(vals: np.ndarray, prob: VolterraProblem, pts: np.ndarray) -> np.ndarray:
-    """(L g) at all collocation points from g's collocation values."""
-    psi, phi, scale = _weights(prob, len(vals))
-    out = np.empty_like(vals)
-    for m in range(len(vals)):
-        hist_k, cur_k = _kernel_samples(prob, pts, m)
-        cur = phi if cur_k is None else phi * cur_k
-        out[m] = scale * (_history(psi, vals, m, hist_k) + cur @ vals[m])
-    return out
 
 
 def _forcing_at(prob: VolterraProblem, pts: np.ndarray):
@@ -288,6 +257,7 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     rhs, recon = _forcing_at(prob, pts)
 
     if prob.constant_kernel:
+        scale *= float(prob.kernel)
         # times inv, the scheme has identity diagonal blocks and kern[g] = -scale inv psi[g]
         inv = np.linalg.inv(_local_matrix(phi, scale))
         kern = -(scale * inv) @ psi[:M]
@@ -296,7 +266,7 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     else:
         V = np.zeros((M, prob.q))
         for m in range(M):
-            hist_k, cur_k = _kernel_samples(prob, pts, m)
+            hist_k, cur_k = _kernel_samples(prob.kernel, pts, m)
             mat = _local_matrix(phi, scale, cur_k)
             V[m] = np.linalg.solve(mat, rhs[m] + scale * _history(psi, V, m, hist_k))
 
@@ -304,9 +274,3 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
     mesh = build_mesh(prob.T, M, 1.0)
     return CollocationTrace(mesh=mesh, c=prob.c, V=V, U=U)
 
-
-def collocation_residual(prob: VolterraProblem, trace: CollocationTrace) -> float:
-    """Max residual of the discrete equations over all collocation points."""
-    pts = _collocation_points(prob.T, len(trace.V), prob.c)
-    forcing, _ = _forcing_at(prob, pts)
-    return float(np.max(np.abs(trace.V - _apply_L_points(trace.V, prob, pts) - forcing)))

@@ -19,12 +19,9 @@ from msdfrac import (
     SeparableField,
     TimeProfile,
     VolterraProblem,
-    apply_cq,
-    apply_dfrac,
     assemble_fem,
     beta_profile,
     build_cq,
-    build_l1,
     build_mesh,
     collocation_depth,
     frac_integrate,
@@ -39,6 +36,7 @@ from msdfrac import (
     solve_subdiffusion,
     solve_volterra,
 )
+from msdfrac.reference import apply_dfrac, build_l1, complementary_kernel
 
 pytestmark = pytest.mark.filterwarnings("ignore:grading r =")
 
@@ -204,7 +202,7 @@ def test_exact_identities():
     for alpha, r, M in [(0.25, 1.0, 64), (0.5, 2.0, 48), (0.75, 7.0, 32)]:
         mesh = build_mesh(1.0, M, r)
         sysm = build_l1(mesh, alpha)
-        P, a = sysm.P, sysm.a
+        P, a = complementary_kernel(sysm), sysm
         bound = math.gamma(2.0 - alpha) * mesh.steps**alpha
         for m in range(1, M + 1):
             for k in range(1, m + 1):

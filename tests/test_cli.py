@@ -55,8 +55,8 @@ def test_invalid_alpha_exits_2(capsys):
     code, _, err = _run(capsys, ["relaxation", "--alpha", "1.5", "--M", "64", "--M", "128"])
     assert code == 2
     assert "order" in err
-    # wave exponent, horizon and grading are checked when the study is
-    # built, not by the first solve (which would exit 3)
+    # wave exponent, horizon, grading and collocation points are checked
+    # when the study is built, not by the first solve (which would exit 3)
     cases = [
         (["diffusion-wave", "--gamma", "2.5"], "gamma must lie in (1, 2), got gamma=2.5"),
         (["subdiffusion", "--alpha", "0.5", "--T", "-1"], "T=-1"),
@@ -64,6 +64,8 @@ def test_invalid_alpha_exits_2(capsys):
         (["diffusion-wave", "--gamma", "1.5", "--T", "-1"], "T=-1"),
         (["relaxation", "--alpha", "0.5", "--r", "0"], "r=0"),
         (["subdiffusion", "--alpha", "0.5", "--r", "0"], "r=0"),
+        # the two-mesh error reads the mesh point, the last collocation point
+        (["volterra", "--alpha", "0.5", "--c", "0.2,0.6"], "c = (0.2, 0.6)"),
     ]
     for argv, named in cases:
         code, _, err = _run(capsys, argv + ["--M", "8", "--M", "16"])

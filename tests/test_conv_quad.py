@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdfrac import apply_cq, build_cq
+from msdfrac import build_cq
+from msdfrac.reference import apply_cq
 
 
 def test_weights_match_binomial_products():

@@ -122,7 +122,9 @@ def test_run_study_keeps_at_most_two_traces():
 
 
 def test_subdiffusion_study_peaks_below_one_nodal_field():
-    # finest solve at M = 4096: its nodal field alone is 4097 x 127 doubles
+    # finest solve at M = 4096: its nodal field alone is 4097 x 127
+    # doubles.  The two-mesh error forms no nodal field, not even the
+    # 2049 x 127 difference, so the study peaks below a third of it
     spec = make_subdiffusion_study(0.75, n=0, J=128)
     run_study(spec, [16, 32])  # first-call set-up outside the measurement
     tracemalloc.start()
@@ -131,7 +133,7 @@ def test_subdiffusion_study_peaks_below_one_nodal_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4097 * 127 * 8
+    assert peak < 4097 * 127 * 8 / 3
 
 
 def test_run_study_rejects_bad_m_lists():

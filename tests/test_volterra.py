@@ -9,12 +9,11 @@ import pytest
 from msdfrac import (
     VolterraProblem,
     collocation_depth,
-    collocation_residual,
     ml_eval,
     msd_volterra_forcing,
-    singular_moment,
     solve_volterra,
 )
+from msdfrac.reference import collocation_residual, singular_moment
 
 
 def test_collocation_depth_values():
