@@ -2,10 +2,11 @@
 
 import csv
 import io
+import warnings
 
 import pytest
 
-from msdfrac import StudyError, cli
+from msdfrac import StudyError, cli, reproduce_table
 
 
 def _run(capsys, argv):
@@ -160,3 +161,19 @@ def test_integro_decimal_step_counts(capsys):
     code, out, err = _run(capsys, ["integro", "--alpha", "0.5", "--M", "100", "--M", "200"])
     assert code == 0, err
     assert "integro" in out
+
+
+def test_table_grading_warning_is_one_note(capsys):
+    # tables 2 and 5 choose r = 0.41666... < 1 themselves: the CLI says so
+    # once, as a note, where a library caller gets a UserWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["table", "--id", "2", "--format", "csv"])
+    assert code == 0
+    assert err.splitlines() == [
+        "note: grading r = 0.4166666666666667 < 1 coarsens the mesh near t = 0;"
+        " the convergence theory assumes r >= 1"
+    ]
+    assert len(out.splitlines()) == 1 + 4 * 5
+    with pytest.warns(UserWarning, match="grading r = 0.41"):
+        reproduce_table(2)
