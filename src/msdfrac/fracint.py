@@ -155,18 +155,19 @@ def as_forcing(f):
     )
 
 
-def sample(f, *args) -> np.ndarray:
+def sample(f, *args, name: str | None = None) -> np.ndarray:
     """f(t) or f(x, t) at broadcastable points, as a read-only view of the
-    common shape of the arguments: a scalar return is spread over it."""
+    common shape of the arguments: a scalar return is spread over it.
+    ``name`` is what the shape error calls f (default "forcing f(x, t)")."""
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast_shapes(*(a.shape for a in args))
     vals = np.asarray(f(*args), dtype=float)
     try:
         return np.broadcast_to(vals, shape)
     except ValueError:
-        names = ", ".join("xt"[-len(args) :])
+        name = name or f"forcing f({', '.join('xt'[-len(args) :])})"
         raise ValueError(
-            f"forcing f({names}) returned shape {vals.shape}, which does not"
+            f"{name} returned shape {vals.shape}, which does not"
             f" broadcast to {shape}, the common shape of its arguments"
         ) from None
 

@@ -11,9 +11,12 @@ module.  Each is the direct, unoptimized form of a scheme:
 - apply_dfrac and apply_cq: one value of the discrete Caputo
   derivative and of the convolution quadrature;
 - singular_moment: one history moment of the collocation scheme;
-- collocation_residual: the collocation equations checked by the
-  direct per-cell sum of a callable kernel, which a constant kernel K
-  takes as lambda s, t: K.
+- volterra_steps: the collocation scheme marched one cell at a time,
+  with the direct history sum and one q x q solve per cell;
+- collocation_residual: the collocation equations checked by the same
+  direct per-cell sum.
+
+Both take a constant kernel K as lambda s, t: K.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import numpy as np
 
 from .conv_quad import CQWeights
 from .l1_scheme import l1_weight_block
-from .mesh import GradedMesh, check_alpha
+from .mesh import GradedMesh, build_mesh, check_alpha, check_count
 from .volterra import (
     CollocationTrace,
     VolterraProblem,
     _collocation_points,
     _forcing_at,
-    _history,
-    _kernel_samples,
+    _kernel_at,
+    _local_matrix,
     _moments,
     _weights,
 )
@@ -42,6 +45,7 @@ __all__ = [
     "apply_dfrac",
     "apply_cq",
     "singular_moment",
+    "volterra_steps",
     "collocation_residual",
 ]
 
@@ -99,15 +103,43 @@ def singular_moment(alpha: float, d: float, k: int) -> float:
     return float(_moments(alpha, d, k + 1)[k])
 
 
+def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):
+    """K(t_{e,j}, t_{m,i}) for the history cells e = 0..m-1, indexed [i, e, j]
+    (empty at m = 0), and for the current cell, indexed [i, j]."""
+    kernel = prob.kernel if callable(prob.kernel) else lambda s, t: float(prob.kernel)
+    ti = pts[m]  # (q,)
+    return _kernel_at(kernel, pts[:m][None], ti[:, None, None]), _kernel_at(kernel, pts[m], ti[:, None])
+
+
+def _history(psi: np.ndarray, vals: np.ndarray, m: int, hist_k) -> np.ndarray:
+    """Memory of cell m: sum_{e<m} psi[m-e] vals[e], weighted by the kernel
+    samples ``hist_k[i, e, j]``."""
+    return np.einsum("igj,gj->i", psi[m:0:-1].transpose(1, 0, 2) * hist_k, vals[:m])
+
+
+def volterra_steps(prob: VolterraProblem, M: int) -> CollocationTrace:
+    """solve_volterra's scheme and reconstruction, one cell at a time."""
+    M = check_count(M, "M", 1)
+    pts = _collocation_points(prob.T, M, prob.c)
+    rhs, recon = _forcing_at(prob, pts)
+    psi, phi, scale = _weights(prob, M)
+    V = np.zeros((M, prob.q))
+    for m in range(M):
+        hist_k, cur_k = _kernel_samples(prob, pts, m)
+        mat = _local_matrix(phi, scale, cur_k)
+        V[m] = np.linalg.solve(mat, rhs[m] + scale * _history(psi, V, m, hist_k))
+    U = V if recon is None else V + prob.f(0.0) + recon
+    return CollocationTrace(mesh=build_mesh(prob.T, M, 1.0), c=prob.c, V=V, U=U)
+
+
 def collocation_residual(prob: VolterraProblem, trace: CollocationTrace) -> float:
     """Max residual of the discrete equations over all collocation points."""
     V = trace.V
     pts = _collocation_points(prob.T, len(V), prob.c)
     forcing, _ = _forcing_at(prob, pts)
     psi, phi, scale = _weights(prob, len(V))
-    kernel = prob.kernel if callable(prob.kernel) else lambda s, t: float(prob.kernel)
     LV = np.empty_like(V)
     for m in range(len(V)):
-        hist_k, cur_k = _kernel_samples(kernel, pts, m)
+        hist_k, cur_k = _kernel_samples(prob, pts, m)
         LV[m] = scale * (_history(psi, V, m, hist_k) + (phi * cur_k) @ V[m])
     return float(np.max(np.abs(V - LV - forcing)))

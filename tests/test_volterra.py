@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -12,8 +13,9 @@ from msdfrac import (
     ml_eval,
     msd_volterra_forcing,
     solve_volterra,
+    volterra,
 )
-from msdfrac.reference import collocation_residual, singular_moment
+from msdfrac.reference import collocation_residual, singular_moment, volterra_steps
 
 
 def test_collocation_depth_values():
@@ -84,8 +86,9 @@ def test_collocation_equations_hold(alpha, n):
     # a callable kernel runs the kernel-weighted history on both sides
     kappa = float(prob.kernel)
     prob_k = dataclasses.replace(prob, kernel=lambda s, t: kappa * (1.0 + 0.5 * s * t))
-    trace = solve_volterra(prob_k, 64)
-    assert collocation_residual(prob_k, trace) < 1e-12
+    for M in (64, 1100):  # 1100 crosses four far-history tile edges
+        trace = solve_volterra(prob_k, M)
+        assert collocation_residual(prob_k, trace) < 1e-12
 
 
 def test_msd_depths_agree():
@@ -146,10 +149,45 @@ def test_pointwise_forcing_with_scalar_return_matches_constant():
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
-def test_toeplitz_march_matches_step_loop(alpha):
+def test_kernel_march_matches_step_loop(alpha):
+    # the callable-kernel march, _CELLS = 32 cells per block and far tiles
+    # of _TILE = 256 cells, against the per-cell reference march: M = 1
+    # and 31 stay in the first block, 32 and 33 end on and just past a
+    # block edge, 257 fills one far tile and 1100 crosses four tile edges
+    f = lambda t: np.cos(t) + t**0.5  # noqa: E731
+    for kernel in (lambda s, t: 0.3 + 0.2 * np.sin(3.0 * s) * t, lambda s, t: 0.2):
+        for c in ((1.0,), (2.0 / 3.0, 1.0), (0.2, 0.6, 1.0)):
+            prob = VolterraProblem(alpha=alpha, T=1.0, kernel=kernel, f=f, q=len(c), c=c)
+            for M in (1, 31, 32, 33, 257, 1100):
+                ref = volterra_steps(prob, M).U
+                got = solve_volterra(prob, M).U
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_march_peaks_below_one_block_of_full_rows():
+    # the far history is sampled one tile of _TILE history cells at a time,
+    # so beyond psi a solve holds a fixed number of _CELLS x q^2 x _TILE
+    # products (4.5 of them when measured), never a block of _CELLS
+    # full-width rows of samples (4 MiB at M = 4096)
+    M, q = 4096, 2
+    prob = VolterraProblem(alpha=0.5, T=1.0, kernel=lambda s, t: 1.0 + 0.5 * s * t, f=1.0)
+    solve_volterra(prob, 64)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        solve_volterra(prob, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    psi_bytes = (M + 1) * q * q * 8
+    assert peak < psi_bytes + 6 * volterra._CELLS * q * q * volterra._TILE * 8
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_toeplitz_march_matches_kernel_march(alpha):
     # pointwise f with a constant kernel takes toeplitz.march; the same
-    # constant as a callable K(s, t) takes the per-step loop.  M = 257 ends
-    # just past a block edge, 1000 crosses several FFT levels.  Neither
+    # constant as a callable K(s, t) takes the blocked callable-kernel
+    # march.  M = 257 ends just past a Toeplitz block edge, 1000 crosses
+    # several FFT levels and three far-history tile edges.  Neither
     # pointwise solve warns.
     kappa = 1.0 / math.gamma(1.0 - alpha)
     const = VolterraProblem(alpha=alpha, T=1.0, kernel=kappa, f=lambda t: np.cos(t) + t**0.5)
@@ -160,6 +198,42 @@ def test_toeplitz_march_matches_step_loop(alpha):
             ref = solve_volterra(loop, M).U
             got = solve_volterra(const, M).U
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("solve", [solve_volterra, volterra_steps])
+def test_kernel_samples_are_checked(solve):
+    # NaN everywhere, inf only in the far history (s < 0.01 against t > 0.9,
+    # a far tile at M = 300) and a shape that does not broadcast: each is a
+    # ValueError naming the kernel, not a NaN solution or a numpy error
+    cases = (
+        (lambda s, t: np.nan * s * t, 8, "kernel K\\(s, t\\) must be finite, got nan"),
+        (lambda s, t: np.where((s < 0.01) & (t > 0.9), np.inf, 1.0), 300, "must be finite, got inf"),
+        (lambda s, t: np.ones(3), 8, r"kernel K\(s, t\) returned shape \(3,\), which does not broadcast to \("),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, M, match in cases:
+            with pytest.raises(ValueError, match=match):
+                solve(VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=1.0), M)
+    # a NaN local matrix is singular, not accepted
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="singular local collocation"):
+        volterra._local_matrix(np.eye(2), 1.0, np.nan)
+
+
+@pytest.mark.parametrize("solve", [solve_volterra, volterra_steps])
+def test_singular_local_system_is_reported(solve):
+    # with c = (0.2, 0.6, 1) phi has one real eigenvalue lam, and K = 1 /
+    # (tau^{1-a} lam) makes I - tau^{1-a} K phi singular on every cell; the
+    # callable kernel that takes this K only for t > 0.5 is regular on the
+    # first block and singular on cell 50, inside the second
+    c, M = (0.2, 0.6, 1.0), 100
+    _, phi, scale = volterra._weights(VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, q=3, c=c), M)
+    eig = np.linalg.eigvals(phi)
+    K = 1.0 / (scale * eig[np.argmin(np.abs(eig.imag))].real)
+    for kernel in (K, lambda s, t: K, lambda s, t: np.where(t > 0.5, K, 0.5 * K)):
+        prob = VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=1.0, q=3, c=c)
+        with pytest.raises(ValueError, match=r"^singular local collocation system; check the c_i$"):
+            solve(prob, M)
 
 
 def test_pointwise_data_runs_at_depth_zero():
