@@ -16,10 +16,12 @@ negative, so such a profile cannot be evaluated at t = 0.
 
 Forcing data is either a TimeProfile, which the splitting treats
 exactly, or a plain callable of t, sampled at mesh points (sample).
-frac_integrate_numeric provides the fallback for the callable: the
+frac_integrate_numeric provides the fallback for the samples: the
 integrand is replaced by its piecewise-linear interpolant on the mesh
-and the kernel moments are integrated exactly (product integration,
-second order for smooth data).
+and integrated against the kernel exactly (product integration, second
+order for smooth data).  Its cell integrals are the L1 weight family
+with exponent 1 + nu in place of 1 - a, built and summed by the L1
+march's own tile loop, l1_scheme.cell_integral_blocks.
 
 msd_split is the multiscale splitting itself, and the one place any
 model applies its splitting operator repeatedly: given data g and an
@@ -38,6 +40,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .l1_scheme import cell_integral_blocks
 from .mesh import GradedMesh, check_real
 
 __all__ = [
@@ -172,38 +175,24 @@ def sample(f, *args, name: str | None = None) -> np.ndarray:
         ) from None
 
 
-def frac_integrate_numeric(f, nu: float, mesh: GradedMesh) -> np.ndarray:
-    """(I^nu f)(t_m) at every mesh node by product integration.
+def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.ndarray:
+    """(I^nu f_h)(t_m) at every node, f_h the piecewise-linear interpolant
+    of the nodal values f, by product integration.
 
-    f may be forcing data (see as_forcing) or an array of nodal values.
-    The piecewise-linear interpolant of f is integrated against the
-    kernel exactly, cell by cell:
-
-        int_{t_{k-1}}^{t_k} (t_m - s)^{nu-1} (linear in s) ds
-
-    reduces to the two power moments of (t_m - s) on the cell.
+    I^nu f_h = f_0 t^nu / Gamma(1+nu) + I^{1+nu} f_h', and f_h' is the
+    slope (f_k - f_{k-1}) / tau_k on cell k: the second term sums the
+    slopes against the numerators of exponent p = 1 + nu over
+    Gamma(2 + nu), the L1 weight family (p = 1 - a there), in the L1
+    march's own tile loop, l1_scheme.cell_integral_blocks.
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
-    t = mesh.nodes
-    if isinstance(f, np.ndarray):
-        fv = np.asarray(f, dtype=float)
-        if fv.shape != t.shape:
-            raise ValueError(f"nodal values have shape {fv.shape}, expected {t.shape}")
-    else:
-        fv = sample(as_forcing(f), t)
-
-    tau = mesh.steps
-    g = 1.0 / math.gamma(nu)
-    out = np.zeros_like(t)
-    for m in range(1, mesh.M + 1):
-        # On cell k the kernel argument u = t_m - s runs over [A_k, B_k].
-        B = t[m] - t[:m]
-        A = t[m] - t[1 : m + 1]
-        i0 = (B**nu - A**nu) / nu
-        i1 = (B ** (nu + 1.0) - A ** (nu + 1.0)) / (nu + 1.0)
-        w_right = (B * i0 - i1) / tau[:m]
-        w_left = (i1 - A * i0) / tau[:m]
-        out[m] = g * (np.dot(w_left, fv[:m]) + np.dot(w_right, fv[1 : m + 1]))
+    f = np.asarray(f, dtype=float)
+    if f.shape != mesh.nodes.shape:
+        raise ValueError(f"nodal values have shape {f.shape}, expected {mesh.nodes.shape}")
+    slopes = np.diff(f) / mesh.steps
+    out = f[0] / math.gamma(1.0 + nu) * mesh.nodes**nu
+    for start, stop, far, near in cell_integral_blocks(1.0 + nu, mesh, slopes):
+        out[start + 1 : stop + 1] += (far + near @ slopes[start:stop]) / math.gamma(2.0 + nu)
     return out
 
 

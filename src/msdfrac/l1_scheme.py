@@ -8,17 +8,18 @@ discrete convolution
 
 with positive weights that decrease away from the diagonal.
 
-march_l1 marches a graded mesh _ROWS steps at a time.  l1_weight_block
-builds the weight numerators (t_m - t_{k-1})^{1-a} - (t_m - t_k)^{1-a}
-of a block of rows and a range of columns, bit for bit as a single row
-forms them.  The unknowns are the scaled increments E_k = (v^k -
-v^{k-1}) / (tau_k Gamma(2-a)), so the far history, from earlier blocks,
-is a sum of products of numerator tiles, _COLS columns wide, with E,
-and each cancelling difference is rounded as in a row.  The tiles are
-built one after another in one scratch buffer, so a march holds
-O(_ROWS _COLS) numerators, not a block of full-width rows.  With a
-relaxation coefficient or one eigenvalue per mode the near block is a
-lower-triangular system in E, solved for all modes as one stack.
+l1_weight_block builds the cell-integral numerators (t_m - t_{k-1})^p -
+(t_m - t_k)^p of a block of rows and a range of columns, bit for bit as
+a single row forms them: p = 1 - a for the L1 weights, and p = 1 + nu
+for the product integration of fracint.frac_integrate_numeric, which
+shares this weight family and its tile loop, cell_integral_blocks.  The
+loop takes _ROWS rows at a time and sums the columns of earlier blocks
+one tile of _COLS columns at a time in one scratch buffer, so it holds
+O(_ROWS _COLS) numerators, and each cancelling difference is rounded as
+in a row.  march_l1 sums it over the scaled increments E_k = (v^k -
+v^{k-1}) / (tau_k Gamma(2-a)); a scalar relaxation coefficient is one
+mode, and the near blocks of all modes are solved as one stack of
+lower-triangular systems in E.
 
 On a uniform mesh the weights depend only on the gap, a_g, and written
 on the values instead of the differences the derivative is D^a v^m =
@@ -56,15 +57,17 @@ _COLS = 1024
 
 
 def l1_weight_block(
-    alpha: float, mesh: GradedMesh, start: int, stop: int, lo: int = 0, hi: int | None = None, out=None
+    p: float, mesh: GradedMesh, start: int, stop: int, lo: int = 0, hi: int | None = None, out=None
 ) -> np.ndarray:
-    """Numerators of the L1 weight rows m = start+1..stop, columns k = lo+1..hi.
+    """Numerators of exponent p for rows m = start+1..stop, columns k = lo+1..hi.
 
-    block[m-start-1, k-lo-1] = (t_m - t_{k-1})^{1-a} - (t_m - t_k)^{1-a}
-    for k = lo+1..hi (hi defaults to stop), exactly 0 for k > m; divided
-    by tau_k Gamma(2-a) it is a^{(m)}_{m-k}.  ``out`` is an optional flat
-    scratch array of at least (stop - start) (hi - lo + 1) doubles; the
-    block is then a view into it, valid until the next call that uses it.
+    block[m-start-1, k-lo-1] = (t_m - t_{k-1})^p - (t_m - t_k)^p for
+    k = lo+1..hi (hi defaults to stop), exactly 0 for k > m.  Over
+    Gamma(1+p) it is the integral of beta_p(t_m - s) on cell k; for p = 1-a
+    and over tau_k Gamma(2-a) it is the L1 weight a^{(m)}_{m-k}.  ``out``
+    is an optional flat scratch array of at least (stop - start) (hi - lo
+    + 1) doubles; the block is then a view into it, valid until the next
+    call that uses it.
     """
     hi = stop if hi is None else hi
     shape = (stop - start, hi - lo + 1)
@@ -72,12 +75,31 @@ def l1_weight_block(
     x = flat.reshape(shape)  # x[i, j] = t_m - t_{lo+j}, then its power
     np.subtract(mesh.nodes[start + 1 : stop + 1, None], mesh.nodes[lo : hi + 1], out=x)
     near = x[:, max(start - lo, 0) :]
-    np.maximum(near, 0.0, out=near)  # t_m - t_k < 0 beyond the diagonal, and 0^{1-a} = 0
-    x **= 1.0 - alpha
+    np.maximum(near, 0.0, out=near)  # t_m - t_k < 0 beyond the diagonal, and 0^p = 0
+    x **= p
     # Neighbour differences along the flat array are the row differences
     # in every column but the last, which is dropped: no temporary copy.
     np.subtract(flat[:-1], flat[1:], out=flat[:-1])
     return x[:, :-1]
+
+
+def cell_integral_blocks(p: float, mesh: GradedMesh, x: np.ndarray):
+    """Per block of _ROWS rows m = start+1..stop, yield (start, stop, far, near).
+
+    far[m-start-1] = sum_{k<=start} block[m, k] x[k-1] for the numerators
+    of exponent p, summed a tile of _COLS columns at a time (0.0 for the
+    first block); near is the block of columns start+1..stop, a view into
+    the scratch buffer valid until the next block.  x is read lazily, so a
+    march may fill x[start:stop] before it asks for the next block.
+    """
+    buf = np.empty(_ROWS * (_COLS + 1))
+    for start in range(0, mesh.M, _ROWS):
+        stop = min(start + _ROWS, mesh.M)
+        far = 0.0
+        for lo in range(0, start, _COLS):
+            hi = min(lo + _COLS, start)
+            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ x[lo:hi]
+        yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, buf)
 
 
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
@@ -85,7 +107,7 @@ def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
 
     row[-1] is the diagonal weight tau_m^{-alpha}/Gamma(2-alpha).
     """
-    return l1_weight_block(alpha, mesh, m - 1, m)[0] / (mesh.steps[:m] * math.gamma(2.0 - alpha))
+    return l1_weight_block(1.0 - alpha, mesh, m - 1, m)[0] / (mesh.steps[:m] * math.gamma(2.0 - alpha))
 
 
 def march_l1(
@@ -119,7 +141,9 @@ def march_l1(
     a0_min = mesh.steps.max() ** (-alpha) / math.gamma(2.0 - alpha)
     if a0_min + np.min(lam, initial=np.inf) <= 0.0:
         raise ValueError(f"degenerate L1 step: diagonal weight + lam <= 0 for lam = {lam}")
-    lam = float(lam) if lam.ndim == 0 else lam  # scalar steps stay in Python floats
+    # one column per mode: a scalar lam is one mode, or one lam shared by every rhs column
+    shape, rhs = rhs.shape, rhs.reshape(M + 1, -1)
+    lam = np.broadcast_to(lam, rhs.shape[1:])
 
     V = np.zeros(rhs.shape)
     if mesh.uniform:
@@ -127,25 +151,14 @@ def march_l1(
         a = (pw[1:] - pw[:-1]) * (mesh.T / M) ** (-alpha) / math.gamma(2.0 - alpha)
         c = np.concatenate([a[:1], np.diff(a)])
         V[1:] = march(c, rhs[1:].copy(), modal_inverse(c, lam))
-        return V
+        return V.reshape(shape)
 
     scale = mesh.steps * math.gamma(2.0 - alpha)  # a^{(m)}_{m-k} = block[., k-1] / scale[k-1]
-    E = np.zeros((M,) + rhs.shape[1:])  # E[k-1] = (V^k - V^{k-1}) / scale[k-1]
-    buf = np.empty(_ROWS * (_COLS + 1))  # every tile and near block is built here
-    for start in range(0, M, _ROWS):
-        stop = min(start + _ROWS, M)
-        hist = 0.0
-        for lo in range(0, start, _COLS):
-            hi = min(lo + _COLS, start)
-            hist += l1_weight_block(alpha, mesh, start, stop, lo, hi, buf) @ E[lo:hi]
-        near = l1_weight_block(alpha, mesh, start, stop, start, stop, buf)
-        # sum_{k<=m} block[m, k] E_k + lam (V^start + sum_{start<k<=m} scale_k E_k) = rhs^m
+    E = np.zeros((M, rhs.shape[1]))  # E[k-1] = (V^k - V^{k-1}) / scale[k-1]
+    for start, stop, hist, near in cell_integral_blocks(1.0 - alpha, mesh, E):
+        # sum_{k<=m} block[m, k] E_k + lam (V^start + sum_{start<k<=m} scale_k E_k) = rhs^m per mode
         S = np.tril(np.broadcast_to(scale[start:stop], near.shape))
         b = rhs[start + 1 : stop + 1] - hist - lam * V[start]
-        if np.ndim(lam):  # one system per mode column, solved as one stack
-            Eb = np.linalg.solve(near + lam[:, None, None] * S, b.T[..., None])[..., 0].T
-        else:
-            Eb = np.linalg.solve(near + lam * S, b)
-        E[start:stop] = Eb
-        V[start + 1 : stop + 1] = V[start] + np.cumsum((Eb.T * scale[start:stop]).T, axis=0)
-    return V
+        E[start:stop] = np.linalg.solve(near + lam[:, None, None] * S, b.T[..., None])[..., 0].T
+        V[start + 1 : stop + 1] = V[start] + np.cumsum(E[start:stop] * scale[start:stop, None], axis=0)
+    return V.reshape(shape)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GradedMesh", "build_mesh", "refine"]
+__all__ = ["GradedMesh", "build_mesh"]
 
 
 def check_count(value, name: str, low: int) -> int:
@@ -73,16 +73,8 @@ class GradedMesh:
     steps: np.ndarray = field(repr=False)
 
     @property
-    def base_step(self) -> float:
-        """The step scale tau = T^{1/r} / M of the underlying uniform variable."""
-        return self.T ** (1.0 / self.r) / self.M
-
-    @property
     def uniform(self) -> bool:
         return self.r == 1.0
-
-    def refine(self) -> "GradedMesh":
-        return refine(self)
 
 
 def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
@@ -107,13 +99,3 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     if np.any(steps <= 0.0):
         raise ValueError("mesh steps must be positive; M too large for this T, r")
     return GradedMesh(T=float(T), M=M, r=float(r), nodes=nodes, steps=steps)
-
-
-def refine(mesh: GradedMesh) -> GradedMesh:
-    """Halve every step in the grading variable: same T and r, level 2M.
-
-    The coarse nodes reappear exactly at the even indices of the result.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_mesh(mesh.T, 2 * mesh.M, mesh.r)

@@ -55,7 +55,7 @@ def build_l1(mesh: GradedMesh, alpha: float) -> np.ndarray:
     check_alpha(alpha)
     M = mesh.M
     a = np.zeros((M + 1, M + 1))
-    a[1:, 1:] = l1_weight_block(alpha, mesh, 0, M) / (mesh.steps * math.gamma(2.0 - alpha))
+    a[1:, 1:] = l1_weight_block(1.0 - alpha, mesh, 0, M) / (mesh.steps * math.gamma(2.0 - alpha))
     return a
 
 

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fracint import TimeProfile
-from .mesh import build_mesh, check_count, check_gamma, check_grading, check_horizon
+from .mesh import build_mesh, check_alpha, check_count, check_gamma, check_grading, check_horizon
 from .pde1d import (
     FieldTrace,
     PdeData,
@@ -94,10 +94,6 @@ class ConvergenceReport:
     def errors(self) -> tuple[float, ...]:
         return tuple(r.error for r in self.rows)
 
-    @property
-    def final_rate(self) -> float | None:
-        return self.rows[-1].rate if self.rows else None
-
     def pretty(self) -> str:
         head = ", ".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items())
         lines = [f"{self.model} ({head})", f"  {'M':>7s}  {'error':>12s}  {'rate':>6s}"]
@@ -148,7 +144,7 @@ def _check_nested(coarse_nodes: np.ndarray, fine_nodes: np.ndarray):
             f"{2 * (len(coarse_nodes) - 1)}"
         )
     if not np.array_equal(fine_nodes[::2], coarse_nodes):
-        raise ValueError("meshes are not nested (refine() alignment violated)")
+        raise ValueError("meshes are not nested: fine nodes[::2] differ from the coarse nodes")
 
 
 def two_mesh_error(trace_M, trace_2M) -> float:
@@ -250,6 +246,7 @@ def make_volterra_study(
     f=1.0,
 ) -> StudySpec:
     """Volterra study with len(c) collocation points per cell."""
+    check_alpha(alpha)  # before the default kernel 1/Gamma(1 - alpha) is formed
     if kernel is None:
         kernel = 1.0 / math.gamma(1.0 - alpha)
     prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, q=len(c), c=c)

@@ -67,6 +67,9 @@ def test_invalid_alpha_exits_2(capsys):
         (["subdiffusion", "--alpha", "0.5", "--r", "0"], "r=0"),
         # the two-mesh error reads the mesh point, the last collocation point
         (["volterra", "--alpha", "0.5", "--c", "0.2,0.6"], "c = (0.2, 0.6)"),
+        # the default kernel 1/Gamma(1 - alpha) is not formed before alpha is checked
+        (["volterra", "--alpha", "1"], "alpha"),
+        (["volterra", "--alpha", "2"], "alpha"),
     ]
     for argv, named in cases:
         code, _, err = _run(capsys, argv + ["--M", "8", "--M", "16"])

@@ -90,9 +90,9 @@ def test_march_solves_the_scheme(monkeypatch):
     alpha, lam = 0.4, 2.5
     formed = None  # formed[m, k]: times numerator (m, k) was formed
 
-    def counted_block(alpha, mesh, start, stop, lo=0, hi=None, out=None):
+    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
         formed[start + 1 : stop + 1, lo + 1 : (stop if hi is None else hi) + 1] += 1
-        return l1_weight_block(alpha, mesh, start, stop, lo, hi, out)
+        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
     graded = (build_mesh(1.0, 32, 2.0), build_mesh(1.0, 100, 1.5), build_mesh(1.0, 2100, 2.0))
@@ -204,14 +204,14 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
         for i, m in enumerate(range(start + 1, stop + 1)):
             want[i, :m] = _weight_numerators(alpha, t, m)
             assert l1_weight_row(alpha, mesh, m).tobytes() == (want[i, :m] / scale[:m]).tobytes()
-        assert l1_weight_block(alpha, mesh, start, stop).tobytes() == want.tobytes()
+        assert l1_weight_block(1.0 - alpha, mesh, start, stop).tobytes() == want.tobytes()
         ranges = [(lo, min(lo + cols, start)) for lo in range(0, start, cols)]
         ranges += [(start, stop), (max(start - 5, 0), stop), (max(start - 5, 0), start + 1)]
         if stop > cols - 3:
             ranges.append((cols - 3, min(cols + 5, stop)))
         for lo, hi in ranges:
             for out in (None, buf):
-                block = l1_weight_block(alpha, mesh, start, stop, lo, hi, out)
+                block = l1_weight_block(1.0 - alpha, mesh, start, stop, lo, hi, out)
                 assert block.shape == (stop - start, hi - lo)
                 assert block.tobytes() == want[:, lo:hi].tobytes(), (start, lo, hi)
 
@@ -245,6 +245,17 @@ def test_block_march_matches_stepped_graded_march(alpha, r, M):
         V = march_l1(alpha, mesh, lam, rhs)
         ref = _stepped_march(alpha, mesh, lam, rhs)
         assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("r", [1.0, 7.0])
+@pytest.mark.parametrize("M", [100, 1100])
+def test_scalar_march_is_the_one_mode_march(M, r):
+    # a scalar lam is marched as one mode column: the same bytes
+    alpha, lam = 0.4, 2.5
+    mesh = build_mesh(1.0, M, r)
+    rhs = np.sin(3.0 * mesh.nodes) + mesh.nodes**0.7
+    one_mode = march_l1(alpha, mesh, np.array([lam]), rhs[:, None])[:, 0]
+    assert march_l1(alpha, mesh, lam, rhs).tobytes() == one_mode.tobytes()
 
 
 def test_graded_march_peaks_below_one_block_of_full_rows():

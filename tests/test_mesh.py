@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msdfrac import build_mesh, refine
+from msdfrac import build_mesh
 
 
 def test_grading_formula():
@@ -19,7 +19,7 @@ def test_grading_formula():
 def test_uniform_flag_and_base_step():
     mesh = build_mesh(1.0, 10, 1.0)
     assert mesh.uniform
-    assert mesh.base_step == pytest.approx(0.1)
+    assert np.allclose(mesh.steps, 0.1, rtol=1e-14, atol=0)
     graded = build_mesh(1.0, 10, 2.0)
     assert not graded.uniform
 
@@ -27,12 +27,8 @@ def test_uniform_flag_and_base_step():
 @pytest.mark.parametrize("r", [1.0, 1.75, 3.0, 7.0])
 @pytest.mark.parametrize("M", [4, 32, 100])
 def test_refine_is_bit_exact_nested(M, r):
-    coarse = build_mesh(1.0, M, r)
-    fine = refine(coarse)
-    assert fine.M == 2 * M
     # two-mesh comparison relies on exact node sharing, not approximate
-    assert np.array_equal(fine.nodes[::2], coarse.nodes)
-    assert coarse.refine().M == fine.M
+    assert np.array_equal(build_mesh(1.0, 2 * M, r).nodes[::2], build_mesh(1.0, M, r).nodes)
 
 
 def test_validation():

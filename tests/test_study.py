@@ -89,7 +89,6 @@ def test_run_study_synthetic_second_order():
         assert row.error == pytest.approx(0.75 / row.M**2, rel=1e-12)
     for row in rep.rows[1:]:
         assert row.rate == pytest.approx(2.0, abs=1e-12)
-    assert rep.final_rate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_run_study_reuses_fine_solve():
