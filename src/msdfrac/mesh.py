@@ -99,3 +99,18 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
     if np.any(steps <= 0.0):
         raise ValueError("mesh steps must be positive; M too large for this T, r")
     return GradedMesh(T=float(T), M=M, r=float(r), nodes=nodes, steps=steps)
+
+
+def check_nested(coarse: GradedMesh, fine: GradedMesh) -> None:
+    """A ValueError unless fine has twice the steps of coarse and its nodes at the even indices."""
+    if fine.M != 2 * coarse.M:
+        raise ValueError(f"fine mesh has {fine.M} steps, expected {2 * coarse.M}")
+    if not np.array_equal(fine.nodes[::2], coarse.nodes):
+        raise ValueError("meshes are not nested: fine nodes[::2] differ from the coarse nodes")
+
+
+def half_mesh(mesh: GradedMesh) -> GradedMesh:
+    """build_mesh(T, M // 2, r), checked to nest in mesh (an odd M never does)."""
+    half = build_mesh(mesh.T, mesh.M // 2, mesh.r)
+    check_nested(half, mesh)
+    return half

@@ -23,7 +23,8 @@ Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
 
 * subdiffusion d^a u - Lap u = f: the L1 convolution weights on a
-  possibly graded mesh, marched by march_l1 for all modes at once;
+  possibly graded mesh, marched by march_l1 for all modes at once, and
+  by solve_subdiffusion_pair together with the half of a graded mesh;
 * integrodifferential u' - I^a Lap u = f: trapezoidal convolution
   quadrature for the memory term on half-step averages combined with
   Crank-Nicolson, written on the increments V^m - V^{m-1} as a
@@ -62,7 +63,7 @@ import numpy as np
 from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split, sample
 from .l1_scheme import l1_weight_row, march_l1
-from .mesh import GradedMesh, check_alpha, check_count, check_gamma
+from .mesh import GradedMesh, check_alpha, check_count, check_gamma, half_mesh
 from .toeplitz import march, modal_inverse
 
 __all__ = [
@@ -73,6 +74,7 @@ __all__ = [
     "assemble_fem",
     "msd_subdiffusion_data",
     "solve_subdiffusion",
+    "solve_subdiffusion_pair",
     "msd_integro_data",
     "integro_direct_data",
     "solve_integro",
@@ -465,6 +467,16 @@ def solve_subdiffusion(
             D[m - 1] = V[m] - V[m - 1]
 
     return _reconstruct(V, rows, data, mesh, fem)
+
+
+def solve_subdiffusion_pair(alpha: float, data: PdeData, mesh: GradedMesh, fem: IntervalFem):
+    """(trace on half_mesh(mesh), trace on mesh) from one march: the modal
+    solve_subdiffusion on each, up to the order of the half's far history sums."""
+    _check_fem(data, fem)
+    meshes = (half_mesh(mesh), mesh)
+    (_, amps_h, _), (lam, amps, rows) = (_modal_data(data.forcing, fem, m.nodes[1:]) for m in meshes)
+    Vs = march_l1(alpha, mesh, lam, *(np.vstack([np.zeros_like(lam), a]) for a in (amps, amps_h)))
+    return tuple(_reconstruct(V, rows, data, m, fem) for V, m in zip(Vs, meshes))
 
 
 def msd_integro_data(f, u0, alpha: float) -> PdeData:

@@ -27,7 +27,7 @@ from .fracint import (
     TimeProfile, as_forcing, frac_integrate, frac_integrate_numeric, msd_split, sample
 )
 from .l1_scheme import march_l1
-from .mesh import GradedMesh, check_alpha, check_count, check_horizon, check_real
+from .mesh import GradedMesh, check_alpha, check_count, check_horizon, check_real, half_mesh
 
 __all__ = [
     "RelaxationProblem",
@@ -36,6 +36,7 @@ __all__ = [
     "msd_forcing",
     "msd_reconstruction",
     "solve_relaxation",
+    "solve_relaxation_pair",
 ]
 
 
@@ -90,7 +91,7 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
         warnings.warn(
             "forcing is only available pointwise; decomposition terms are "
             "computed by nodal product quadrature and are approximate",
-            stacklevel=3,
+            stacklevel=4,
         )
     vals = sample(prob.f, mesh.nodes)
     forcing, head = msd_split(vals, lambda v: -lam * frac_integrate_numeric(v, a, mesh), prob.n)
@@ -119,14 +120,26 @@ def msd_reconstruction(prob: RelaxationProblem, mesh: GradedMesh | None = None):
     return _split(prob, mesh)[1]
 
 
-def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
-    """March the L1 scheme for the remainder and reconstruct the solution."""
+def _nodal_split(prob: RelaxationProblem, mesh: GradedMesh):
+    """(L^n f, I^a sum_{i<n} L^i f) at the nodes of a mesh for prob."""
     if abs(mesh.T - prob.T) > 1e-12 * prob.T:
         raise ValueError(f"mesh horizon {mesh.T} does not match problem horizon {prob.T}")
     if prob.lam < 0.0:
         warnings.warn("negative relaxation coefficient is outside the stability theory")
+    return [_nodal(x, mesh.nodes) for x in _split(prob, mesh)]
 
-    forcing, recon = _split(prob, mesh)
-    V = march_l1(prob.alpha, mesh, prob.lam, _nodal(forcing, mesh.nodes))
-    U = V + _nodal(recon, mesh.nodes)
-    return ScalarTrace(mesh=mesh, V=V, U=U)
+
+def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
+    """March the L1 scheme for the remainder and reconstruct the solution."""
+    forcing, recon = _nodal_split(prob, mesh)
+    V = march_l1(prob.alpha, mesh, prob.lam, forcing)
+    return ScalarTrace(mesh=mesh, V=V, U=V + recon)
+
+
+def solve_relaxation_pair(prob: RelaxationProblem, mesh: GradedMesh):
+    """(trace on half_mesh(mesh), trace on mesh) from one march: solve_relaxation
+    on each, up to the order of the half's far history sums (see l1_scheme)."""
+    half = half_mesh(mesh)
+    (fh, rh), (f, r) = (_nodal_split(prob, m) for m in (half, mesh))
+    Vh, V = march_l1(prob.alpha, mesh, prob.lam, f, fh)
+    return ScalarTrace(mesh=half, V=Vh, U=Vh + rh), ScalarTrace(mesh=mesh, V=V, U=V + r)

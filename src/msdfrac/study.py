@@ -10,8 +10,8 @@ bit), so no closed-form solution is needed:
 with the max taken over coarse nodes; field traces use the discrete
 L2 norm sqrt(h sum_j d_j^2) in space first.  A study over a doubling
 list of M values therefore needs one solve per distinct M: the fine
-solve of each row is reused as the coarse solve of the next, and at
-most two traces are alive at once.
+solve of each row is reused as the coarse solve of the next (graded
+L1 studies solve a mesh with its half in one march, see run_study).
 
 reproduce_table() reruns a published table from its row in _TABLES:
 the study constructor of its model (relaxation, Volterra, subdiffusion,
@@ -39,7 +39,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fracint import TimeProfile
-from .mesh import build_mesh, check_alpha, check_count, check_gamma, check_grading, check_horizon
+from .mesh import (
+    build_mesh, check_alpha, check_count, check_gamma, check_grading, check_horizon, check_nested
+)
 from .pde1d import (
     FieldTrace,
     PdeData,
@@ -52,8 +54,11 @@ from .pde1d import (
     solve_diffusion_wave,
     solve_integro,
     solve_subdiffusion,
+    solve_subdiffusion_pair,
 )
-from .relaxation import RelaxationProblem, ScalarTrace, full_order_depth, solve_relaxation
+from .relaxation import (
+    RelaxationProblem, ScalarTrace, full_order_depth, solve_relaxation, solve_relaxation_pair
+)
 from .volterra import CollocationTrace, VolterraProblem, collocation_depth, solve_volterra
 
 __all__ = [
@@ -137,16 +142,6 @@ def theory_order(model: str, alpha: float, n: int = 0, r: float = 1.0, q: int = 
     raise ValueError(f"unknown model {model!r}")
 
 
-def _check_nested(coarse_nodes: np.ndarray, fine_nodes: np.ndarray):
-    if len(fine_nodes) != 2 * len(coarse_nodes) - 1:
-        raise ValueError(
-            f"fine mesh has {len(fine_nodes) - 1} steps, expected "
-            f"{2 * (len(coarse_nodes) - 1)}"
-        )
-    if not np.array_equal(fine_nodes[::2], coarse_nodes):
-        raise ValueError("meshes are not nested: fine nodes[::2] differ from the coarse nodes")
-
-
 def two_mesh_error(trace_M, trace_2M) -> float:
     """Two-mesh error between a coarse trace and its refined companion.
 
@@ -164,7 +159,7 @@ def two_mesh_error(trace_M, trace_2M) -> float:
         )
     if not isinstance(trace_M, (CollocationTrace, ScalarTrace, FieldTrace)):
         raise TypeError(f"unsupported trace type {type(trace_M).__name__}")
-    _check_nested(trace_M.mesh.nodes, trace_2M.mesh.nodes)
+    check_nested(trace_M.mesh, trace_2M.mesh)
     if isinstance(trace_M, CollocationTrace):
         d = trace_2M.nodal_values[1::2] - trace_M.nodal_values
         return float(np.max(np.abs(d)))
@@ -181,21 +176,24 @@ def two_mesh_error(trace_M, trace_2M) -> float:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """A runnable convergence study: model name, parameters, solver."""
+    """A runnable convergence study: model name, parameters, solvers."""
 
     model: str
     params: dict
     theory: float | None
     solve: Callable[[int], object]  # M -> trace
+    solve_pair: Callable[[int], tuple] | None = None  # M -> (trace at M/2, trace at M)
 
 
 def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     """Solve at every M in a strictly doubling list plus one refinement.
 
-    The fine solve of row k is the coarse solve of row k+1, so a study
-    over k rows costs k+1 solves.  Each row's error is taken as soon as
-    its fine solve returns, and only that trace is kept for the next
-    row: at most two traces are alive at any time.
+    A study over k rows needs k+1 meshes, each solved once: one at a time
+    from the coarsest, or with ``spec.solve_pair`` in pairs from the
+    finest down (2M_k with M_k, then M_{k-1} with M_{k-2}, ..., and a
+    coarsest mesh left over alone).  Each row's error is taken as soon as
+    both of its traces exist, and a trace is dropped once its rows are
+    done: at most two traces are alive, or three with pairs.
     """
     Ms = [check_count(M, "M", 1) for M in Ms]
     if not Ms:
@@ -204,21 +202,25 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
         if b != 2 * a:
             raise ValueError(f"M list must strictly double, got {a} followed by {b}")
 
-    rows, coarse = [], None
-    for M in Ms + [2 * Ms[-1]]:
+    levels = Ms + [2 * Ms[-1]]  # row k compares the traces of levels k and k+1
+    pairs = [[k - 1, k] for k in range(len(levels) - 1, 0, -2)] + [[0]] * (len(levels) % 2)
+    errors, live = {}, {}
+    for group in [[k] for k in range(len(levels))] if spec.solve_pair is None else pairs:
+        M = levels[group[-1]]
         try:
-            fine = spec.solve(M)
+            live.update(zip(group, spec.solve_pair(M) if len(group) == 2 else [spec.solve(M)]))
         except Exception as e:
-            raise StudyError(f"{spec.model} solve failed at M={M}: {e}") from e
-        if coarse is not None:
-            err = two_mesh_error(coarse, fine)
-            prev = rows[-1].error if rows else 0.0
-            rate = math.log2(prev / err) if err > 0.0 and prev > 0.0 else None
-            rows.append(StudyRow(M=M // 2, error=err, rate=rate))
-        coarse = fine
-    return ConvergenceReport(
-        model=spec.model, params=dict(spec.params), rows=tuple(rows), theory=spec.theory
-    )
+            at = " and ".join(str(levels[k]) for k in group)
+            raise StudyError(f"{spec.model} solve failed at M={at}: {e}") from e
+        for k in [k for k in live if k + 1 in live and k not in errors]:
+            errors[k] = two_mesh_error(live[k], live[k + 1])
+        # keep a trace while a row on either side of it is still open
+        live = {k: t for k, t in live.items() if {k - 1, k} - {-1, len(Ms)} - errors.keys()}
+
+    errs = [errors[k] for k in range(len(Ms))]
+    rates = [math.log2(p / e) if e > 0.0 and p > 0.0 else None for p, e in zip([0.0] + errs, errs)]
+    rows = tuple(StudyRow(M=M, error=e, rate=rate) for M, e, rate in zip(Ms, errs, rates))
+    return ConvergenceReport(model=spec.model, params=dict(spec.params), rows=rows, theory=spec.theory)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,7 @@ def make_relaxation_study(
         params={"alpha": alpha, "n": n, "r": r, "lam": lam, "T": T},
         theory=theory_order("relaxation", alpha, n, r),
         solve=lambda M: solve_relaxation(prob, build_mesh(T, M, r)),
+        solve_pair=None if r == 1.0 else lambda M: solve_relaxation_pair(prob, build_mesh(T, M, r)),
     )
 
 
@@ -292,6 +295,9 @@ def make_subdiffusion_study(
         params={"alpha": alpha, "n": n, "r": r, "J": J, "T": T},
         theory=theory_order("subdiffusion", alpha, n, r),
         solve=lambda M: solve_subdiffusion(alpha, n, data, build_mesh(T, M, r), fem),
+        solve_pair=None if r == 1.0 else (
+            lambda M: solve_subdiffusion_pair(alpha, data, build_mesh(T, M, r), fem)
+        ),
     )
 
 
@@ -304,6 +310,7 @@ def make_integro_study(
     u0=None,
 ) -> StudySpec:
     """n = 0 runs the undecomposed stepper, n = 1 the one-term split."""
+    check_alpha(alpha)  # before the default forcing t^alpha is formed
     if n not in (0, 1):
         raise ValueError(f"the stepper supports n = 0 (direct) or n = 1 (split), got {n}")
     check_horizon(T)

@@ -66,6 +66,7 @@ __all__ = [
 # scratch buffer holds _CELLS q^2 _TILE doubles.  A study over M = 100..1600 ran fastest
 # with 32 of 16, 32 and 64 cells, and as fast with 256 as with 512 history cells.
 _CELLS, _TILE = 32, 256
+_GAPS = 2048  # gaps per chunk of the moments psi: O(_GAPS q^2) scratch at any M
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +164,8 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
             acc[k] += w / (k + l + 1.0)
         poch *= (alpha + l) / (l + 1.0)
         p *= dinv
-    mom = np.moveaxis(acc * d ** (-alpha), 0, -1)
+    acc *= d ** (-alpha)
+    mom = np.moveaxis(acc, 0, -1)
     # below d = 3 the exact antiderivative after expanding s^k about d; the
     # alternating sum loses a factor d^k of precision, harmless this close to 1
     near = d < 3.0
@@ -180,10 +182,13 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
 def _history_blocks(alpha: float, c: tuple, A: np.ndarray, M: int) -> np.ndarray:
     """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M.
 
-    psi[0] is unused (zero).
+    psi[0] is unused (zero).  Formed _GAPS gaps at a time, each entry as
+    from all gaps at once.
     """
     psi = np.zeros((M + 1, len(c), len(c)))
-    psi[1:] = _moments(alpha, np.arange(1.0, M + 1.0)[:, None] + np.asarray(c), len(c)) @ A
+    for lo in range(1, M + 1, _GAPS):
+        g = np.arange(lo, min(lo + _GAPS, M + 1), dtype=float)
+        np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo : lo + len(g)])
     return psi
 
 

@@ -77,6 +77,15 @@ def test_invalid_alpha_exits_2(capsys):
         assert named in err, (argv, err)
 
 
+@pytest.mark.parametrize("alpha", ["-1", "nan", "0", "1"])
+def test_integro_checks_alpha_before_its_default_forcing(capsys, alpha):
+    # the default forcing t^alpha used to be formed first, and its own
+    # checks ("exponent -1.0 <= -1", "terms must be finite") named no alpha
+    code, _, err = _run(capsys, ["integro", "--alpha", alpha, "--M", "8", "--M", "16"])
+    assert code == 2
+    assert "alpha" in err, err
+
+
 def test_non_doubling_ms_exit_2(capsys):
     code, _, err = _run(capsys, ["relaxation", "--alpha", "0.5", "--M", "64", "--M", "100"])
     assert code == 2

@@ -14,6 +14,7 @@ from msdfrac import (
     march_l1,
 )
 from msdfrac.l1_scheme import l1_weight_block
+from msdfrac.mesh import half_mesh
 from msdfrac.reference import apply_dfrac, build_l1, complementary_kernel
 
 
@@ -197,7 +198,7 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
     t = mesh.nodes
     scale = mesh.steps * math.gamma(2.0 - alpha)
     cols = l1_scheme._COLS
-    buf = np.full(l1_scheme._ROWS * (cols + 1), np.nan)
+    buf = np.full(2 * l1_scheme._ROWS * (cols + 1), np.nan)
     for start in range(0, M, 32):
         stop = min(start + 32, M)
         want = np.zeros((stop - start, stop))
@@ -273,6 +274,87 @@ def test_graded_march_peaks_below_one_block_of_full_rows():
     finally:
         tracemalloc.stop()
     assert peak < l1_scheme._ROWS * M * 8
+
+
+@pytest.mark.filterwarnings("ignore:grading r")
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("r,ulps", [(7.0, 0), (1.75, 0), (5.0 / 3.0, 0), (2.0, 0), (5.0 / 12.0, 2)])
+def test_half_numerators_are_summed_fine_column_pairs(alpha, r, ulps):
+    # a cell of the half mesh is two fine cells, so the half's numerator
+    # (j, i) is the fine row 2j summed over columns 2i - 1 and 2i; the two
+    # fine differences are exact (Sterbenz) when the steps grow (r >= 1),
+    # and the sum is then the half's own numerator bit for bit
+    M, p = 2200, 1.0 - alpha
+    fine, half = build_mesh(1.0, M, r), build_mesh(1.0, M // 2, r)
+    for start in range(0, M, l1_scheme._ROWS):
+        stop = min(start + l1_scheme._ROWS, M)
+        rows = l1_weight_block(p, fine, start, stop)[1::2]
+        summed = rows[:, ::2] + rows[:, 1::2]
+        want = l1_weight_block(p, half, start // 2, stop // 2)
+        if ulps == 0:
+            assert summed.tobytes() == want.tobytes(), start
+        else:
+            assert np.all(np.abs(summed - want) <= ulps * np.spacing(np.abs(want))), start
+
+
+@pytest.mark.filterwarnings("ignore:grading r")
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("r", [7.0, 1.75, 5.0 / 12.0])
+@pytest.mark.parametrize("M", [2, 64, 2200])
+def test_pair_march_matches_separate_marches(alpha, r, M):
+    # a mesh marched with its half against a march of each alone, for a
+    # scalar and three modes up to 2e4; only the order of the far sums
+    # differs.  M = 2200 crosses two tile edges of the fine mesh
+    fine = build_mesh(1.0, M, r)
+    half = half_mesh(fine)
+    for lam, modes in ((2.5, None), (np.array([1.0, 50.0, 2e4]), [1.0, 2.0, 3.0])):
+        rhs, rhs_half = (
+            np.sin(3.0 * t) + t**0.7 if modes is None else np.outer(t**0.7, modes)
+            for t in (fine.nodes, half.nodes)
+        )
+        V_half, V = march_l1(alpha, fine, lam, rhs, rhs_half)
+        for got, mesh, b in ((V_half, half, rhs_half), (V, fine, rhs)):
+            ref = march_l1(alpha, mesh, lam, b)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
+    # every fine numerator (m, k), 1 <= k <= m <= M, exactly once, and not
+    # one numerator on the half mesh
+    formed, meshes = None, []
+
+    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
+        meshes.append(mesh)
+        formed[start + 1 : stop + 1, lo + 1 : (stop if hi is None else hi) + 1] += 1
+        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
+
+    monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
+    for M in (2, 100, 2100):
+        fine = build_mesh(1.0, M, 2.0)
+        rhs = np.random.default_rng(7).standard_normal(M + 1)
+        formed, meshes = np.zeros((M + 1, M + 1), dtype=int), []
+        march_l1(0.4, fine, 2.5, rhs, rhs[::2])
+        assert all(mesh is fine for mesh in meshes)
+        assert np.all(np.tril(formed[1:, 1:]) == np.tri(M, dtype=int))
+
+
+def test_pair_march_validation():
+    graded = build_mesh(1.0, 8, 2.0)
+    with pytest.raises(ValueError, match="half_rhs"):
+        march_l1(0.5, graded, 1.0, np.zeros(9), np.zeros(4))  # one row per node t_0, t_2, .., t_8
+    with pytest.raises(ValueError, match="half_rhs"):
+        march_l1(0.5, graded, 1.0, np.zeros(9), np.zeros((5, 2)))  # the fine rhs has one column
+    for mesh in (build_mesh(1.0, 8), build_mesh(1.0, 7, 2.0)):  # uniform, odd M
+        with pytest.raises(ValueError, match="half"):
+            march_l1(0.5, mesh, 1.0, np.zeros(mesh.M + 1), np.zeros(mesh.M // 2 + 1))
+    with pytest.raises(ValueError, match="fine mesh has 7 steps, expected 6"):
+        half_mesh(build_mesh(1.0, 7, 2.0))
+    # a mesh whose every other node is not build_mesh(T, M/2, r) has no half
+    nodes = graded.nodes.copy()
+    nodes[2] += 1e-9
+    with pytest.raises(ValueError, match="not nested"):
+        half_mesh(dataclasses.replace(graded, nodes=nodes))
 
 
 def _longdouble_uniform_march(alpha, M, lam, rhs):

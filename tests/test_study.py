@@ -120,6 +120,55 @@ def test_run_study_keeps_at_most_two_traces():
     assert alive == [1, 2, 2, 2, 2]
 
 
+_GRADED_STUDIES = [
+    ("relaxation", lambda: make_relaxation_study(0.5, n=1, r=2.0)),
+    ("subdiffusion", lambda: make_subdiffusion_study(0.5, n=1, r=2.0, J=16)),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in _GRADED_STUDIES], ids=[n for n, _ in _GRADED_STUDIES])
+@pytest.mark.parametrize("Ms,alive_want", [([16, 32, 64], [2, 3]), ([16, 32, 64, 128], [2, 3, 2])])
+def test_pair_study_keeps_at_most_three_traces(make, Ms, alive_want):
+    # graded relaxation and subdiffusion studies solve a mesh with its half
+    # from the finest down: 4 meshes are two pairs, 5 are two pairs and the
+    # coarsest alone.  A pair and the coarse side of the pair before it are
+    # alive at once, and the rows are those of one solve per M
+    inner = make()
+    assert inner.solve_pair is not None
+    refs, alive, solved = [], [], []
+
+    def track(traces, Ms):
+        solved.append(Ms)
+        refs.extend(weakref.ref(trace) for trace in traces)
+        alive.append(sum(ref() is not None for ref in refs))
+        return traces
+
+    spec = StudySpec(
+        inner.model,
+        inner.params,
+        inner.theory,
+        solve=lambda M: track([inner.solve(M)], [M])[0],
+        solve_pair=lambda M: track(inner.solve_pair(M), [M // 2, M]),
+    )
+    paired = run_study(spec, Ms)
+    assert alive == alive_want
+    top = 2 * Ms[-1]
+    assert solved[:2] == [[top // 2, top], [top // 8, top // 4]]
+    single = run_study(StudySpec(inner.model, inner.params, inner.theory, inner.solve), Ms)
+    assert [row.M for row in paired.rows] == Ms
+    for a, b in zip(paired.rows, single.rows):
+        assert abs(a.error - b.error) <= 1e-15
+    assert paired.rows[0].rate is None and all(row.rate is not None for row in paired.rows[1:])
+
+
+def test_only_graded_l1_studies_solve_pairs():
+    # r decides: a uniform mesh keeps the per-M path (the Toeplitz march)
+    assert make_relaxation_study(0.5).solve_pair is None
+    assert make_subdiffusion_study(0.5, J=16).solve_pair is None
+    for spec in (make_volterra_study(0.5), make_integro_study(0.5), make_diffusion_wave_study(1.5)):
+        assert spec.solve_pair is None
+
+
 def test_subdiffusion_study_peaks_below_one_nodal_field():
     # finest solve at M = 4096: its nodal field alone is 4097 x 127
     # doubles.  The two-mesh error forms no nodal field, not even the
