@@ -11,6 +11,9 @@ module.  Each is the direct, unoptimized form of a scheme:
 - apply_dfrac and apply_cq: one value of the discrete Caputo
   derivative and of the convolution quadrature;
 - singular_moment: one history moment of the collocation scheme;
+- toeplitz_inverse_steps: the first (block) column of the inverse of a
+  lower-triangular (block-)Toeplitz matrix, by forward substitution one
+  entry at a time, as toeplitz.block_inverse and modal_inverse define it;
 - volterra_steps: the collocation scheme marched one cell at a time,
   with the direct history sum and one q x q solve per cell;
 - collocation_residual: the collocation equations checked by the same
@@ -45,6 +48,7 @@ __all__ = [
     "apply_dfrac",
     "apply_cq",
     "singular_moment",
+    "toeplitz_inverse_steps",
     "volterra_steps",
     "collocation_residual",
 ]
@@ -101,6 +105,29 @@ def singular_moment(alpha: float, d: float, k: int) -> float:
     if d < 1.0:
         raise ValueError("history moment needs d >= 1")
     return float(_moments(alpha, d, k + 1)[k])
+
+
+def toeplitz_inverse_steps(kern: np.ndarray, shift=None) -> np.ndarray:
+    """z with sum_{i<=j} K[j-i] z[i] = delta_{j0} for j = 0..len(kern)-1.
+
+    With ``shift`` None, kern holds q x q blocks and K[0] is the identity
+    (kern[0] is not read), as for toeplitz.block_inverse.  Otherwise kern
+    is scalar and K[0] = kern[0] + shift, one column of z per entry of
+    the scalar or vector shift, as for toeplitz.modal_inverse.
+    """
+    kern = np.asarray(kern, dtype=float)
+    if shift is None:
+        z = np.zeros_like(kern)
+        z[0] = np.eye(kern.shape[1])
+        for j in range(1, len(kern)):
+            z[j] = -np.einsum("gij,gjk->ik", kern[j:0:-1], z[:j])
+        return z
+    d = kern[0] + np.asarray(shift, dtype=float)
+    z = np.empty((len(kern),) + d.shape)
+    z[0] = 1.0 / d
+    for j in range(1, len(kern)):
+        z[j] = -(kern[j:0:-1] @ z[:j]) / d
+    return z
 
 
 def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):

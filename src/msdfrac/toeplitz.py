@@ -23,12 +23,19 @@ lower-triangular (block-)Toeplitz and is fixed by its first (block)
 column z; the leading part of z serves the last, shorter block.
 ``block_inverse`` (q x q blocks, identity K[0]) and ``modal_inverse``
 (one scalar recursion per column, on a shared kernel with a per-column
-diagonal shift, as in L1 and CQ) find z once per march by forward
-substitution, and each block then advances with one length-2B FFT
-product with z, with no Python work per step.
+diagonal shift, as in L1 and CQ) find z once per march: forward
+substitution gives its first entries, at most _FIRST, and each doubling
+step then extends the n known entries by m <= n more with two FFT products
+(Commenges and Monsion, IEEE Trans. Automat. Control 29, 1984):
+w = (K * z[:n])[n:n+m] and z[n:n+m] = -(z[:m] * w)[:m], since the
+residual of the truncated z is -w from entry n on.  A diagonal shift
+would enter w only through entries of the truncated z from n on, which
+are zero, so every column forms w on the shared unshifted kernel.  Each
+block then advances with one length-2B FFT product with z, with no
+Python work per step.
 
 The CQ march, on the table-6 data at M = 4096 (alpha 0.25 and 0.75,
-split and direct), stays within 1.9e-15 to 3.7e-15 of a long-double
+split and direct), stays within 1.9e-15 to 3.9e-15 of a long-double
 step-by-step solve of the same scheme, relative to max |V|.  The same
 scheme marched on the values V, with the 1/tau coupling of neighbouring
 steps off the diagonal, is off by 2.5e-14 to 1.2e-13.
@@ -49,22 +56,27 @@ __all__ = ["march", "block_inverse", "modal_inverse"]
 # was flat, within noise, for 64 to 512 cells per block: a smaller block
 # adds FFT levels, a larger one lengthens each block's work.
 _BLOCK = 256
+# Most entries of an inverse's first column found by forward substitution;
+# a full block's column then takes log2(_BLOCK / _FIRST) doubling steps.
+_FIRST = 16
+
+
+def _times(spec: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Product of two spectra along axis 0.
+
+    A three-axis spec holds q x q blocks, which multiply s's vectors or
+    blocks as matrices; one with fewer axes than s is shared by every
+    column of s, and one of s's shape (the inverses of ``modal_inverse``,
+    one per diagonal shift) acts column by column.
+    """
+    if spec.ndim == 3:
+        return np.einsum("kij,kj->ki", spec, s) if s.ndim == 2 else spec @ s
+    return spec.reshape(spec.shape + (1,) * (s.ndim - spec.ndim)) * s
 
 
 def _convolve(spec: np.ndarray, src: np.ndarray, N: int) -> np.ndarray:
-    """Length-N cyclic convolution of a transformed kernel with src.
-
-    A spectrum with one more axis than src's holds q x q blocks; one
-    with fewer axes is shared by every column of src, and one of src's
-    shape (the inverses of ``modal_inverse``, one per diagonal shift)
-    acts column by column.
-    """
-    s = np.fft.rfft(src, n=N, axis=0)
-    if spec.ndim == s.ndim + 1:
-        prod = np.einsum("kij,kj->ki", spec, s)
-    else:
-        prod = spec.reshape(spec.shape + (1,) * (s.ndim - spec.ndim)) * s
-    return np.fft.irfft(prod, n=N, axis=0)
+    """Length-N cyclic convolution of a transformed kernel with src."""
+    return np.fft.irfft(_times(spec, np.fft.rfft(src, n=N, axis=0)), n=N, axis=0)
 
 
 def march(kern: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -96,29 +108,62 @@ def march(kern: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def _head(nb: int) -> int:
+    """Leading entries of a length-nb column found by forward substitution:
+    nb halved, rounding up, to at most _FIRST, so that only the last
+    doubling step falls short, and by less than 2^k after k halvings.
+    The FFT products round relative to their largest terms, so z[n/2:n]
+    carries errors relative to z[n-1]; where z grows (a negative shift),
+    a last step far short of n would carry them into entries far below
+    z[n-1]."""
+    while nb > _FIRST:
+        nb = (nb + 1) // 2
+    return nb
+
+
+def _double(kern: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The first len(kern) entries of z from its first entries ``head``,
+    doubling the known length per step.  Both products of a step are
+    length-2n FFT products with z[:n]; in a last step that falls short,
+    the entries of z[:n] from m on do not reach the m outputs kept."""
+    z = np.empty((len(kern),) + head.shape[1:])
+    n = len(head)
+    z[:n] = head
+    while n < len(z):
+        m, N = min(n, len(z) - n), 2 * n
+        zs = np.fft.rfft(z[:n], n=N, axis=0)
+        w = np.fft.irfft(_times(np.fft.rfft(kern[: n + m], n=N, axis=0), zs), n=N, axis=0)[n : n + m]
+        z[n : n + m] = -np.fft.irfft(_times(zs, np.fft.rfft(w, n=N, axis=0)), n=N, axis=0)[:m]
+        n += m
+    return z
+
+
 def block_inverse(kern: np.ndarray) -> np.ndarray:
     """First block column z of the inverse of one block's system, for
-    q x q kernel blocks and the identity for K[0], by forward
-    substitution: z[j] = -sum_{i=1..j} K[i] z[j-i]."""
+    q x q kernel blocks and the identity for K[0]: forward substitution
+    z[j] = -sum_{i=1..j} K[i] z[j-i] for the first _head entries, then
+    doubling."""
     col = kern[:_BLOCK]
     nb, q, _ = col.shape
-    wide = col[1:].transpose(1, 0, 2).reshape(q, (nb - 1) * q)  # K[1] .. K[nb-1] side by side
-    rev = np.zeros((nb * q, q))  # z[nb-1] .. z[0] stacked, filled from the bottom
+    n = _head(nb)
+    wide = col[1:n].transpose(1, 0, 2).reshape(q, (n - 1) * q)  # K[1] .. K[n-1] side by side
+    rev = np.zeros((n * q, q))  # z[n-1] .. z[0] stacked, filled from the bottom
     rev[-q:] = np.eye(q)
-    for j in range(1, nb):
-        rev[(nb - 1 - j) * q : (nb - j) * q] = -wide[:, : j * q] @ rev[(nb - j) * q :]
-    return rev.reshape(nb, q, q)[::-1]
+    for j in range(1, n):
+        rev[(n - 1 - j) * q : (n - j) * q] = -wide[:, : j * q] @ rev[(n - j) * q :]
+    return _double(col, rev.reshape(n, q, q)[::-1])
 
 
 def modal_inverse(kern: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """First columns z of the inverses of one block's systems, for one
     scalar recursion per column on the scalar kern, shared by every
     column: column k of x solves march's system with K[0] + shift[k] on
-    the diagonal.  Forward substitution runs over all columns at once."""
+    the diagonal.  Forward substitution of the first _head entries runs
+    over all columns at once, then doubling."""
     col = kern[:_BLOCK]
     d = col[0] + shift
-    z = np.empty((len(col),) + d.shape)
+    z = np.empty((_head(len(col)),) + d.shape)
     z[0] = 1.0 / d
-    for j in range(1, len(col)):
+    for j in range(1, len(z)):
         z[j] = -(col[j:0:-1] @ z[:j]) / d
-    return z
+    return _double(col, z)

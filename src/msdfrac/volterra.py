@@ -67,6 +67,9 @@ __all__ = [
 # with 32 of 16, 32 and 64 cells, and as fast with 256 as with 512 history cells.
 _CELLS, _TILE = 32, 256
 _GAPS = 2048  # gaps per chunk of the moments psi: O(_GAPS q^2) scratch at any M
+# Gaps 1.._NEAR - 1 form the first chunk of psi, which alone needs up to 35
+# series terms; the later chunks, from d > 64 on, need at most 9.
+_NEAR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +155,23 @@ def _lagrange_coeffs(c: tuple) -> np.ndarray:
 def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
     """mom[..., k] = int_0^1 (d - s)^{-alpha} s^k ds for k < q and d >= 1."""
     d = np.asarray(d, dtype=float)
-    # positive-term series: d^{-a} sum_l (a)_l/l! d^{-l} / (k+l+1); the
-    # ratio is 1/d <= 1/3 from d = 3 on, so 40 terms reach full precision
+    # positive-term series: d^{-a} sum_l (a)_l/l! d^{-l} / (k+l+1).  Each
+    # partial sum is at least 1/(k+1), and term l is at most (a)_l/l! d^{-l}
+    # / (k+1), which falls with l and d.  Once that bound is below 2^-54 at
+    # the least d >= 3, every later term is below half an ulp of its
+    # partial sum and adds nothing, so the sums from d = 3 on are those of
+    # any longer series, bit for bit.  That takes at most 35 terms at d = 3
+    # (the ratio is 1/d <= 1/3) and at most 9 from d = 64 on.
+    far = d[d >= 3.0]
+    terms, bound = 0, 1.0
+    while far.size and bound > 2.0**-54:
+        bound *= (alpha + terms) / (terms + 1.0) / far.min()
+        terms += 1
     dinv = 1.0 / d
     acc = np.zeros((q,) + d.shape)
     poch = 1.0
     p = np.ones_like(d)
-    for l in range(40):
+    for l in range(terms):
         w = poch * p
         for k in range(q):
             acc[k] += w / (k + l + 1.0)
@@ -182,13 +195,15 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
 def _history_blocks(alpha: float, c: tuple, A: np.ndarray, M: int) -> np.ndarray:
     """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M.
 
-    psi[0] is unused (zero).  Formed _GAPS gaps at a time, each entry as
-    from all gaps at once.
+    psi[0] is unused (zero).  Formed in chunks, gaps 1.._NEAR - 1 and
+    then _GAPS gaps at a time, each entry as from all gaps at once: the
+    chunk's least gap sets how many series terms _moments sums.
     """
     psi = np.zeros((M + 1, len(c), len(c)))
-    for lo in range(1, M + 1, _GAPS):
-        g = np.arange(lo, min(lo + _GAPS, M + 1), dtype=float)
-        np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo : lo + len(g)])
+    edges = [1, *range(_NEAR, M + 1, _GAPS), M + 1]
+    for lo, hi in zip(edges, edges[1:]):
+        g = np.arange(lo, hi, dtype=float)
+        np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo:hi])
     return psi
 
 

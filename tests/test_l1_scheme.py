@@ -376,7 +376,7 @@ def _longdouble_uniform_march(alpha, M, lam, rhs):
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
 def test_uniform_march_matches_a_long_double_solve(alpha):
     # the Toeplitz march sums its history on the values, not the
-    # differences, and keeps about two digits fewer (1.6e-15 at alpha
+    # differences, and keeps about two digits fewer (2.3e-15 at alpha
     # 0.3 and 1.6e-13 at 0.9 when measured); the table cells it feeds are
     # 7.1e-8 and larger
     M, lam = 4096, 1.0

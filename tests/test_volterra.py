@@ -60,6 +60,37 @@ def test_moment_large_offset_stability():
     assert got == pytest.approx(float(ref), rel=1e-12)
 
 
+def _moment_series(alpha, d, q, terms):
+    # the positive-term series of _moments summed to a fixed length, in its
+    # order of operations
+    acc, poch, p = np.zeros((q,) + d.shape), 1.0, np.ones_like(d)
+    for l in range(terms):
+        w = poch * p
+        for k in range(q):
+            acc[k] += w / (k + l + 1.0)
+        poch *= (alpha + l) / (l + 1.0)
+        p *= 1.0 / d
+    return np.moveaxis(acc * d ** (-alpha), 0, -1)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 0.75, 0.99])
+def test_truncated_moment_series_is_the_40_term_series_bit_for_bit(alpha):
+    # _moments sums only the terms that the least d >= 3 it is given needs;
+    # from d = 3 on every moment must equal the 40-term sum bit for bit,
+    # whichever d share the call: all at once, from 3 or 64 on as in
+    # _history_blocks' chunks, or one scalar d as singular_moment passes it
+    d = np.geomspace(1.0, 1e7, 2001)
+    far = d >= 3.0
+    for q in range(1, 5):
+        ref = _moment_series(alpha, d, q, 40)
+        for lo in (1.0, 3.0, 64.0, 1e4):
+            sel = d >= lo
+            got = volterra._moments(alpha, d[sel], q)
+            assert got[far[sel]].tobytes() == ref[sel & far].tobytes()
+        for i in np.flatnonzero(far)[::40]:
+            assert singular_moment(alpha, float(d[i]), q - 1) == ref[i, q - 1]
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_oracle_mittag_leffler(alpha):
     # u = 1 + I^{1-a} u has the closed solution E_{1-a,1}(t^{1-a});
