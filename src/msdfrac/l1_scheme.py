@@ -32,6 +32,24 @@ once, to the half's own numerator (at M = 2200: none differs for r = 7,
 from the same tiles, its increments repeated as extra columns of E, so
 only the order of its far sums differs from a march of its own.
 
+Where blocks have _SHARE tiles or more (M > 4128) and the process may
+run on a second CPU, one helper thread forms tiles a block ahead: as
+block b starts, the columns before its start are final, so the tiles of
+block b+1 that end there (all but its newest) are handed to the helper,
+which takes and forms them one at a time while this thread forms block
+b's newest tile and the march solves block b's near system.  This thread
+then takes whichever of block b's shared tiles the helper has not
+reached, and waits only for the one the helper is forming, so a helper
+that falls behind, or gets no CPU, costs at most a tile.  The helper
+writes each product into an array this thread allocated and has its own
+scratch buffer, so a march holds at most two buffers of 2 x 256 KiB.
+The products of a block are added in tile order, far += product, as one
+thread adds them, so every far sum and every cell of the tables is the
+same bit for bit with and without the helper, whichever thread formed
+each tile.  A march stops handing tiles to the helper when the process
+turns out to get no second CPU's worth of time (_MIN_RATE).  The helper
+is joined when the loop ends, raises or is closed.
+
 On a uniform mesh the weights depend only on the gap, a_g, and written
 on the values instead of the differences the derivative is D^a v^m =
 sum_{k<=m} c_{m-k} v^k for v^0 = 0, with c_0 = a_0 and c_g = a_g -
@@ -47,7 +65,11 @@ two-mesh error any study reads from a uniform L1 march is 7.1e-8 (table
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+import threading
+import time
 
 import numpy as np
 
@@ -66,6 +88,22 @@ _ROWS = 32
 # 2 and 5 ran as fast with 1024 as with 2048 or 4096 columns, and 10%
 # slower with 512.
 _COLS = 1024
+# CPUs this process may run on; on one, no helper thread forms far tiles.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Tiles a block must have before a helper thread forms any of them: pair
+# marches at M = 2048 to 4096, whose blocks have at most four, took 0.87
+# to 1.07 times as long with a helper from two tiles on as without it.
+_SHARE = 5
+# A march stops handing tiles to its helper when, checked every _PROBE
+# blocks from its first shared tile on, the process has had less than
+# _MIN_RATE seconds of CPU time per second: the two threads then take
+# turns on one CPU, and the handoffs of the interpreter lock cost more
+# than the helper saves.  At M = 16384, on a host that gave the second CPU
+# to others, a march with the helper throughout ran at 0.8-1.1 CPU seconds
+# per second and took up to 1.5 times as long as without it; with the
+# second CPU, 32 blocks from t_4096 on ran at 1.3-1.7.
+_PROBE = 32
+_MIN_RATE = 1.1
 
 
 def l1_weight_block(
@@ -103,16 +141,83 @@ def cell_integral_blocks(p: float, mesh: GradedMesh, x: np.ndarray):
     of exponent p, summed a tile of _COLS columns at a time (zeros for the
     first block); near is the block of columns start+1..stop, a view into
     the scratch buffer valid until the next block.  x is read lazily, so a
-    march may fill x[start:stop] before it asks for the next block.
+    march may fill x[start:stop] before it asks for the next block; a
+    helper thread may read x[:start] until then (see the module docstring).
     """
-    buf = np.empty(2 * _ROWS * (_COLS + 1))
-    for start in range(0, mesh.M, _ROWS):
-        stop = min(start + _ROWS, mesh.M)
-        far = np.zeros((stop - start,) + x.shape[1:])
-        for lo in range(0, start, _COLS):
-            hi = min(lo + _COLS, start)
-            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ x[lo:hi]
-        yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, buf)
+    M, shape = mesh.M, x.shape[1:]
+    helper = _CPUS > 1 and M > (_SHARE - 1) * _COLS + _ROWS  # some block has _SHARE tiles
+    bufs = np.empty((1 + helper, 2 * _ROWS * (_COLS + 1)))
+    jobs, posted, failed = collections.deque(), threading.Semaphore(0), []
+
+    def block(start, stop):
+        # (start, stop, own tiles, shared tiles no thread has taken yet, tile products, a lock the
+        # helper holds while it takes and forms tiles); while the helper is used, a block of
+        # _SHARE tiles or more shares all but its newest, which end by the start of the block before
+        n = -(-start // _COLS)
+        shared = range(n - 1 if helper and n >= _SHARE else 0)
+        own = range(len(shared), n)
+        prods = np.empty((n, stop - start) + shape)
+        return start, stop, own, collections.deque(shared), prods, threading.Lock()
+
+    def form(start, stop, i, prods, buf):
+        lo = i * _COLS
+        hi = min(lo + _COLS, start)
+        np.matmul(l1_weight_block(p, mesh, start, stop, lo, hi, buf), x[lo:hi], out=prods[i])
+
+    def claim(start, stop, tiles, prods, buf):
+        # take and form the shared tiles that neither thread has taken, one at a time
+        while True:
+            try:
+                i = tiles.popleft()
+            except IndexError:
+                return
+            form(start, stop, i, prods, buf)
+
+    def work():  # the helper: claim tiles of each posted block until None is posted
+        while True:
+            posted.acquire()
+            job = jobs.popleft()
+            if job is None:
+                return
+            start, stop, _, tiles, prods, busy = job
+            with busy:
+                try:
+                    claim(start, stop, tiles, prods, bufs[1])
+                except BaseException as exc:  # raised again on the calling thread
+                    failed.append(exc)
+
+    def post(job):
+        jobs.append(job)
+        posted.release()
+
+    thread = threading.Thread(target=work, name="msdfrac-far-tiles", daemon=True) if helper else None
+    if thread:
+        thread.start()
+    try:
+        job, probe = block(0, min(_ROWS, M)), None
+        while job:
+            start, stop, own, tiles, prods, busy = job
+            if own.start and not probe:  # the first block with shared tiles
+                probe = start, time.perf_counter(), time.process_time()
+            elif helper and probe and (start - probe[0]) % (_PROBE * _ROWS) == 0:
+                helper = time.process_time() - probe[2] > _MIN_RATE * (time.perf_counter() - probe[1])
+            job = block(stop, min(stop + _ROWS, M)) if stop < M else None
+            if job and job[3]:
+                post(job)  # its shared tiles end by start, and x[:start] is final
+            for i in own:
+                form(start, stop, i, prods, bufs[0])
+            claim(start, stop, tiles, prods, bufs[0])  # the shared tiles the helper has not reached
+            with busy:  # the tile the helper is forming, if any, is done
+                if failed:
+                    raise failed[0]
+            far = np.zeros((stop - start,) + shape)
+            for prod in prods:
+                far += prod
+            yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, bufs[0])
+    finally:
+        if thread:
+            post(None)
+            thread.join()
 
 
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:

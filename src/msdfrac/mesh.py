@@ -93,6 +93,11 @@ def build_mesh(T: float, M: int, r: float = 1.0) -> GradedMesh:
             "the convergence theory assumes r >= 1",
             stacklevel=2,
         )
+    return _graded(T, M, r)
+
+
+def _graded(T, M: int, r) -> GradedMesh:
+    """build_mesh(T, M, r) for checked arguments, without its warning."""
     m = np.arange(M + 1, dtype=float)
     nodes = T * (m / M) ** r
     steps = np.diff(nodes)
@@ -110,7 +115,10 @@ def check_nested(coarse: GradedMesh, fine: GradedMesh) -> None:
 
 
 def half_mesh(mesh: GradedMesh) -> GradedMesh:
-    """build_mesh(T, M // 2, r), checked to nest in mesh (an odd M never does)."""
-    half = build_mesh(mesh.T, mesh.M // 2, mesh.r)
+    """build_mesh(T, M // 2, r), checked to nest in mesh (an odd M never does).
+
+    A grading r < 1 is not warned about again: mesh was built with it.
+    """
+    half = _graded(mesh.T, max(mesh.M // 2, 1), mesh.r)  # M = 1 has no half either
     check_nested(half, mesh)
     return half

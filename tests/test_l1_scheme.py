@@ -1,14 +1,23 @@
 import dataclasses
+import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msdfrac
 from msdfrac import (
     build_mesh,
+    frac_integrate_numeric,
     l1_scheme,
     l1_weight_row,
     march_l1,
@@ -321,7 +330,9 @@ def test_pair_march_matches_separate_marches(alpha, r, M):
 
 def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
     # every fine numerator (m, k), 1 <= k <= m <= M, exactly once, and not
-    # one numerator on the half mesh
+    # one numerator on the half mesh; on two CPUs, and with blocks of two
+    # tiles shared, M = 2100 has the helper thread form some of the far
+    # tiles, also where the march stops using it after its first probe
     formed, meshes = None, []
 
     def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
@@ -330,13 +341,141 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    for M in (2, 100, 2100):
+    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
+    monkeypatch.setattr(l1_scheme, "_PROBE", 4)
+    rates = ((1, l1_scheme._MIN_RATE), (2, l1_scheme._MIN_RATE), (2, math.inf))
+    for (cpus, rate), M in itertools.product(rates, (2, 100, 2100)):
+        monkeypatch.setattr(l1_scheme, "_CPUS", cpus)
+        monkeypatch.setattr(l1_scheme, "_MIN_RATE", rate)
         fine = build_mesh(1.0, M, 2.0)
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         formed, meshes = np.zeros((M + 1, M + 1), dtype=int), []
         march_l1(0.4, fine, 2.5, rhs, rhs[::2])
         assert all(mesh is fine for mesh in meshes)
         assert np.all(np.tril(formed[1:, 1:]) == np.tri(M, dtype=int))
+
+
+@pytest.mark.filterwarnings("ignore:grading r")
+@pytest.mark.parametrize("r", [7.0, 5.0 / 12.0])
+def test_helper_thread_changes_no_bit(monkeypatch, r):
+    # far tiles formed a block ahead on a helper thread are added in tile
+    # order, as on one thread: the same bytes for a march, a pair march
+    # and product integration, scalar and three modes, also where a march
+    # stops using its helper part way.  At M = 3300 a block has up to four
+    # tiles, and blocks of two or more share them here
+    mesh = build_mesh(1.0, 3300, r)
+    t = mesh.nodes
+    threads = set()
+
+    def seen_block(*args):
+        threads.add(threading.current_thread().name)
+        return l1_weight_block(*args)
+
+    monkeypatch.setattr(l1_scheme, "l1_weight_block", seen_block)
+    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
+    monkeypatch.setattr(l1_scheme, "_PROBE", 4)
+    cases = (
+        (2.5, np.sin(3.0 * t) + t**0.7),
+        (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
+    )
+    runs = []
+    # with an infinite rate, a march stops using its helper after its first probe
+    for cpus, rate in ((1, l1_scheme._MIN_RATE), (2, l1_scheme._MIN_RATE), (2, math.inf)):
+        monkeypatch.setattr(l1_scheme, "_CPUS", cpus)
+        monkeypatch.setattr(l1_scheme, "_MIN_RATE", rate)
+        threads.clear()
+        out = [frac_integrate_numeric(np.cos(t), 0.5, mesh)]
+        for lam, rhs in cases:
+            out.append(march_l1(0.25, mesh, lam, rhs))
+            out.extend(march_l1(0.75, mesh, lam, rhs, rhs[::2]))
+        runs.append([v.tobytes() for v in out])
+        assert len(threads) == cpus
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_concurrent_marches_with_helpers_change_no_bit(monkeypatch):
+    # three marches on their own threads, each with its helper, switching
+    # threads every few microseconds: six threads on at most two CPUs, and
+    # every result the bytes of the same march on one thread
+    mesh = build_mesh(1.0, 2200, 7.0)
+    rhs = np.outer(np.sin(3.0 * mesh.nodes), [1.0, 2.0])
+    lam = np.array([1.0, 2e4])
+    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
+    monkeypatch.setattr(l1_scheme, "_CPUS", 1)
+    want = [v.tobytes() for v in march_l1(0.25, mesh, lam, rhs, rhs[::2])]
+    monkeypatch.setattr(l1_scheme, "_CPUS", 2)
+    got = [None] * 3
+
+    def run(i):
+        got[i] = [v.tobytes() for v in march_l1(0.25, mesh, lam, rhs, rhs[::2])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 3
+
+
+def test_helper_thread_ends_with_its_loop(monkeypatch):
+    # no thread outlives a march that ends, one whose near solve raises
+    # (the error passes unchanged), a tile loop closed after a few blocks,
+    # or a helper that raises, whose error comes back on the calling thread
+    monkeypatch.setattr(l1_scheme, "_CPUS", 2)
+    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
+    mesh = build_mesh(1.0, 3300, 7.0)
+    rhs = np.sin(3.0 * mesh.nodes)
+    before = threading.enumerate()
+    march_l1(0.25, mesh, 2.5, rhs)
+    assert threading.enumerate() == before
+
+    solve, calls, boom = np.linalg.solve, [], ArithmeticError("near solve of block 40")
+
+    def failing_solve(a, b):
+        calls.append(a)
+        if len(calls) == 40:
+            raise boom
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(ArithmeticError) as caught:
+            march_l1(0.25, mesh, 2.5, rhs)
+    assert caught.value is boom and len(calls) == 40
+    assert threading.enumerate() == before
+
+    blocks = l1_scheme.cell_integral_blocks(0.75, mesh, np.ones(mesh.M))
+    for _ in range(40):  # past block 33, the first with two tiles
+        next(blocks)
+    assert "msdfrac-far-tiles" in [thread.name for thread in threading.enumerate()]
+    blocks.close()
+    assert threading.enumerate() == before
+
+    def helper_fails(*args):
+        if threading.current_thread().name == "msdfrac-far-tiles":
+            raise FloatingPointError("in the helper")
+        time.sleep(1e-3)  # so that the helper takes a tile before this thread takes them all
+        return l1_weight_block(*args)
+
+    monkeypatch.setattr(l1_scheme, "l1_weight_block", helper_fails)
+    with pytest.raises(FloatingPointError, match="in the helper"):
+        march_l1(0.25, mesh, 2.5, rhs)
+    assert threading.enumerate() == before
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the helper thread is started with threading alone; concurrent.futures
+    # would add its import time to every run
+    env = {**os.environ, "PYTHONPATH": str(Path(msdfrac.__file__).parents[1])}
+    code = "import sys, msdfrac; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_pair_march_validation():

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from msdfrac import build_mesh
+from msdfrac import (
+    RelaxationProblem,
+    SeparableField,
+    assemble_fem,
+    build_mesh,
+    msd_subdiffusion_data,
+    solve_relaxation_pair,
+    solve_subdiffusion_pair,
+)
 
 
 def test_grading_formula():
@@ -54,3 +62,21 @@ def test_numpy_integer_step_count_accepted():
     mesh = build_mesh(1.0, np.int64(8))
     assert mesh.M == 8 and type(mesh.M) is int
     assert mesh.nodes[-1] == 1.0
+
+
+def test_pair_solve_warns_once_for_a_coarsening_grading():
+    # the half of a mesh built with r < 1 is built from the same grading,
+    # so a pair solve repeats none of the mesh's warning
+    dom = (0.0, 1.0)
+    f, u0 = SeparableField(dom, ((2, 1.0),)), SeparableField(dom, ((1, 1.0),))
+    prob, data = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0), msd_subdiffusion_data(f, u0, 0, 0.5)
+    solves = (
+        lambda mesh: solve_relaxation_pair(prob, mesh),
+        lambda mesh: solve_subdiffusion_pair(0.5, data, mesh, assemble_fem(0.0, 1.0, 8)),
+    )
+    for solve in solves:
+        with pytest.warns(UserWarning, match="grading r") as caught:
+            mesh = build_mesh(1.0, 64, 5.0 / 12.0)
+            half, fine = solve(mesh)
+        assert len(caught) == 1
+        assert half.mesh.nodes.tobytes() == mesh.nodes[::2].tobytes()
