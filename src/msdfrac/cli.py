@@ -127,6 +127,9 @@ def _table(table_id: int) -> list:
 
 
 def _emit(reports: list, fmt: str, out_path):
+    for rep in reports:
+        if rep.note:
+            print(f"note: {rep.title()}: {rep.note}", file=sys.stderr)
     text = emit_csv(reports)
     if fmt == "csv":
         sys.stdout.write(text)

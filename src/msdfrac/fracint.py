@@ -183,7 +183,10 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     slope (f_k - f_{k-1}) / tau_k on cell k: the second term sums the
     slopes against the numerators of exponent p = 1 + nu over
     Gamma(2 + nu), the L1 weight family (p = 1 - a there), in the L1
-    march's own tile loop, l1_scheme.cell_integral_blocks.
+    march's own tile loop, l1_scheme.cell_integral_blocks, on one thread
+    at every M: about 1.07 s on a graded mesh of M = 16384, against 0.73 s
+    when a second thread formed far tiles.  No study runs it above M of
+    about 408.
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     f = np.asarray(f, dtype=float)

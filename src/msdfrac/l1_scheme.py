@@ -29,26 +29,37 @@ numerator of the half is formed.  Sterbenz's lemma makes both fine
 differences exact where the steps grow (r >= 1), so the sum is rounded
 once, to the half's own numerator (at M = 2200: none differs for r = 7,
 7/4, 5/3, 2; one by 1 ulp at r = 5/12).  The half's far history comes
-from the same tiles, its increments repeated as extra columns of E, so
-only the order of its far sums differs from a march of its own.
+from the same far sums, its increments repeated as extra columns of E,
+so only the order of its far sums differs from a march of its own.
 
-Where blocks have _SHARE tiles or more (M > 4128) and the process may
-run on a second CPU, one helper thread forms tiles a block ahead: as
-block b starts, the columns before its start are final, so the tiles of
-block b+1 that end there (all but its newest) are handed to the helper,
-which takes and forms them one at a time while this thread forms block
-b's newest tile and the march solves block b's near system.  This thread
-then takes whichever of block b's shared tiles the helper has not
-reached, and waits only for the one the helper is forming, so a helper
-that falls behind, or gets no CPU, costs at most a tile.  The helper
-writes each product into an array this thread allocated and has its own
-scratch buffer, so a march holds at most two buffers of 2 x 256 KiB.
-The products of a block are added in tile order, far += product, as one
-thread adds them, so every far sum and every cell of the tables is the
-same bit for bit with and without the helper, whichever thread formed
-each tile.  A march stops handing tiles to the helper when the process
-turns out to get no second CPU's worth of time (_MIN_RATE).  The helper
-is joined when the loop ends, raises or is closed.
+A graded march of more than _SOE_M = 4 _COLS + _ROWS = 4128 steps, by
+the mesh's declared M, takes its far history from a sum of exponentials
+(SOE) instead, soe_blocks, at O(M N K) for N exponentials and K columns
+in place of O(M^2 K) (Jiang, Zhang, Zhang and Zhang, Commun. Comput.
+Phys. 21 (2017)).  soe_kernel writes t^{-a} = Gamma(a)^{-1} int_0^inf
+s^{a-1} e^{-st} ds as sum_j w_j e^{-s_j t} on [delta, T], delta the
+smallest gap t_{start+1} - t_start a far term sees: 12-node Gauss-Jacobi
+with weight s^{a-1} on [0, 1/T], and 16-node Gauss-Legendre panels of
+width at most 2 in log s up to log(37/delta) + 1 (Beylkin and Monzon,
+Appl. Comput. Harmon. Anal. 28 (2010)).  Every weight is positive, N =
+12 + 16 ceil((log(37 T/delta) + 1)/2), 204 at delta = 1e-8 and 540 at
+1e-26 for T = 1, and the relative error of t^{-a} is below 2.5e-15 for
+alpha in [0.02, 0.98] (1.3e-15 at T = 1).  Row m's far sum is then p
+sum_j w_j e^{-s_j (t_m - t_start)} H_j, and after each near solve H_j <-
+e^{-s_j (t_stop - t_start)} H_j + sum_k E_k e^{-s_j (t_stop - t_k)} (1 -
+e^{-s_j tau_k}) / s_j over the block's cells, so no term cancels.  A
+pair's half columns of E ride in H unchanged, a half cell being two
+fine cells; the near block keeps the exact numerators.  A pair march at
+M = 16384 (table 5, alpha 0.75) takes 0.14-0.18 s in place of 1.0-1.25 s
+of tiles on one CPU, and agrees with them to 5e-16 of max |V|.  The gate
+sits above M = 4096 because seven cells of tables 2 and 5 (alpha 0.25,
+r 7, M 256 to 2048, whose finest meshes have M <= 4096) are rounding
+noise of the cancelling numerators and would move by 19-90% under any
+other far sum; below it every march, and every such cell, is the tile
+loop's bit for bit.  Four cells can move: table 5 at alpha 0.75, rows
+M = 4096 and 8192, both blocks; two do, by 4.1e-12 and 1.5e-14 relative.
+Product integration keeps the tile loop at every M (its kernel t^nu
+grows; see fracint.frac_integrate_numeric for its cost).
 
 On a uniform mesh the weights depend only on the gap, a_g, and written
 on the values instead of the differences the derivative is D^a v^m =
@@ -65,11 +76,7 @@ two-mesh error any study reads from a uniform L1 march is 7.1e-8 (table
 
 from __future__ import annotations
 
-import collections
 import math
-import os
-import threading
-import time
 
 import numpy as np
 
@@ -88,22 +95,10 @@ _ROWS = 32
 # 2 and 5 ran as fast with 1024 as with 2048 or 4096 columns, and 10%
 # slower with 512.
 _COLS = 1024
-# CPUs this process may run on; on one, no helper thread forms far tiles.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# Tiles a block must have before a helper thread forms any of them: pair
-# marches at M = 2048 to 4096, whose blocks have at most four, took 0.87
-# to 1.07 times as long with a helper from two tiles on as without it.
-_SHARE = 5
-# A march stops handing tiles to its helper when, checked every _PROBE
-# blocks from its first shared tile on, the process has had less than
-# _MIN_RATE seconds of CPU time per second: the two threads then take
-# turns on one CPU, and the handoffs of the interpreter lock cost more
-# than the helper saves.  At M = 16384, on a host that gave the second CPU
-# to others, a march with the helper throughout ran at 0.8-1.1 CPU seconds
-# per second and took up to 1.5 times as long as without it; with the
-# second CPU, 32 blocks from t_4096 on ran at 1.3-1.7.
-_PROBE = 32
-_MIN_RATE = 1.1
+# Graded marches of more steps than this, whose blocks from t_4096 on
+# have five far tiles or more, take the far history from a sum of
+# exponentials (soe_blocks); see the module docstring for why not fewer.
+_SOE_M = 4 * _COLS + _ROWS
 
 
 def l1_weight_block(
@@ -141,83 +136,68 @@ def cell_integral_blocks(p: float, mesh: GradedMesh, x: np.ndarray):
     of exponent p, summed a tile of _COLS columns at a time (zeros for the
     first block); near is the block of columns start+1..stop, a view into
     the scratch buffer valid until the next block.  x is read lazily, so a
-    march may fill x[start:stop] before it asks for the next block; a
-    helper thread may read x[:start] until then (see the module docstring).
+    march may fill x[start:stop] before it asks for the next block.
     """
-    M, shape = mesh.M, x.shape[1:]
-    helper = _CPUS > 1 and M > (_SHARE - 1) * _COLS + _ROWS  # some block has _SHARE tiles
-    bufs = np.empty((1 + helper, 2 * _ROWS * (_COLS + 1)))
-    jobs, posted, failed = collections.deque(), threading.Semaphore(0), []
+    buf = np.empty(2 * _ROWS * (_COLS + 1))
+    for start in range(0, mesh.M, _ROWS):
+        stop = min(start + _ROWS, mesh.M)
+        far = np.zeros((stop - start,) + x.shape[1:])
+        for lo in range(0, start, _COLS):
+            hi = min(lo + _COLS, start)
+            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ x[lo:hi]
+        yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, buf)
 
-    def block(start, stop):
-        # (start, stop, own tiles, shared tiles no thread has taken yet, tile products, a lock the
-        # helper holds while it takes and forms tiles); while the helper is used, a block of
-        # _SHARE tiles or more shares all but its newest, which end by the start of the block before
-        n = -(-start // _COLS)
-        shared = range(n - 1 if helper and n >= _SHARE else 0)
-        own = range(len(shared), n)
-        prods = np.empty((n, stop - start) + shape)
-        return start, stop, own, collections.deque(shared), prods, threading.Lock()
 
-    def form(start, stop, i, prods, buf):
-        lo = i * _COLS
-        hi = min(lo + _COLS, start)
-        np.matmul(l1_weight_block(p, mesh, start, stop, lo, hi, buf), x[lo:hi], out=prods[i])
+def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and positive weights w with sum_j w_j exp(-s_j t) = t^{-a} on [delta, T].
 
-    def claim(start, stop, tiles, prods, buf):
-        # take and form the shared tiles that neither thread has taken, one at a time
-        while True:
-            try:
-                i = tiles.popleft()
-            except IndexError:
-                return
-            form(start, stop, i, prods, buf)
+    t^{-a} is Gamma(a)^{-1} times the integral of s^{a-1} e^{-st} over s >
+    0: 12-node Gauss-Jacobi with weight s^{a-1} on [0, 1/T], by
+    Golub-Welsch, and 16-node Gauss-Legendre panels of width at most 2 in
+    log s from 1/T up to e 37/delta, past which e^{-s t} < e^{-100}.  The
+    relative error is below 2.5e-15 for a in [0.02, 0.98].
+    """
+    b, n = a - 1.0, np.arange(1.0, 12.0)
+    c = 2.0 * np.arange(12.0) + b  # the Jacobi matrix of the weight (1 + y)^b on [-1, 1], y = 2 s T - 1
+    off = n * (n + b) / c[1:] * np.sqrt(4.0 / (c[1:] ** 2 - 1.0))
+    y, vec = np.linalg.eigh(np.diag(b * b / (c * (c + 2.0))) + np.diag(off, 1) + np.diag(off, -1))
+    x, xw = _gauss_legendre(16)
+    lo, hi = -math.log(T), math.log(37.0 / delta) + 1.0
+    panels = math.ceil((hi - lo) / 2.0)
+    h = (hi - lo) / panels
+    u = (lo + h * (np.arange(panels)[:, None] + (x + 1.0) / 2.0)).ravel()
+    s = np.concatenate([(1.0 + y) / (2.0 * T), np.exp(u)])
+    # (1 + y)^b has mass 2^a / a on [-1, 1], and s^{a-1} ds = (2 T)^{-a} (1 + y)^b dy
+    w = np.concatenate([vec[0] ** 2 / a * T**-a, np.tile(xw * h / 2.0, panels) * np.exp(a * u)])
+    return s, w / math.gamma(a)
 
-    def work():  # the helper: claim tiles of each posted block until None is posted
-        while True:
-            posted.acquire()
-            job = jobs.popleft()
-            if job is None:
-                return
-            start, stop, _, tiles, prods, busy = job
-            with busy:
-                try:
-                    claim(start, stop, tiles, prods, bufs[1])
-                except BaseException as exc:  # raised again on the calling thread
-                    failed.append(exc)
 
-    def post(job):
-        jobs.append(job)
-        posted.release()
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on P_n."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):  # the fourth step leaves x exact for n = 16, the fifth the weights
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
-    thread = threading.Thread(target=work, name="msdfrac-far-tiles", daemon=True) if helper else None
-    if thread:
-        thread.start()
-    try:
-        job, probe = block(0, min(_ROWS, M)), None
-        while job:
-            start, stop, own, tiles, prods, busy = job
-            if own.start and not probe:  # the first block with shared tiles
-                probe = start, time.perf_counter(), time.process_time()
-            elif helper and probe and (start - probe[0]) % (_PROBE * _ROWS) == 0:
-                helper = time.process_time() - probe[2] > _MIN_RATE * (time.perf_counter() - probe[1])
-            job = block(stop, min(stop + _ROWS, M)) if stop < M else None
-            if job and job[3]:
-                post(job)  # its shared tiles end by start, and x[:start] is final
-            for i in own:
-                form(start, stop, i, prods, bufs[0])
-            claim(start, stop, tiles, prods, bufs[0])  # the shared tiles the helper has not reached
-            with busy:  # the tile the helper is forming, if any, is done
-                if failed:
-                    raise failed[0]
-            far = np.zeros((stop - start,) + shape)
-            for prod in prods:
-                far += prod
-            yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, bufs[0])
-    finally:
-        if thread:
-            post(None)
-            thread.join()
+
+def soe_blocks(p: float, mesh: GradedMesh, x: np.ndarray):
+    """cell_integral_blocks for 0 < p < 1 and x of shape (M, K), with each far
+    sum from the exponentials of soe_kernel (see the module docstring)."""
+    t, tau = mesh.nodes, mesh.steps
+    s, w = soe_kernel(1.0 - p, tau[_ROWS::_ROWS].min(initial=mesh.T), mesh.T)
+    H = np.zeros((len(s), x.shape[1]))  # H[j] = sum_{k<=start} x[k-1] int_{cell k} e^{-s_j (t_start - u)} du
+    buf = np.empty(2 * _ROWS * (_ROWS + 1))
+    for start in range(0, mesh.M, _ROWS):
+        stop = min(start + _ROWS, mesh.M)
+        ts = t[start + 1 : stop + 1]
+        decay = np.exp(np.outer(t[start] - ts, s))  # e^{-s_j (t_m - t_start)}
+        yield start, stop, (decay * (p * w)) @ H, l1_weight_block(p, mesh, start, stop, start, stop, buf)
+        cells = np.exp(np.outer(ts - t[stop], s)) * -np.expm1(np.outer(-tau[start:stop], s)) / s
+        H = decay[-1, :, None] * H + cells.T @ x[start:stop]
 
 
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
@@ -282,7 +262,8 @@ def march_l1(
     E = np.zeros((M, K * len(rhss)))  # E[k-1, :K] = (V^k - V^{k-1}) / scale[k-1]; E[k-1, K:] the half's
     scales = [h * math.gamma(2.0 - alpha) for h in steps]  # a^{(m)}_{m-k} = block[., k-1] / scale[k-1]
     tri = np.tri(_ROWS)
-    for start, stop, far, near in cell_integral_blocks(1.0 - alpha, mesh, E):
+    blocks = soe_blocks if M > _SOE_M else cell_integral_blocks
+    for start, stop, far, near in blocks(1.0 - alpha, mesh, E):
         for s, b, V, scale in zip((1, 2), rhss, Vs, scales):
             # level s: rows s j and cells of s fine cells; i < j <= i + n are this block's
             i, n, cols = start // s, (stop - start) // s, slice((s - 1) * K, s * K)

@@ -94,14 +94,17 @@ class ConvergenceReport:
     params: dict
     rows: tuple[StudyRow, ...]
     theory: float | None = None
+    note: str = ""  # set by run_study when the finest row's rate falls short
 
     @property
     def errors(self) -> tuple[float, ...]:
         return tuple(r.error for r in self.rows)
 
+    def title(self) -> str:
+        return f"{self.model} ({', '.join(f'{k}={_fmt_param(v)}' for k, v in self.params.items())})"
+
     def pretty(self) -> str:
-        head = ", ".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items())
-        lines = [f"{self.model} ({head})", f"  {'M':>7s}  {'error':>12s}  {'rate':>6s}"]
+        lines = [self.title(), f"  {'M':>7s}  {'error':>12s}  {'rate':>6s}"]
         for row in self.rows:
             rate = f"{row.rate:6.2f}" if row.rate is not None else "     *"
             lines.append(f"  {row.M:7d}  {row.error:12.4e}  {rate}")
@@ -193,7 +196,9 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     finest down (2M_k with M_k, then M_{k-1} with M_{k-2}, ..., and a
     coarsest mesh left over alone).  Each row's error is taken as soon as
     both of its traces exist, and a trace is dropped once its rows are
-    done: at most two traces are alive, or three with pairs.
+    done: at most two traces are alive, or three with pairs.  The report's
+    note flags a rate at the finest row that is negative or below half the
+    theory rate, with no claim about its cause.
     """
     Ms = [check_count(M, "M", 1) for M in Ms]
     if not Ms:
@@ -220,7 +225,11 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     errs = [errors[k] for k in range(len(Ms))]
     rates = [math.log2(p / e) if e > 0.0 and p > 0.0 else None for p, e in zip([0.0] + errs, errs)]
     rows = tuple(StudyRow(M=M, error=e, rate=rate) for M, e, rate in zip(Ms, errs, rates))
-    return ConvergenceReport(model=spec.model, params=dict(spec.params), rows=rows, theory=spec.theory)
+    last, theory, note = rates[-1], spec.theory, ""
+    if last is not None and last < (0.0 if theory is None else theory / 2.0):
+        note = f"the observed rate at the finest row, M = {Ms[-1]}, is {last:.2f}"
+        note += "" if theory is None else f", below half the theory rate {theory:.2f}"
+    return ConvergenceReport(spec.model, dict(spec.params), rows, spec.theory, note)
 
 
 # ---------------------------------------------------------------------------

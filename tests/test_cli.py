@@ -189,3 +189,21 @@ def test_table_grading_warning_is_one_note(capsys):
     assert len(out.splitlines()) == 1 + 4 * 5
     with pytest.warns(UserWarning, match="grading r = 0.41"):
         reproduce_table(2)
+
+
+def test_rate_shortfall_is_a_note(capsys):
+    # the errors of alpha = 0.02, r = 99 grow from M = 256 to 512: the CLI
+    # says so on stderr, and the CSV is the report's own
+    args = ["relaxation", "--alpha", "0.02", "--r", "99", "--M", "256", "--M", "512", "--format", "csv"]
+    code, out, err = _run(capsys, args)
+    assert code == 0
+    (note,) = err.splitlines()
+    assert note.startswith("note: relaxation (alpha=0.02, n=0, r=99, ")
+    assert "the observed rate at the finest row, M = 512, is -" in note
+    assert note.endswith("below half the theory rate 1.98")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[4] for r in rows[1:]] == ["256", "512"] and float(rows[2][6]) < 0.0
+    # a table whose finest rates keep up prints no note
+    code, out, err = _run(capsys, ["table", "--id", "1", "--format", "csv"])
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 4 * 5

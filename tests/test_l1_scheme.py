@@ -1,11 +1,8 @@
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +14,6 @@ from hypothesis import strategies as st
 import msdfrac
 from msdfrac import (
     build_mesh,
-    frac_integrate_numeric,
     l1_scheme,
     l1_weight_row,
     march_l1,
@@ -270,19 +266,20 @@ def test_scalar_march_is_the_one_mode_march(M, r):
 
 def test_graded_march_peaks_below_one_block_of_full_rows():
     # the far history is built a tile of _COLS columns at a time in one
-    # scratch buffer, so a march never holds a block of _ROWS full-width
-    # rows of numerators (2 MiB at M = 8192)
-    M = 8192
-    mesh = build_mesh(1.0, M, 7.0)
-    rhs = np.sin(3.0 * mesh.nodes)
-    march_l1(0.25, build_mesh(1.0, 64, 7.0), 1.0, rhs[:65])  # first-call set-up outside the measurement
-    tracemalloc.start()
-    try:
-        march_l1(0.25, mesh, 1.0, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < l1_scheme._ROWS * M * 8
+    # scratch buffer (M = 4096), or from the exponentials' history
+    # (M = 8192), so a march never holds a block of _ROWS full-width rows
+    # of numerators (1 and 2 MiB)
+    march_l1(0.25, build_mesh(1.0, 64, 7.0), 1.0, np.zeros(65))  # first-call set-up outside the measurement
+    for M in (4096, 8192):
+        mesh = build_mesh(1.0, M, 7.0)
+        rhs = np.sin(3.0 * mesh.nodes)
+        tracemalloc.start()
+        try:
+            march_l1(0.25, mesh, 1.0, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < l1_scheme._ROWS * M * 8, M
 
 
 @pytest.mark.filterwarnings("ignore:grading r")
@@ -330,9 +327,7 @@ def test_pair_march_matches_separate_marches(alpha, r, M):
 
 def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
     # every fine numerator (m, k), 1 <= k <= m <= M, exactly once, and not
-    # one numerator on the half mesh; on two CPUs, and with blocks of two
-    # tiles shared, M = 2100 has the helper thread form some of the far
-    # tiles, also where the march stops using it after its first probe
+    # one numerator on the half mesh; M = 2100 crosses two tile edges
     formed, meshes = None, []
 
     def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
@@ -341,12 +336,7 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
-    monkeypatch.setattr(l1_scheme, "_PROBE", 4)
-    rates = ((1, l1_scheme._MIN_RATE), (2, l1_scheme._MIN_RATE), (2, math.inf))
-    for (cpus, rate), M in itertools.product(rates, (2, 100, 2100)):
-        monkeypatch.setattr(l1_scheme, "_CPUS", cpus)
-        monkeypatch.setattr(l1_scheme, "_MIN_RATE", rate)
+    for M in (2, 100, 2100):
         fine = build_mesh(1.0, M, 2.0)
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         formed, meshes = np.zeros((M + 1, M + 1), dtype=int), []
@@ -355,123 +345,96 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         assert np.all(np.tril(formed[1:, 1:]) == np.tri(M, dtype=int))
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.75, 0.98])
+@pytest.mark.parametrize("delta", [1e-8, 1e-16, 1e-26])
+def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
+    # sum_j w_j exp(-s_j t) against t^{-a} on [delta, T], relative error
+    # below 2.5e-15, every weight positive, and N = 12 + 16 panels
+    for T in (1.0, 3.0):
+        s, w = l1_scheme.soe_kernel(alpha, delta, T)
+        panels = math.ceil((math.log(37.0 * T / delta) + 1.0) / 2.0)
+        assert len(s) == len(w) == 12 + 16 * panels
+        assert np.all(w > 0.0) and np.all(s > 0.0)
+        t = np.geomspace(delta, T, 3000)
+        err = np.exp(-np.outer(t, s)) @ w * t**alpha - 1.0
+        assert np.max(np.abs(err)) < 2.5e-15, (T, np.max(np.abs(err)))
+    assert len(l1_scheme.soe_kernel(alpha, 1e-8, 1.0)[0]) == 204
+    assert len(l1_scheme.soe_kernel(alpha, 1e-26, 1.0)[0]) == 540
+
+
 @pytest.mark.filterwarnings("ignore:grading r")
-@pytest.mark.parametrize("r", [7.0, 5.0 / 12.0])
-def test_helper_thread_changes_no_bit(monkeypatch, r):
-    # far tiles formed a block ahead on a helper thread are added in tile
-    # order, as on one thread: the same bytes for a march, a pair march
-    # and product integration, scalar and three modes, also where a march
-    # stops using its helper part way.  At M = 3300 a block has up to four
-    # tiles, and blocks of two or more share them here
-    mesh = build_mesh(1.0, 3300, r)
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("r", [5.0 / 3.0, 5.0 / 12.0, 7.0])
+@pytest.mark.parametrize("M", [1, 33, 2100])
+def test_soe_march_matches_the_tile_march(monkeypatch, alpha, r, M):
+    # with the gate lowered, the sum-of-exponentials far history against
+    # the exact tiles, for a scalar and three modes up to 2e4, alone and
+    # with the half
+    mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
-    threads = set()
-
-    def seen_block(*args):
-        threads.add(threading.current_thread().name)
-        return l1_weight_block(*args)
-
-    monkeypatch.setattr(l1_scheme, "l1_weight_block", seen_block)
-    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
-    monkeypatch.setattr(l1_scheme, "_PROBE", 4)
     cases = (
         (2.5, np.sin(3.0 * t) + t**0.7),
         (np.array([1.0, 50.0, 2e4]), np.outer(t**0.7, [1.0, 2.0, 3.0])),
     )
-    runs = []
-    # with an infinite rate, a march stops using its helper after its first probe
-    for cpus, rate in ((1, l1_scheme._MIN_RATE), (2, l1_scheme._MIN_RATE), (2, math.inf)):
-        monkeypatch.setattr(l1_scheme, "_CPUS", cpus)
-        monkeypatch.setattr(l1_scheme, "_MIN_RATE", rate)
-        threads.clear()
-        out = [frac_integrate_numeric(np.cos(t), 0.5, mesh)]
-        for lam, rhs in cases:
-            out.append(march_l1(0.25, mesh, lam, rhs))
-            out.extend(march_l1(0.75, mesh, lam, rhs, rhs[::2]))
-        runs.append([v.tobytes() for v in out])
-        assert len(threads) == cpus
-    assert runs[0] == runs[1] == runs[2]
+
+    def marches(lam, rhs):  # alone, then as a pair (half, fine) where M is even
+        pair = march_l1(alpha, mesh, lam, rhs, rhs[::2]) if M % 2 == 0 else ()
+        return [march_l1(alpha, mesh, lam, rhs), *pair]
+
+    for lam, rhs in cases:
+        want = marches(lam, rhs)
+        with monkeypatch.context() as patch:
+            patch.setattr(l1_scheme, "_SOE_M", 0)
+            got = marches(lam, rhs)
+        assert len(got) == len(want) == (3 if M % 2 == 0 else 1)
+        for g, ref in zip(got, want):
+            assert g.shape == ref.shape
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_concurrent_marches_with_helpers_change_no_bit(monkeypatch):
-    # three marches on their own threads, each with its helper, switching
-    # threads every few microseconds: six threads on at most two CPUs, and
-    # every result the bytes of the same march on one thread
-    mesh = build_mesh(1.0, 2200, 7.0)
-    rhs = np.outer(np.sin(3.0 * mesh.nodes), [1.0, 2.0])
-    lam = np.array([1.0, 2e4])
-    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
-    monkeypatch.setattr(l1_scheme, "_CPUS", 1)
-    want = [v.tobytes() for v in march_l1(0.25, mesh, lam, rhs, rhs[::2])]
-    monkeypatch.setattr(l1_scheme, "_CPUS", 2)
-    got = [None] * 3
-
-    def run(i):
-        got[i] = [v.tobytes() for v in march_l1(0.25, mesh, lam, rhs, rhs[::2])]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert got == [want] * 3
-
-
-def test_helper_thread_ends_with_its_loop(monkeypatch):
-    # no thread outlives a march that ends, one whose near solve raises
-    # (the error passes unchanged), a tile loop closed after a few blocks,
-    # or a helper that raises, whose error comes back on the calling thread
-    monkeypatch.setattr(l1_scheme, "_CPUS", 2)
-    monkeypatch.setattr(l1_scheme, "_SHARE", 2)
-    mesh = build_mesh(1.0, 3300, 7.0)
-    rhs = np.sin(3.0 * mesh.nodes)
-    before = threading.enumerate()
-    march_l1(0.25, mesh, 2.5, rhs)
-    assert threading.enumerate() == before
-
-    solve, calls, boom = np.linalg.solve, [], ArithmeticError("near solve of block 40")
-
-    def failing_solve(a, b):
-        calls.append(a)
-        if len(calls) == 40:
-            raise boom
-        return solve(a, b)
-
+@pytest.mark.filterwarnings("ignore:grading r")
+@pytest.mark.parametrize("r", [5.0 / 3.0, 5.0 / 12.0])
+def test_soe_pair_march_above_the_gate(monkeypatch, r):
+    # a pair at M = 8192 (sum of exponentials) against the tile pair and
+    # against a march of each mesh alone (the half, M = 4096, on tiles)
+    alpha, M = 0.75, 8192
+    fine = build_mesh(1.0, M, r)
+    half = half_mesh(fine)
+    lam, modes = np.array([1.0, 50.0, 2e4]), [1.0, 2.0, 3.0]
+    rhs, rhs_half = (np.outer(np.cos(t) + t**0.7, modes) for t in (fine.nodes, half.nodes))
+    pair = march_l1(alpha, fine, lam, rhs, rhs_half)
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "solve", failing_solve)
-        with pytest.raises(ArithmeticError) as caught:
-            march_l1(0.25, mesh, 2.5, rhs)
-    assert caught.value is boom and len(calls) == 40
-    assert threading.enumerate() == before
+        patch.setattr(l1_scheme, "_SOE_M", M)
+        tiles = march_l1(alpha, fine, lam, rhs, rhs_half)
+    alone = (march_l1(alpha, half, lam, rhs_half), march_l1(alpha, fine, lam, rhs))
+    for got, a, b in zip(pair, tiles, alone):
+        for ref in (a, b):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    blocks = l1_scheme.cell_integral_blocks(0.75, mesh, np.ones(mesh.M))
-    for _ in range(40):  # past block 33, the first with two tiles
-        next(blocks)
-    assert "msdfrac-far-tiles" in [thread.name for thread in threading.enumerate()]
-    blocks.close()
-    assert threading.enumerate() == before
 
-    def helper_fails(*args):
-        if threading.current_thread().name == "msdfrac-far-tiles":
-            raise FloatingPointError("in the helper")
-        time.sleep(1e-3)  # so that the helper takes a tile before this thread takes them all
-        return l1_weight_block(*args)
+def test_soe_march_forms_only_near_numerators(monkeypatch):
+    # above the gate no far tile is formed: each block's numerators are
+    # its own near block, formed once, in a march and in a pair march
+    M = l1_scheme._SOE_M + 2 * l1_scheme._ROWS
+    mesh = build_mesh(1.0, M, 2.0)
+    calls = []
 
-    monkeypatch.setattr(l1_scheme, "l1_weight_block", helper_fails)
-    with pytest.raises(FloatingPointError, match="in the helper"):
-        march_l1(0.25, mesh, 2.5, rhs)
-    assert threading.enumerate() == before
+    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
+        calls.append((start, stop, lo, hi))
+        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
+
+    monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
+    rhs = np.sin(3.0 * mesh.nodes)
+    blocks = [(a, min(a + 32, M), a, min(a + 32, M)) for a in range(0, M, 32)]
+    for half in (None, rhs[::2]):
+        calls.clear()
+        march_l1(0.4, mesh, 2.5, rhs, half)
+        assert calls == blocks
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # the helper thread is started with threading alone; concurrent.futures
-    # would add its import time to every run
+    # no solver uses a thread pool; concurrent.futures would add its
+    # import time to every run
     env = {**os.environ, "PYTHONPATH": str(Path(msdfrac.__file__).parents[1])}
     code = "import sys, msdfrac; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
