@@ -21,7 +21,8 @@ integrand is replaced by its piecewise-linear interpolant on the mesh
 and integrated against the kernel exactly (product integration, second
 order for smooth data).  Its cell integrals are the L1 weight family
 with exponent 1 + nu in place of 1 - a, built and summed by the L1
-march's own tile loop, l1_scheme.cell_integral_blocks.
+march's own block loop, l1_scheme.cell_integral_blocks, all from exact
+tiles.
 
 msd_split is the multiscale splitting itself, and the one place any
 model applies its splitting operator repeatedly: given data g and an
@@ -183,10 +184,9 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     slope (f_k - f_{k-1}) / tau_k on cell k: the second term sums the
     slopes against the numerators of exponent p = 1 + nu over
     Gamma(2 + nu), the L1 weight family (p = 1 - a there), in the L1
-    march's own tile loop, l1_scheme.cell_integral_blocks, on one thread
-    at every M: about 1.07 s on a graded mesh of M = 16384, against 0.73 s
-    when a second thread formed far tiles.  No study runs it above M of
-    about 408.
+    march's own block loop, l1_scheme.cell_integral_blocks, every far
+    column from exact tiles at every M: about 1.07 s on a graded mesh of
+    M = 16384.  No study runs it above M of about 408.
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     f = np.asarray(f, dtype=float)

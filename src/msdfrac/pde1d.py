@@ -471,7 +471,7 @@ def solve_subdiffusion(
 
 def solve_subdiffusion_pair(alpha: float, data: PdeData, mesh: GradedMesh, fem: IntervalFem):
     """(trace on half_mesh(mesh), trace on mesh) from one march: the modal
-    solve_subdiffusion on each, up to the order of the half's far history sums."""
+    solve_subdiffusion on each, up to how the half's far history is summed."""
     _check_fem(data, fem)
     meshes = (half_mesh(mesh), mesh)
     (_, amps_h, _), (lam, amps, rows) = (_modal_data(data.forcing, fem, m.nodes[1:]) for m in meshes)

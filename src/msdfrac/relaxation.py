@@ -79,7 +79,7 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
     computed by product integration (that path carries the quadrature's
     own O(tau^2) error on top of the scheme's).  Its cell integrals are
     the L1 weights' numerators with exponent 1 + a, summed by the L1
-    march's tile loop (see l1_scheme).
+    march's block loop from exact tiles (see l1_scheme).
     """
     a, lam = prob.alpha, prob.lam
     if isinstance(prob.f, TimeProfile):
@@ -138,7 +138,7 @@ def solve_relaxation(prob: RelaxationProblem, mesh: GradedMesh) -> ScalarTrace:
 
 def solve_relaxation_pair(prob: RelaxationProblem, mesh: GradedMesh):
     """(trace on half_mesh(mesh), trace on mesh) from one march: solve_relaxation
-    on each, up to the order of the half's far history sums (see l1_scheme)."""
+    on each, up to how the half's far history is summed (see l1_scheme)."""
     half = half_mesh(mesh)
     (fh, rh), (f, r) = (_nodal_split(prob, m) for m in (half, mesh))
     Vh, V = march_l1(prob.alpha, mesh, prob.lam, f, fh)

@@ -192,17 +192,18 @@ def test_table_grading_warning_is_one_note(capsys):
 
 
 def test_rate_shortfall_is_a_note(capsys):
-    # the errors of alpha = 0.02, r = 99 grow from M = 256 to 512: the CLI
-    # says so on stderr, and the CSV is the report's own
-    args = ["relaxation", "--alpha", "0.02", "--r", "99", "--M", "256", "--M", "512", "--format", "csv"]
+    # the errors of alpha = 0.02, r = 99 grow from M = 64 to 128 (the
+    # cancelling head and near numerators): the CLI says so on stderr, and
+    # the CSV is the report's own
+    args = ["relaxation", "--alpha", "0.02", "--r", "99", "--M", "64", "--M", "128", "--format", "csv"]
     code, out, err = _run(capsys, args)
     assert code == 0
     (note,) = err.splitlines()
     assert note.startswith("note: relaxation (alpha=0.02, n=0, r=99, ")
-    assert "the observed rate at the finest row, M = 512, is -" in note
+    assert "the observed rate at the finest row, M = 128, is -" in note
     assert note.endswith("below half the theory rate 1.98")
     rows = list(csv.reader(io.StringIO(out)))
-    assert [r[4] for r in rows[1:]] == ["256", "512"] and float(rows[2][6]) < 0.0
+    assert [r[4] for r in rows[1:]] == ["64", "128"] and float(rows[2][6]) < 0.0
     # a table whose finest rates keep up prints no note
     code, out, err = _run(capsys, ["table", "--id", "1", "--format", "csv"])
     assert code == 0 and err == ""

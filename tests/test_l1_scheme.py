@@ -21,6 +21,7 @@ from msdfrac import (
 from msdfrac.l1_scheme import l1_weight_block
 from msdfrac.mesh import half_mesh
 from msdfrac.reference import apply_dfrac, build_l1, complementary_kernel
+from msdfrac.study import default_ms, make_relaxation_study, run_study
 
 
 def test_uniform_weight_row_closed_form():
@@ -86,13 +87,25 @@ def test_coercivity_inequality(alpha, r, M, seed):
         assert lhs - rhs >= -1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _formed_once(M):
+    # the numerators (m, k), 1 <= k <= m <= M, that a graded march forms,
+    # each once: every one up to M = _HEAD + _ROWS = 288; past it the head
+    # columns k <= _HEAD and each row's own block, about M x 288 in place
+    # of M^2 / 2; above _SOE_M each row's own block only
+    rows, head = l1_scheme._ROWS, 0 if M > l1_scheme._SOE_M else l1_scheme._HEAD
+    m, k = np.arange(1, M + 1)[:, None], np.arange(1, M + 1)
+    formed = (k <= m) & ((k <= head) | (k > (m - 1) // rows * rows))
+    assert M > head + rows or np.all(formed == np.tri(M, dtype=bool))
+    return formed.astype(int)
+
+
 def test_march_solves_the_scheme(monkeypatch):
     # a marched solution satisfies D^a V^m + lam V^m = rhs^m exactly; a
-    # graded march forms every weight numerator (m, k), 1 <= k <= m <= M,
-    # exactly once, a tile of rows and columns at a time, and on a
-    # uniform mesh the Toeplitz fast path must be taken (no graded
-    # numerators) even when a decimal step count leaves the node gaps
-    # equal only up to rounding
+    # graded march forms the weight numerators of _formed_once exactly
+    # once, a tile of rows and columns at a time, and on a uniform mesh
+    # the Toeplitz fast path must be taken (no graded numerators) even
+    # when a decimal step count leaves the node gaps equal only up to
+    # rounding
     alpha, lam = 0.4, 2.5
     formed = None  # formed[m, k]: times numerator (m, k) was formed
 
@@ -101,14 +114,14 @@ def test_march_solves_the_scheme(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    graded = (build_mesh(1.0, 32, 2.0), build_mesh(1.0, 100, 1.5), build_mesh(1.0, 2100, 2.0))
+    graded = tuple(build_mesh(1.0, M, r) for M, r in ((32, 2.0), (100, 1.5), (288, 2.0), (289, 2.0), (2100, 2.0)))
     for mesh in graded + (build_mesh(1.0, 100), build_mesh(0.3, 128)):
         M = mesh.M
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         formed = np.zeros((M + 1, M + 1), dtype=int)
         V = march_l1(alpha, mesh, lam, rhs)
         lower = np.tril(formed[1:, 1:])  # k <= m; the zeros beyond the diagonal are not counted
-        assert np.all(lower == (0 if mesh.uniform else np.tri(M, dtype=int)))
+        assert np.all(lower == (0 if mesh.uniform else _formed_once(M)))
         if M > 128:
             continue  # the dense residual check below is O(M^3)
         sysm = build_l1(mesh, alpha)
@@ -238,9 +251,9 @@ def _stepped_march(alpha, mesh, lam, rhs):
 @pytest.mark.parametrize("alpha,r", [(0.25, 7.0), (0.75, 5.0 / 3.0), (0.5, 2.0)])
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 200, 1100, 2100])
 def test_block_march_matches_stepped_graded_march(alpha, r, M):
-    # blocks of rows (far history a sum of tile products, near block one
-    # solve) against the step-by-step march, for a scalar and three modes
-    # up to 2e4; M = 1100 and 2100 cross one and two tile edges
+    # blocks of rows (far history a head of tile products and a sum of
+    # exponentials past it, near block one solve) against the step-by-step
+    # march, for a scalar and three modes up to 2e4; M = 200 is all head
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     cases = (
@@ -265,8 +278,8 @@ def test_scalar_march_is_the_one_mode_march(M, r):
 
 
 def test_graded_march_peaks_below_one_block_of_full_rows():
-    # the far history is built a tile of _COLS columns at a time in one
-    # scratch buffer (M = 4096), or from the exponentials' history
+    # the far history is built from one head tile of _HEAD columns and
+    # the exponentials' history (M = 4096), or from the exponentials alone
     # (M = 8192), so a march never holds a block of _ROWS full-width rows
     # of numerators (1 and 2 MiB)
     march_l1(0.25, build_mesh(1.0, 64, 7.0), 1.0, np.zeros(65))  # first-call set-up outside the measurement
@@ -309,8 +322,9 @@ def test_half_numerators_are_summed_fine_column_pairs(alpha, r, ulps):
 @pytest.mark.parametrize("M", [2, 64, 2200])
 def test_pair_march_matches_separate_marches(alpha, r, M):
     # a mesh marched with its half against a march of each alone, for a
-    # scalar and three modes up to 2e4; only the order of the far sums
-    # differs.  M = 2200 crosses two tile edges of the fine mesh
+    # scalar and three modes up to 2e4; the far sums differ in order and,
+    # at M = 2200, in the head: 256 columns of the half alone, 128 in the
+    # pair
     fine = build_mesh(1.0, M, r)
     half = half_mesh(fine)
     for lam, modes in ((2.5, None), (np.array([1.0, 50.0, 2e4]), [1.0, 2.0, 3.0])):
@@ -326,8 +340,8 @@ def test_pair_march_matches_separate_marches(alpha, r, M):
 
 
 def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
-    # every fine numerator (m, k), 1 <= k <= m <= M, exactly once, and not
-    # one numerator on the half mesh; M = 2100 crosses two tile edges
+    # the fine numerators of _formed_once, each exactly once, and not one
+    # numerator on the half mesh
     formed, meshes = None, []
 
     def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
@@ -336,21 +350,24 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    for M in (2, 100, 2100):
+    for M in (2, 100, 288, 290, 2100):
         fine = build_mesh(1.0, M, 2.0)
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         formed, meshes = np.zeros((M + 1, M + 1), dtype=int), []
         march_l1(0.4, fine, 2.5, rhs, rhs[::2])
         assert all(mesh is fine for mesh in meshes)
-        assert np.all(np.tril(formed[1:, 1:]) == np.tri(M, dtype=int))
+        assert np.all(np.tril(formed[1:, 1:]) == _formed_once(M))
 
 
 @pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.75, 0.98])
-@pytest.mark.parametrize("delta", [1e-8, 1e-16, 1e-26])
+@pytest.mark.parametrize("delta", [1e-8, 1e-16, 1e-26, 1e-80, 1e-300])
 def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     # sum_j w_j exp(-s_j t) against t^{-a} on [delta, T], relative error
-    # below 2.5e-15, every weight positive, and N = 12 + 16 panels
-    for T in (1.0, 3.0):
+    # below 2.5e-15, every weight positive, and N = 12 + 16 panels; a head
+    # lets a march of up to 4128 steps reach far smaller gaps than
+    # 1e-26, and with panel nodes summed in log s the error at a = 0.98
+    # was 5.3e-15 at delta = 1e-80 and 2.4e-14 at 1e-300
+    for T in (0.3, 1.0, 3.0, 100.0):
         s, w = l1_scheme.soe_kernel(alpha, delta, T)
         panels = math.ceil((math.log(37.0 * T / delta) + 1.0) / 2.0)
         assert len(s) == len(w) == 12 + 16 * panels
@@ -362,14 +379,29 @@ def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     assert len(l1_scheme.soe_kernel(alpha, 1e-26, 1.0)[0]) == 540
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.75, 0.98])
+def test_gauss_jacobi_by_newton_matches_golub_welsch(alpha):
+    # the 12-node rule of weight (1 + y)^{a-1} on [-1, 1] from Newton's
+    # method in z = 1 + y against the eigenpairs of its Jacobi matrix; the
+    # node nearest -1 is compared in z, where the eigenvalues keep only
+    # its absolute precision
+    b, n = alpha - 1.0, np.arange(1.0, 12.0)
+    c = 2.0 * np.arange(12.0) + b
+    off = n * (n + b) / c[1:] * np.sqrt(4.0 / (c[1:] ** 2 - 1.0))
+    y, vec = np.linalg.eigh(np.diag(b * b / (c * (c + 2.0))) + np.diag(off, 1) + np.diag(off, -1))
+    z, w = l1_scheme._gauss_jacobi(alpha)
+    assert np.max(np.abs(z - (1.0 + y))) < 1e-15
+    assert np.max(np.abs(w / (vec[0] ** 2 * 2.0**alpha / alpha) - 1.0)) < 5e-14
+
+
 @pytest.mark.filterwarnings("ignore:grading r")
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 @pytest.mark.parametrize("r", [5.0 / 3.0, 5.0 / 12.0, 7.0])
 @pytest.mark.parametrize("M", [1, 33, 2100])
 def test_soe_march_matches_the_tile_march(monkeypatch, alpha, r, M):
-    # with the gate lowered, the sum-of-exponentials far history against
-    # the exact tiles, for a scalar and three modes up to 2e4, alone and
-    # with the half
+    # the sum-of-exponentials far history past the head, and with no head
+    # (the gate lowered), against exact tiles for every column, for a
+    # scalar and three modes up to 2e4, alone and with the half
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     cases = (
@@ -382,21 +414,24 @@ def test_soe_march_matches_the_tile_march(monkeypatch, alpha, r, M):
         return [march_l1(alpha, mesh, lam, rhs), *pair]
 
     for lam, rhs in cases:
-        want = marches(lam, rhs)
         with monkeypatch.context() as patch:
-            patch.setattr(l1_scheme, "_SOE_M", 0)
-            got = marches(lam, rhs)
-        assert len(got) == len(want) == (3 if M % 2 == 0 else 1)
-        for g, ref in zip(got, want):
-            assert g.shape == ref.shape
-            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+            patch.setattr(l1_scheme, "_HEAD", M)
+            want = marches(lam, rhs)
+        for gate in (l1_scheme._SOE_M, 0):  # a head, then none
+            with monkeypatch.context() as patch:
+                patch.setattr(l1_scheme, "_SOE_M", gate)
+                got = marches(lam, rhs)
+            assert len(got) == len(want) == (3 if M % 2 == 0 else 1)
+            for g, ref in zip(got, want):
+                assert g.shape == ref.shape
+                assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.filterwarnings("ignore:grading r")
 @pytest.mark.parametrize("r", [5.0 / 3.0, 5.0 / 12.0])
 def test_soe_pair_march_above_the_gate(monkeypatch, r):
     # a pair at M = 8192 (sum of exponentials) against the tile pair and
-    # against a march of each mesh alone (the half, M = 4096, on tiles)
+    # against a march of each mesh alone (the half, M = 4096, past a head)
     alpha, M = 0.75, 8192
     fine = build_mesh(1.0, M, r)
     half = half_mesh(fine)
@@ -405,11 +440,31 @@ def test_soe_pair_march_above_the_gate(monkeypatch, r):
     pair = march_l1(alpha, fine, lam, rhs, rhs_half)
     with monkeypatch.context() as patch:
         patch.setattr(l1_scheme, "_SOE_M", M)
+        patch.setattr(l1_scheme, "_HEAD", M)
         tiles = march_l1(alpha, fine, lam, rhs, rhs_half)
     alone = (march_l1(alpha, half, lam, rhs_half), march_l1(alpha, fine, lam, rhs))
     for got, a, b in zip(pair, tiles, alone):
         for ref in (a, b):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_head_keeps_table_2_noise_cells(monkeypatch):
+    # table 2's alpha 0.25, n 0, r 7 study against all-tile marches (the
+    # head over every column): its errors at M 256 to 2048 are rounding
+    # noise of the cancelling numerators in the first ~100 columns, so the
+    # exact head keeps every one within 1e-6 relative, and no head moves
+    # some row by more than 1%
+    spec = make_relaxation_study(0.25, n=0, r=7.0)
+    Ms = default_ms(spec)
+
+    def errors(head):
+        with monkeypatch.context() as patch:
+            patch.setattr(l1_scheme, "_HEAD", l1_scheme._HEAD if head is None else head)
+            return np.array([row.error for row in run_study(spec, Ms).rows])
+
+    shipped, tiles = errors(None), errors(2 * Ms[-1])
+    assert np.max(np.abs(shipped / tiles - 1.0)) < 1e-6
+    assert np.max(np.abs(errors(0) / tiles - 1.0)) > 1e-2
 
 
 def test_soe_march_forms_only_near_numerators(monkeypatch):
