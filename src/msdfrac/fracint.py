@@ -141,7 +141,10 @@ def frac_integrate(p: TimeProfile, nu: float) -> TimeProfile:
     check_real(nu, "nu", lambda v: 0.0 < v < math.inf, "be a positive finite integration order")
     terms = []
     for c, q in p.terms:
-        factor = math.gamma(q + 1.0) / math.gamma(q + 1.0 + nu)
+        try:
+            factor = math.gamma(q + 1.0) / math.gamma(q + 1.0 + nu)
+        except OverflowError:  # q + 1 + nu > 171.6, reached by deep splits
+            factor = math.exp(math.lgamma(q + 1.0) - math.lgamma(q + 1.0 + nu))
         terms.append((c * factor, q + nu))
     return TimeProfile.of(*terms)
 

@@ -38,6 +38,15 @@ def check_real(value, name: str, ok=math.isfinite, need: str = "be finite (a rea
         raise ValueError(f"{name} must {need}, got {name}={value!r}")
 
 
+def check_reals(values, name: str) -> tuple:
+    """values, a nonempty tuple, list or array of finite reals, as floats, else a ValueError naming it."""
+    if not isinstance(values, (tuple, list, np.ndarray)) or len(values) == 0:
+        raise ValueError(f"{name} must be a nonempty sequence of numbers, got {name}={values!r}")
+    for v in values:
+        check_real(v, name, need="hold finite real numbers")
+    return tuple(float(v) for v in values)
+
+
 def check_alpha(alpha) -> None:
     """A fractional order outside (0, 1), NaN included, raises a ValueError."""
     check_real(alpha, "alpha", lambda a: 0.0 < a < 1.0, "lie in (0, 1) as a fractional order")

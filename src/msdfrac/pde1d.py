@@ -16,8 +16,9 @@ grid in one call, a row of nodes x against a column of times t; it
 must return an array that broadcasts to their common shape (a scalar
 is spread over the grid).  Its nodal loads are transformed to the sine
 basis.  ``method="full"`` is the same time scheme written out
-step by step on the nodal unknowns, with an LDL^T tridiagonal solve per
-step: an O(M^2) reference that shares no marcher with the modal path.
+step by step on the nodal unknowns, with a dense solve of the (J-1) x
+(J-1) system cm M + ck K per step (``IntervalFem.matrix``): an O(M^2)
+reference that shares no marcher with the modal path.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
 splitting:
@@ -82,48 +83,19 @@ __all__ = [
 ]
 
 
-def _tridiag_apply(d: float, e: float, v: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal matrix (d on, e off the diagonal) times v."""
-    out = d * v
-    out[..., :-1] += e * v[..., 1:]
-    out[..., 1:] += e * v[..., :-1]
-    return out
-
-
-def _pivots(d: float, e: float, n: int) -> list:
-    """LDL^T pivots of the n x n tridiagonal (d, e).  The FEM systems are
-    symmetric positive definite, so no pivoting is needed."""
-    piv = [d]
-    for _ in range(n - 1):
-        piv.append(d - e * e / piv[-1])
-    return piv
-
-
-def _tridiag_solve(piv: list, e: float, b: np.ndarray) -> np.ndarray:
-    """(d, e) x = b from its pivots: a sweep with L, then one with D L^T."""
-    x = b.tolist()
-    for i in range(1, len(x)):
-        x[i] -= e / piv[i - 1] * x[i - 1]
-    x[-1] /= piv[-1]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = (x[i] - e * x[i + 1]) / piv[i]
-    return np.array(x)
-
-
 # The per-step solves keep these names for perfbench's tracer until ROADMAP item 1.
-def solveh_banded(d: float, e: float, b: np.ndarray) -> np.ndarray:
-    """One subdiffusion step; d changes with the step on a graded mesh."""
-    return _tridiag_solve(_pivots(d, e, len(b)), e, b)
+def solveh_banded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(A, b)
 
 
-def cho_solve_banded(piv: list, e: float, b: np.ndarray) -> np.ndarray:
-    """One integro step, from pivots computed once."""
-    return _tridiag_solve(piv, e, b)
+def cho_solve_banded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(A, b)
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalFem:
-    """Linear elements on (a, b) with J cells and Dirichlet ends."""
+    """Linear elements on (a, b) with J cells and Dirichlet ends.  The mode
+    functions take an int k or an integer array of them."""
 
     a: float
     b: float
@@ -143,43 +115,35 @@ class IntervalFem:
     def stiff_diags(self) -> tuple[float, float]:
         return 2.0 / self.h, -1.0 / self.h
 
-    def mass_apply(self, v: np.ndarray) -> np.ndarray:
-        return _tridiag_apply(*self.mass_diags, v)
-
-    def stiff_apply(self, v: np.ndarray) -> np.ndarray:
-        return _tridiag_apply(*self.stiff_diags, v)
-
-    def diags(self, cm: float, ck: float) -> tuple[float, float]:
-        """(diagonal, off-diagonal) of cm*mass + ck*stiffness."""
+    def matrix(self, cm: float, ck: float) -> np.ndarray:
+        """cm*mass + ck*stiffness as a dense (J-1) x (J-1) array."""
         (md, me), (kd, ke) = self.mass_diags, self.stiff_diags
-        return cm * md + ck * kd, cm * me + ck * ke
+        n, d, e = self.J - 1, cm * md + ck * kd, cm * me + ck * ke
+        return d * np.eye(n) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
 
-    def mode_frequency(self, k: int) -> float:
+    def mode_frequency(self, k):
         return k * math.pi / (self.b - self.a)
 
-    def sine_vector(self, k: int) -> np.ndarray:
-        return np.sin(self.mode_frequency(k) * (self.interior_nodes - self.a))
+    def sine_vector(self, k) -> np.ndarray:
+        """sin(k xi (x-a)) at the interior nodes, one row per k of an array."""
+        return np.sin(np.multiply.outer(self.mode_frequency(k), self.interior_nodes - self.a))
 
-    def discrete_eigenvalue(self, k: int) -> float:
+    def discrete_eigenvalue(self, k):
         """Generalized eigenvalue of (stiffness, mass) on the sine vector."""
         th = self.mode_frequency(k) * self.h
-        return (6.0 / self.h**2) * (1.0 - math.cos(th)) / (2.0 + math.cos(th))
+        return (6.0 / self.h**2) * (1.0 - np.cos(th)) / (2.0 + np.cos(th))
 
-    def mass_eigenvalue(self, k: int) -> float:
+    def mass_eigenvalue(self, k):
         th = self.mode_frequency(k) * self.h
-        return self.h * (2.0 + math.cos(th)) / 3.0
+        return self.h * (2.0 + np.cos(th)) / 3.0
 
-    def mode_load_coeff(self, k: int) -> float:
+    def mode_load_coeff(self, k):
         """The two-point Gauss load of sin(k xi (x-a)) is this multiple of
         the sine vector: h (g- cos(g+ th) + g+ cos(g- th)) with th = k xi h
         and g-/+ = 1/2 -/+ 1/(2 sqrt 3) the Gauss points of a cell."""
         th = self.mode_frequency(k) * self.h
         lo, hi = 0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)
-        return self.h * (lo * math.cos(hi * th) + hi * math.cos(lo * th))
-
-    def mode_load_vector(self, k: int) -> np.ndarray:
-        """Two-point Gauss load of the spatial factor sin(k xi (x-a))."""
-        return self.mode_load_coeff(k) * self.sine_vector(k)
+        return self.h * (lo * np.cos(hi * th) + hi * np.cos(lo * th))
 
     def nodal_load(self, fvals: np.ndarray) -> np.ndarray:
         """Load of the nodal interpolant; the last axis of fvals has all
@@ -267,10 +231,7 @@ class SeparableField:
         a, b = self.domain
         xi = math.pi / (b - a)
         x = np.asarray(x, dtype=float)
-        out = 0.0
-        for k, _, amp in self.modes:
-            out = out + np.asarray(amp(t)) * np.sin(k * xi * (x - a))
-        return out
+        return sum((np.asarray(amp(t)) * np.sin(k * xi * (x - a)) for k, _, amp in self.modes), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,20 +338,20 @@ def _modal_data(forcing, fem: IntervalFem, times: np.ndarray):
     eigenvalue is 0 when k is a multiple of 2J.
     """
     if not isinstance(forcing, SeparableField):
-        ks = range(1, fem.J)
-        sines = np.array([fem.sine_vector(k) for k in ks])
-        mu = np.array([fem.mass_eigenvalue(k) for k in ks])
-        amps = _load_rows(forcing, fem, times) @ sines.T * (2.0 / (fem.J * mu))
-        return np.array([fem.discrete_eigenvalue(k) for k in ks]), amps, sines
-    modes = [mode for mode in forcing.modes if mode[0] % fem.J]
-    lam = np.array([fem.discrete_eigenvalue(k) for k, _, _ in modes])
-    amps = np.zeros((len(times), len(modes)))
-    sines = np.zeros((len(modes), fem.J - 1))
-    for j, (k, _, amp) in enumerate(modes):
-        scale = fem.mode_load_coeff(k) / fem.mass_eigenvalue(k)
-        amps[:, j] = scale * np.asarray(amp(times), dtype=float)
-        sines[j] = fem.sine_vector(k)
-    return lam, amps, sines
+        ks = np.arange(1, fem.J)
+        sines = fem.sine_vector(ks)
+        amps = _load_rows(forcing, fem, times) @ sines.T * (2.0 / (fem.J * fem.mass_eigenvalue(ks)))
+        return fem.discrete_eigenvalue(ks), amps, sines
+    ks, amps = _mode_columns([mode for mode in forcing.modes if mode[0] % fem.J], times)
+    amps *= fem.mode_load_coeff(ks) / fem.mass_eigenvalue(ks)
+    return fem.discrete_eigenvalue(ks), amps, fem.sine_vector(ks)
+
+
+def _mode_columns(modes, times: np.ndarray):
+    """The indices k of (k, lambda_k, profile) triples, and their profiles at ``times`` as columns."""
+    ks = np.array([k for k, _, _ in modes], dtype=int)
+    prof = np.fromiter((amp(times) for _, _, amp in modes), np.dtype((float, len(times))), len(ks))
+    return ks, prof.T
 
 
 def _load_rows(forcing, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
@@ -400,10 +361,8 @@ def _load_rows(forcing, fem: IntervalFem, times: np.ndarray) -> np.ndarray:
     if not isinstance(forcing, SeparableField):
         xs = fem.a + fem.h * np.arange(fem.J + 1)
         return fem.nodal_load(sample(forcing, xs[None, :], times[:, None]))
-    out = np.zeros((len(times), fem.J - 1))
-    for k, _, amp in forcing.modes:
-        out += np.outer(amp(times), fem.mode_load_vector(k))
-    return out
+    ks, profiles = _mode_columns(forcing.modes, times)
+    return profiles @ (fem.mode_load_coeff(ks)[:, None] * fem.sine_vector(ks))
 
 
 def _check_fem(data: PdeData, fem: IntervalFem) -> None:
@@ -425,7 +384,7 @@ def _reconstruct(coef, rows, data: PdeData, mesh: GradedMesh, fem: IntervalFem) 
     parts = [(k, np.append(0.0, amp(mesh.nodes[1:]))) for k, _, amp in data.reconstruction.modes]
     parts += [(k, np.full(mesh.M + 1, amp(0.0))) for k, _, amp in data.initial.modes]
     coef_all = np.column_stack([coef] + [col for _, col in parts])
-    rows_all = np.vstack([rows] + [fem.sine_vector(k) for k, _ in parts])
+    rows_all = np.vstack([rows, fem.sine_vector(np.array([k for k, _ in parts], dtype=int))])
     return FieldTrace(mesh, fem, coef_all, rows_all, nv=coef.shape[1])
 
 
@@ -445,7 +404,7 @@ def solve_subdiffusion(
     eigenvalues, and "modal" runs all modes in one batched ``march_l1``
     call, for separable and callable forcing alike (see ``_modal_data``).
     "full" is the scheme written out step by step on the nodal unknowns,
-    with one tridiagonal solve per step: an O(M^2) reference for checks
+    with one dense solve of a0 M + K per step: an O(M^2) reference for checks
     that shares no marcher with "modal".  ``n`` is not read; ``data`` fixes it.
     """
     check_alpha(alpha)
@@ -458,12 +417,13 @@ def solve_subdiffusion(
     else:
         rows = np.eye(fem.J - 1)
         loads = _load_rows(data.forcing, fem, times)
+        mass, stiff = fem.matrix(1.0, 0.0), fem.matrix(0.0, 1.0)
         V = np.zeros((mesh.M + 1, fem.J - 1))
         D = np.zeros((mesh.M, fem.J - 1))  # D[k-1] = V^k - V^{k-1}
         for m in range(1, mesh.M + 1):
             a = l1_weight_row(alpha, mesh, m)
             b = a[-1] * V[m - 1] - a[:-1] @ D[: m - 1]
-            V[m] = solveh_banded(*fem.diags(a[-1], 1.0), loads[m - 1] + fem.mass_apply(b))
+            V[m] = solveh_banded(a[-1] * mass + stiff, loads[m - 1] + mass @ b)
             D[m - 1] = V[m] - V[m - 1]
 
     return _reconstruct(V, rows, data, mesh, fem)
@@ -515,7 +475,7 @@ def solve_integro(
     running sum of D.  "modal" divides mode k by its eigenvalue
     lam_k > 0, which leaves the shared kernel G with the diagonal shift
     1/(tau lam_k), and solves it by toeplitz.march.  "full" steps the
-    nodal increments one at a time with the LDL^T pivots of M/tau + G_0 K:
+    nodal increments one at a time with dense solves of M/tau + G_0 K:
     an O(M^2) reference for checks that shares no marcher with "modal".
     Both take separable forcing and the callable f(x, t) that
     ``integro_direct_data`` passes through.
@@ -536,15 +496,14 @@ def solve_integro(
         rows = np.eye(fem.J - 1)
         loads = _load_rows(data.forcing, fem, mesh.nodes)
         fbar = 0.5 * (loads[1:] + loads[:-1])
-        d, e = fem.diags(1.0 / tau, G[0])
-        piv = _pivots(d, e, fem.J - 1)
+        A, stiff = fem.matrix(1.0 / tau, G[0]), fem.matrix(0.0, 1.0)
         # one row of increments D^1..D^M per node: numpy sums a contiguous row
         # pairwise, which at M = 4096 keeps this within 1.5e-14 of max |V| of a
         # long-double solve, where a BLAS product's running sum was 4.3e-14 off
         D = np.zeros(fbar.T.shape)
         for m in range(mesh.M):
             hist = (D[:, :m] * G[m:0:-1]).sum(axis=1)
-            D[:, m] = cho_solve_banded(piv, e, fbar[m] - fem.stiff_apply(hist))
+            D[:, m] = cho_solve_banded(A, fbar[m] - stiff @ hist)
         V = np.cumsum(D.T, axis=0)
     V = np.vstack([np.zeros(V.shape[1]), V])
 

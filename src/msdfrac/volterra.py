@@ -51,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
-from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon, check_real
+from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon, check_real, check_reals
 from .toeplitz import block_inverse, march
 
 __all__ = [
@@ -96,10 +96,8 @@ class VolterraProblem:
         object.__setattr__(self, "n", check_count(self.n, "n", 0))
         if not callable(self.kernel):
             check_real(self.kernel, "kernel", need="be a finite number or a callable")
+        c = check_reals(self.c, "c")
         object.__setattr__(self, "q", check_count(self.q, "q", 1))
-        for x in self.c:
-            check_real(x, "c", need="hold finite real numbers")
-        c = tuple(float(x) for x in self.c)
         if len(c) != self.q:
             raise ValueError(f"need q = {self.q} collocation parameters, got {c}")
         if not all(0.0 < x <= 1.0 for x in c) or len(set(c)) != len(c) or list(c) != sorted(c):

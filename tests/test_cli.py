@@ -167,6 +167,22 @@ def test_subdiffusion_runs(capsys):
     assert "subdiffusion" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "subdiffusion --alpha 0.9 --n 190 --J 8 --M 8 --M 16",
+        "relaxation --alpha 0.9 --n 190 --M 8 --M 16",
+        "volterra --alpha 0.02 --n 200",
+        "subdiffusion --alpha 0.5 --n 400",
+    ],
+)
+def test_deep_splits_run(capsys, args):
+    # Gamma(q + 1 + nu) overflows once q + 1 + nu > 171.6, which these
+    # depths reach; the split's profile integrals must still be formed
+    code, _, err = _run(capsys, args.split())
+    assert code == 0, err
+
+
 def test_integro_decimal_step_counts(capsys):
     # M = 100 gives uniform steps that differ in the last bit; the
     # convolution quadrature must still accept the mesh

@@ -44,29 +44,49 @@ def test_hand_assembled_matrices():
     assert e == pytest.approx(-2.0)
 
 
+def _dense(fem):
+    # mass and stiffness matrices assembled by hand from their diagonals
+    n = fem.J - 1
+    return tuple(
+        np.diag(np.full(n, d)) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
+        for d, e in (fem.mass_diags, fem.stiff_diags)
+    )
+
+
 def test_operator_applications_match_dense():
     fem = assemble_fem(0.0, 2.0, 9)
-    J = 9
-    dm, em = fem.mass_diags
-    dk, ek = fem.stiff_diags
-    Mmat = np.diag(np.full(J - 1, dm)) + np.diag(np.full(J - 2, em), 1) + np.diag(np.full(J - 2, em), -1)
-    Kmat = np.diag(np.full(J - 1, dk)) + np.diag(np.full(J - 2, ek), 1) + np.diag(np.full(J - 2, ek), -1)
+    Mmat, Kmat = _dense(fem)
     rng = np.random.default_rng(11)
-    v = rng.standard_normal(J - 1)
-    assert np.allclose(fem.mass_apply(v), Mmat @ v, rtol=1e-14)
-    assert np.allclose(fem.stiff_apply(v), Kmat @ v, rtol=1e-14)
+    v = rng.standard_normal(fem.J - 1)
+    # the load of a nodal interpolant that vanishes at both ends is M v,
+    # and v K v is the energy of its piecewise-constant slopes
+    assert np.allclose(fem.nodal_load(np.pad(v, 1)), Mmat @ v, rtol=1e-14)
+    assert np.allclose(v @ Kmat @ v, np.sum(np.diff(np.pad(v, 1)) ** 2) / fem.h, rtol=1e-14)
     # mass row sums equal h away from the boundary rows
     assert np.allclose(Mmat.sum(axis=1)[1:-1], fem.h, rtol=1e-14)
 
 
+def test_dense_matrix_and_array_mode_functions():
+    fem = assemble_fem(0.0, 2.0, 9)
+    Mmat, Kmat = _dense(fem)
+    for cm, ck in ((1.0, 0.0), (0.0, 1.0), (7.5, 0.3)):
+        assert np.array_equal(fem.matrix(cm, ck), cm * Mmat + ck * Kmat)
+    # an array of k gives each scalar call's value bit for bit, multiples of J included
+    ks = np.arange(1, 3 * fem.J + 1)
+    for name in ("mode_frequency", "sine_vector", "discrete_eigenvalue", "mass_eigenvalue", "mode_load_coeff"):
+        fn = getattr(fem, name)
+        assert np.array_equal(fn(ks), np.array([fn(int(k)) for k in ks])), name
+
+
 def test_sine_vectors_diagonalize_the_pencil():
     fem = assemble_fem(0.0, 2.0 * math.pi, 24)
+    Mmat, Kmat = _dense(fem)
     for k in (1, 2, 7):
         s = fem.sine_vector(k)
         lam = fem.discrete_eigenvalue(k)
         mu = fem.mass_eigenvalue(k)
-        assert np.max(np.abs(fem.stiff_apply(s) - lam * fem.mass_apply(s))) < 1e-12 * lam
-        assert np.max(np.abs(fem.mass_apply(s) - mu * s)) < 1e-14
+        assert np.max(np.abs(Kmat @ s - lam * (Mmat @ s))) < 1e-12 * lam
+        assert np.max(np.abs(Mmat @ s - mu * s)) < 1e-14
         # discrete eigenvalue approaches (k pi / L)^2 from above
         assert lam >= fem.mode_frequency(k) ** 2
 
@@ -101,11 +121,12 @@ def _gauss_load(fem, k):
 def test_mode_loads_match_gauss_quadrature():
     # every mode, multiples of J included, against the quadrature itself
     fem = assemble_fem(0.0, 1.0, 16)
-    ks = range(1, 3 * fem.J + 1)
+    ks = np.arange(1, 3 * fem.J + 1)
     refs = [_gauss_load(fem, k) for k in ks]
     scale = max(np.max(np.abs(r)) for r in refs)
-    for k, ref in zip(ks, refs):
-        assert np.max(np.abs(fem.mode_load_vector(k) - ref)) < 1e-14 * scale
+    loads = fem.mode_load_coeff(ks)[:, None] * fem.sine_vector(ks)
+    for load, ref in zip(loads, refs):
+        assert np.max(np.abs(load - ref)) < 1e-14 * scale
 
 
 def test_mode_load_coeff_is_closed_form_on_multiples_of_the_cell_count():
@@ -122,7 +143,7 @@ def test_nodal_load_matches_gauss_load_for_sine_data():
     fem = assemble_fem(0.0, 1.0, 64)
     x = np.linspace(0.0, 1.0, 65)
     nodal = fem.nodal_load(np.sin(math.pi * x))
-    exact = fem.mode_load_vector(1)
+    exact = fem.mode_load_coeff(1) * fem.sine_vector(1)
     # nodal interpolation of the data vs 2-pt Gauss on the exact sine:
     # both converge to the same load, O(h^2) apart
     assert np.max(np.abs(nodal - exact)) < 1e-5
@@ -612,11 +633,9 @@ def test_integro_march_matches_stepwise_recursion(M):
     assert np.max(np.abs(got - ref @ sines)) <= 1e-12 * np.max(np.abs(ref @ sines))
 
     # full: the banded system on the Gauss loads
-    n = fem.J - 1
-    E = np.eye(n)
-    mass, stiff = fem.mass_apply(E), fem.stiff_apply(E)
+    mass, stiff = _dense(fem)
     A = mass / tau + ta * w0 / 2.0 * stiff
-    loads = sum(np.outer(amp(t), fem.mode_load_vector(k)) for k, _, amp in f.modes)
+    loads = sum(np.outer(amp(t), fem.mode_load_coeff(k) * fem.sine_vector(k)) for k, _, amp in f.modes)
     ref = _cq_cn_steps(
         alpha,
         tau,

@@ -10,6 +10,7 @@ import pytest
 from msdfrac import (
     VolterraProblem,
     collocation_depth,
+    make_volterra_study,
     ml_eval,
     msd_volterra_forcing,
     solve_volterra,
@@ -307,6 +308,12 @@ def test_validation():
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(0.5,))  # q mismatch
     with pytest.raises(ValueError):
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(1.0, 2.0 / 3.0))
+    # c that is not a nonempty sequence of numbers is named, by the problem and the study
+    for c in (0.5, (), "1"):
+        with pytest.raises(ValueError, match=r"^c must .*got c="):
+            VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, c=c)
+        with pytest.raises(ValueError, match=r"^c must .*got c="):
+            make_volterra_study(0.5, c=c)
     for T in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="horizon"):
             VolterraProblem(alpha=0.5, T=T, kernel=1.0, f=1.0)
