@@ -39,22 +39,27 @@ columns in place of O(M^2 K) (Jiang, Zhang, Zhang and Zhang, Commun.
 Comput. Phys. 21 (2017)).  soe_kernel writes t^{-a} = Gamma(a)^{-1}
 int_0^inf s^{a-1} e^{-st} ds as sum_j w_j e^{-s_j t} on [delta, T], delta
 the smallest gap t_{start+1} - t_start an SOE term sees (blocks from
-start = _HEAD + _ROWS on): 12-node Gauss-Jacobi with weight s^{a-1} on
-[0, 1/T], and 16-node Gauss-Legendre panels of width 2 in log s up to
-past log(37/delta) + 1 (Beylkin and Monzon, Appl. Comput. Harmon. Anal.
-28 (2010)).  Every weight is positive, N = 12 + 16 ceil((log(37
-T/delta) + 1)/2), 204 at delta = 1e-8 and 540 at 1e-26 for T = 1, and
-the relative error of t^{-a} is below 2.5e-15 for alpha in [0.02, 0.98]
-and delta down to 1e-300.  Row m's far sum past the head is then
+start = _HEAD + _ROWS on), by the trapezoid rule of step 1/4 in x for s
+= e^{x - e^{-x}} / T (W. McLean, Exponential sum approximations for
+t^{-beta}, Contemporary Computational Mathematics, Springer 2018).
+Every weight is positive, N = floor(4 (log(40 T/delta) - x_0)) + 2 for
+x_0 = floor(-4 log(40/a))/4: at T = 1, 111 at delta = 1e-8 and 277 at
+1e-26 for alpha = 0.25, 106 and 272 for 0.75 and 121 and 287 for 0.02,
+about half the 204 and 540 of 12-node Gauss-Jacobi and 16-node
+Gauss-Legendre panels; and the relative error of t^{-a} is below
+2.5e-15 for alpha in [0.02, 0.98] and delta down to 1e-300.  Row m's
+far sum past the head is then
 p sum_j w_j e^{-s_j (t_m - t_start)} H_j, H_j the sum over the columns
 head < k <= start of E_k int_{cell k} e^{-s_j (t_start - u)} du.  Before
 each block, H_j <- e^{-s_j (t_start - t_prev)} H_j + sum_k E_k e^{-s_j
 (t_start - t_k)} (1 - e^{-s_j tau_k}) / s_j over the previous block's
-cells past the head, so no term cancels.  A block then drops the panels
-that a kernel fitted on its own smallest gap and every later block's
-would not have, with their H_j: where the steps grow, N falls as the
-march goes on (236 to 108, 38% fewer exponentials in all, over M = 4096,
-r = 7 at alpha 0.25), and no cell of tables 2 and 5 changes by a bit.
+cells past the head, so no term cancels; both factors of each cell and
+each row's e^{-s_j (t_m - t_start)} are formed in place in two scratch
+buffers of the kernel.  A block then keeps only the first terms, those
+of a kernel fitted on its own smallest gap and every later block's,
+with their H_j: where the steps grow, N falls as the march goes on (124
+to 63, 34% fewer exponentials in all, over M = 4096, r = 7 at alpha
+0.25), and no cell of tables 2 and 5 changes by a bit.
 A pair's half columns of E ride in the head and in H unchanged, a half
 cell being two fine cells; the near block keeps the exact numerators.
 
@@ -64,12 +69,12 @@ the first ~100 columns of their r = 7 meshes, and an SOE far history
 from the first column on moves them by 19-90%.  With the head no cell
 of tables 2 and 5 moves by more than 3.8e-8 relative from its all-tile
 value (see _HEAD for narrower heads).  A march of at most _HEAD + _ROWS
-= 288 steps never reaches a column past the head: it is the tile loop
+= 320 steps never reaches a column past the head: it is the tile loop
 bit for bit and fits no kernel.  A march of more than _SOE_M steps, by
 the mesh's declared M, takes no head, whose M x _HEAD numerators would
 cost a 16384-step pair march 30-45 ms.  A pair march at M = 16384 (table
-5, alpha 0.75) takes 0.14-0.18 s in place of 1.0-1.25 s of tiles on one
-CPU, and agrees with them to 7.4e-16 of max |V|.  Product integration
+5, alpha 0.75) takes 0.09 s in place of 1.05-1.25 s of tiles on one
+CPU, and agrees with them to 5.6e-16 of max |V|.  Product integration
 takes every column from the tiles at every M (its kernel t^nu grows; see
 fracint.frac_integrate_numeric for its cost).
 
@@ -88,7 +93,6 @@ two-mesh error any study reads from a uniform L1 march is 7.1e-8 (table
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -100,12 +104,12 @@ __all__ = ["l1_weight_row", "march_l1"]
 
 
 # Steps per block of the graded march.  Tables 2 and 5 ran fastest with
-# 32 of 16, 32 and 64 rows: fewer rows add Python work per step, more
-# lengthen the near-block solve.
-_ROWS = 32
+# 64 of 32, 48, 64 and 128 rows: fewer rows add Python work per step,
+# more lengthen the near-block solve.
+_ROWS = 64
 # Columns per far-history tile of product integration, whose far sums
 # are all tiles; its scratch buffer holds two halves of _ROWS x (_COLS +
-# 1) doubles (2 x 256 KiB) at any M.  Tables 2 and 5 ran as fast with
+# 1) doubles (2 x 512 KiB) at any M.  Tables 2 and 5 ran as fast with
 # 1024 as with 2048 or 4096 columns, and 10% slower with 512, when their
 # marches were all tiles.
 _COLS = 1024
@@ -137,8 +141,10 @@ def l1_weight_block(
     x = out[:n].reshape(stop - start, -1)  # x[i, j] = t_m - t_{lo+j}, then its power
     np.subtract(mesh.nodes[start + 1 : stop + 1, None], mesh.nodes[lo : hi + 1], out=x)
     near = x[:, max(start - lo, 0) :]
-    np.maximum(near, 0.0, out=near)  # t_m - t_k < 0 beyond the diagonal, and 0^p = 0
+    beyond = near < 0.0  # t_m - t_k < 0 for k > m, where the numerators are 0
+    np.abs(near, out=near)  # np.power is some 2.5 times slower on zeros
     x **= p
+    near[beyond] = 0.0
     # Neighbour differences along the flat powers are the row differences
     # in every column but the last, which is dropped.  They go to the
     # second half: an output overlapping its operands would be copied.
@@ -167,16 +173,24 @@ def cell_integral_blocks(p: float, mesh: GradedMesh, x: np.ndarray, head: int | 
         far = np.zeros((stop - start,) + x.shape[1:])
         if start > head:
             delta = tau[start::_ROWS].min()  # the smallest gap a far term of this block or a later one sees
+            n = _soe_count(1.0 - p, delta, mesh.T)  # the terms of a kernel fitted on [delta, T]: a prefix
             if s is None:  # fitted on the first block with columns past the head
                 s, w = soe_kernel(1.0 - p, delta, mesh.T)
-                H = np.zeros((len(s), x.shape[1]))  # H[j] = sum_{head<k<=start} x[k-1] int_{cell k} e^{-s_j (t_start - u)} du
-            # the panels of a kernel fitted on [delta, T]: those past it are below e^{-100} from here on
-            n = 12 + 16 * _soe_panels(delta, mesh.T)
+                w *= p
+                H = np.zeros((n, x.shape[1]))  # H[j] = sum_{head<k<=start} x[k-1] int_{cell k} e^{-s_j (t_start - u)} du
+                fac = np.empty((2, n * _ROWS))  # the cell and row factors, formed in place
             s, w, H = s[:n], w[:n], H[:n]
             lo = max(start - _ROWS, head)  # the previous block's cells past the head
-            cells = np.exp((t[lo + 1 : start + 1] - t[start])[:, None] * s) * -np.expm1(-tau[lo:start, None] * s) / s
-            H = np.exp((t[start - _ROWS] - t[start]) * s)[:, None] * H + cells.T @ x[lo:start]
-            far += (np.exp((t[start] - t[start + 1 : stop + 1])[:, None] * s) * (p * w)) @ H
+            c, e = fac[:, : n * (start - lo)].reshape(2, n, -1)
+            np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start], out=c), out=c)
+            np.expm1(np.multiply.outer(s, -tau[lo:start], out=e), out=e)
+            c *= e  # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
+            H *= np.exp((t[start - _ROWS] - t[start]) * s)[:, None]
+            H -= (c @ x[lo:start]) / s[:, None]
+            r = fac[1, : (stop - start) * n].reshape(-1, n)
+            np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s, out=r), out=r)
+            r *= w
+            far += r @ H
         for lo in range(0, min(start, head), _COLS):
             hi = min(lo + _COLS, start, head)
             far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ x[lo:hi]
@@ -187,76 +201,31 @@ def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray
     """Nodes s and positive weights w with sum_j w_j exp(-s_j t) = t^{-a} on [delta, T].
 
     t^{-a} is Gamma(a)^{-1} times the integral of s^{a-1} e^{-st} over s >
-    0: 12-node Gauss-Jacobi with weight s^{a-1} on [0, 1/T], and 16-node
-    Gauss-Legendre panels of width 2 in log s from 1/T up to past e
-    37/delta, where e^{-s t} < e^{-100}.  A panel node is e^{2i} e^{x+1}
-    / T, three roundings at any s, and its weight is the Legendre weight
-    times s^a of that same node.  Summing log s instead moved each node by
-    up to |log s| ulps and, at a = 0.98, took the error to 5.3e-15 at delta
-    = 1e-80 and 2.4e-14 at 1e-300.  The relative error is below 2.5e-15
+    0, here in u = log(s T) = x - e^{-x} by the trapezoid rule at the
+    exact points x_j = x_0 + j/4, j < _soe_count(a, delta, T): s_j =
+    e^{u_j}/T and w_j = e^{a u_j} (1 + e^{-x_j}) / (4 Gamma(a) T^a).  So a
+    kernel for a larger delta is a prefix of this one.  Where u >= 0,
+    e^{a u} is (e^u)^a, the weight of the rounded node; exp(a u) was off by
+    2.3e-14 at delta = 1e-300.  Nodes below 2^-500 / T (e^u underflows to
+    0 at a = 0.02) are raised to it: e^{-s t} is 1 either way, and s tau
+    stays normal for tau > 1e-157 T.  The relative error is below 2.5e-15
     for a in [0.02, 0.98], T in [0.3, 100] and delta down to 1e-300.
     """
-    z, wz = _gauss_jacobi(a)
-    panels = _soe_panels(delta, T)
-    s = (np.exp(2.0 * np.arange(panels))[:, None] * np.exp(_LEGENDRE_X + 1.0)).ravel() / T
-    w = np.tile(_LEGENDRE_W, panels) * s**a
-    # s^{a-1} ds = (2 T)^{-a} (1 + y)^{a-1} dy for s = (1 + y) / (2 T) = z / (2 T)
-    return np.concatenate([z / (2.0 * T), s]), np.concatenate([wz * (2.0 * T) ** -a, w]) / math.gamma(a)
+    x = _soe_x0(a) + np.arange(_soe_count(a, delta, T)) / 4.0
+    u = x - np.exp(-x)
+    eu = np.exp(u)
+    w = np.where(u >= 0.0, eu**a, np.exp(a * u)) * (1.0 + np.exp(-x)) / (4.0 * math.gamma(a) * T**a)
+    return np.maximum(eu, 2.0**-500) / T, w
 
 
-def _soe_panels(delta: float, T: float) -> int:
-    """soe_kernel's Legendre panels on [delta, T], from 1/T to past e 37/delta."""
-    return math.ceil((math.log(37.0 * T / delta) + 1.0) / 2.0)
+def _soe_x0(a: float) -> float:
+    """soe_kernel's x_0: the integral below its node is under e^{-40} / Gamma(1 + a) of t^{-a}."""
+    return math.floor(-4.0 * math.log(40.0 / a)) / 4.0
 
 
-def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on P_n."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(5):  # the fourth step leaves x exact for n = 16, the fifth the weights
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-
-
-_LEGENDRE_X, _LEGENDRE_W = _gauss_legendre(16)  # soe_kernel's panel rule
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_jacobi(a: float):
-    """The 12-node Gauss rule of weight (1 + y)^{a-1} on [-1, 1], as nodes z = 1 + y and weights.
-
-    Newton's method on the Jacobi polynomial P_12^{(0, a-1)}, run in z so
-    that the node nearest -1 (z = 2.8e-4 at a = 0.02) keeps its relative
-    precision; the weights are 2^a / sum_{k<12} (2k + a) P_k(z)^2
-    (Christoffel), within 7.1e-15 of a 40-digit rule at a = 0.02, 0.25 and
-    0.98.
-    """
-    n, b = 12, a - 1.0
-    k = np.arange(2.0, n + 1.0)
-    c = 2.0 * k + b
-    d = 2.0 * k * (k + b) * (c - 2.0)
-    # P_k = (A z - E) P_{k-1} - C P_{k-2}, the three-term recurrence at y = z - 1,
-    # and the norm 2^a / (c - 1) of P_{k-1}, c - 1 = 2 (k - 1) + a
-    steps = list(zip(
-        ((c - 1) * c * (c - 2) / d).tolist(),
-        ((c - 1) * (b * b + c * (c - 2)) / d).tolist(),
-        (2.0 * (k - 1) * (k + b - 1) * c / d).tolist(),
-        (c - 1).tolist(),
-    ))
-    z = 2.0 * np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (2 * n + a)) ** 2
-    for _ in range(7):  # the sixth step leaves the weights within 1e-15 for a in [0.02, 0.98]
-        p0, p1, norm = 1.0, (b + 2.0) * z / 2.0 - a, a
-        for A, E, C, h in steps:
-            norm = norm + h * p1 * p1
-            p0, p1 = p1, (A * z - E) * p1 - C * p0
-        dp = n * ((2 * n - (2 * n + b) * z) * p1 + 2 * (n + b) * p0) / ((2 * n + b) * (2.0 - z) * z)
-        z = z - p1 / dp
-    w = 2.0**a / norm
-    z.flags.writeable = w.flags.writeable = False  # cached: every caller gets these arrays
-    return z, w
+def _soe_count(a: float, delta: float, T: float) -> int:
+    """soe_kernel's N on [delta, T]: its last node is past 39/delta, where e^{-s delta} < e^{-39}."""
+    return math.floor(4.0 * (math.log(40.0 * T / delta) - _soe_x0(a))) + 2
 
 
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:

@@ -89,8 +89,8 @@ def test_coercivity_inequality(alpha, r, M, seed):
 
 def _formed_once(M):
     # the numerators (m, k), 1 <= k <= m <= M, that a graded march forms,
-    # each once: every one up to M = _HEAD + _ROWS = 288; past it the head
-    # columns k <= _HEAD and each row's own block, about M x 288 in place
+    # each once: every one up to M = _HEAD + _ROWS = 320; past it the head
+    # columns k <= _HEAD and each row's own block, about M x 320 in place
     # of M^2 / 2; above _SOE_M each row's own block only
     rows, head = l1_scheme._ROWS, 0 if M > l1_scheme._SOE_M else l1_scheme._HEAD
     m, k = np.arange(1, M + 1)[:, None], np.arange(1, M + 1)
@@ -114,7 +114,8 @@ def test_march_solves_the_scheme(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    graded = tuple(build_mesh(1.0, M, r) for M, r in ((32, 2.0), (100, 1.5), (288, 2.0), (289, 2.0), (2100, 2.0)))
+    edge = l1_scheme._HEAD + l1_scheme._ROWS  # the longest march with no column past the head
+    graded = tuple(build_mesh(1.0, M, r) for M, r in ((32, 2.0), (100, 1.5), (edge, 2.0), (edge + 1, 2.0), (2100, 2.0)))
     for mesh in graded + (build_mesh(1.0, 100), build_mesh(0.3, 128)):
         M = mesh.M
         rhs = np.random.default_rng(7).standard_normal(M + 1)
@@ -197,42 +198,45 @@ def test_validation():
                 march_l1(0.5, grid, lam, np.zeros(shape))  # one entry per rhs column
 
 
-def _weight_numerators(alpha, t, m):
-    # (t_m - t_{k-1})^{1-a} - (t_m - t_k)^{1-a} for k = 1..m, one row at a time
-    pw = (t[m] - t[: m + 1]) ** (1.0 - alpha)
+def _numerators(p, t, m):
+    # (t_m - t_{k-1})^p - (t_m - t_k)^p for k = 1..m, one row at a time
+    pw = (t[m] - t[: m + 1]) ** p
     return pw[:-1] - pw[1:]
 
 
 @pytest.mark.filterwarnings("ignore:grading r")
 @pytest.mark.parametrize("alpha,r", [(0.25, 7.0), (0.75, 5.0 / 12.0), (0.5, 2.0)])
-@pytest.mark.parametrize("M", [1, 31, 32, 33, 1000, 1100])
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 63, 64, 65, 1000, 1100])
 def test_weight_block_rows_match_the_formula(alpha, r, M):
-    # block rows are the numerators bit for bit, exactly 0 beyond the
-    # diagonal, and l1_weight_row divides one of them by tau_k Gamma(2-a);
-    # so is every range of columns: the march's far tiles, the near block,
-    # and ranges across the diagonal and across a tile edge, each built
-    # fresh and in a scratch buffer that earlier blocks left dirty
+    # block rows are the numerators bit for bit, +0.0 beyond the diagonal,
+    # and l1_weight_row divides one of them by tau_k Gamma(2-a); so is every
+    # range of columns: the march's far tiles, the near block, and ranges
+    # across the diagonal and across a tile edge, each built fresh and in a
+    # scratch buffer that earlier blocks left dirty; for the L1 exponent
+    # 1 - a and for product integration's 1 + a
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     scale = mesh.steps * math.gamma(2.0 - alpha)
-    cols = l1_scheme._COLS
-    buf = np.full(2 * l1_scheme._ROWS * (cols + 1), np.nan)
-    for start in range(0, M, 32):
-        stop = min(start + 32, M)
-        want = np.zeros((stop - start, stop))
-        for i, m in enumerate(range(start + 1, stop + 1)):
-            want[i, :m] = _weight_numerators(alpha, t, m)
-            assert l1_weight_row(alpha, mesh, m).tobytes() == (want[i, :m] / scale[:m]).tobytes()
-        assert l1_weight_block(1.0 - alpha, mesh, start, stop).tobytes() == want.tobytes()
-        ranges = [(lo, min(lo + cols, start)) for lo in range(0, start, cols)]
-        ranges += [(start, stop), (max(start - 5, 0), stop), (max(start - 5, 0), start + 1)]
-        if stop > cols - 3:
-            ranges.append((cols - 3, min(cols + 5, stop)))
-        for lo, hi in ranges:
-            for out in (None, buf):
-                block = l1_weight_block(1.0 - alpha, mesh, start, stop, lo, hi, out)
-                assert block.shape == (stop - start, hi - lo)
-                assert block.tobytes() == want[:, lo:hi].tobytes(), (start, lo, hi)
+    rows, cols = l1_scheme._ROWS, l1_scheme._COLS
+    buf = np.full(2 * rows * (cols + 1), np.nan)
+    for p in (1.0 - alpha, 1.0 + alpha):
+        for start in range(0, M, rows):
+            stop = min(start + rows, M)
+            want = np.zeros((stop - start, stop))
+            for i, m in enumerate(range(start + 1, stop + 1)):
+                want[i, :m] = _numerators(p, t, m)
+                if p < 1.0:
+                    assert l1_weight_row(alpha, mesh, m).tobytes() == (want[i, :m] / scale[:m]).tobytes()
+            assert l1_weight_block(p, mesh, start, stop).tobytes() == want.tobytes()
+            ranges = [(lo, min(lo + cols, start)) for lo in range(0, start, cols)]
+            ranges += [(start, stop), (max(start - 5, 0), stop), (max(start - 5, 0), start + 1)]
+            if stop > cols - 3:
+                ranges.append((cols - 3, min(cols + 5, stop)))
+            for lo, hi in ranges:
+                for out in (None, buf):
+                    block = l1_weight_block(p, mesh, start, stop, lo, hi, out)
+                    assert block.shape == (stop - start, hi - lo)
+                    assert block.tobytes() == want[:, lo:hi].tobytes(), (p, start, lo, hi)
 
 
 def _stepped_march(alpha, mesh, lam, rhs):
@@ -241,7 +245,7 @@ def _stepped_march(alpha, mesh, lam, rhs):
     V = np.zeros(rhs.shape)
     D = np.zeros(rhs.shape)  # D[k-1] = V^k - V^{k-1}
     for m in range(1, mesh.M + 1):
-        row = _weight_numerators(alpha, t, m) / (mesh.steps[:m] * math.gamma(2.0 - alpha))
+        row = _numerators(1.0 - alpha, t, m) / (mesh.steps[:m] * math.gamma(2.0 - alpha))
         a0, hist = row[-1], row[:-1] @ D[: m - 1]
         V[m] = (rhs[m] + a0 * V[m - 1] - hist) / (a0 + lam)
         D[m - 1] = V[m] - V[m - 1]
@@ -249,7 +253,7 @@ def _stepped_march(alpha, mesh, lam, rhs):
 
 
 @pytest.mark.parametrize("alpha,r", [(0.25, 7.0), (0.75, 5.0 / 3.0), (0.5, 2.0)])
-@pytest.mark.parametrize("M", [1, 31, 32, 33, 200, 1100, 2100])
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 200, 1100, 2100])
 def test_block_march_matches_stepped_graded_march(alpha, r, M):
     # blocks of rows (far history a head of tile products and a sum of
     # exponentials past it, near block one solve) against the step-by-step
@@ -281,7 +285,7 @@ def test_graded_march_peaks_below_one_block_of_full_rows():
     # the far history is built from one head tile of _HEAD columns and
     # the exponentials' history (M = 4096), or from the exponentials alone
     # (M = 8192), so a march never holds a block of _ROWS full-width rows
-    # of numerators (1 and 2 MiB)
+    # of numerators (2 and 4 MiB; it peaks at 0.7 MiB)
     march_l1(0.25, build_mesh(1.0, 64, 7.0), 1.0, np.zeros(65))  # first-call set-up outside the measurement
     for M in (4096, 8192):
         mesh = build_mesh(1.0, M, 7.0)
@@ -350,7 +354,8 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         return l1_weight_block(p, mesh, start, stop, lo, hi, out)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
-    for M in (2, 100, 288, 290, 2100):
+    edge = l1_scheme._HEAD + l1_scheme._ROWS  # the longest march with no column past the head
+    for M in (2, 100, edge, edge + 2, 2100):
         fine = build_mesh(1.0, M, 2.0)
         rhs = np.random.default_rng(7).standard_normal(M + 1)
         formed, meshes = np.zeros((M + 1, M + 1), dtype=int), []
@@ -363,35 +368,47 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
 @pytest.mark.parametrize("delta", [1e-8, 1e-16, 1e-26, 1e-80, 1e-300])
 def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     # sum_j w_j exp(-s_j t) against t^{-a} on [delta, T], relative error
-    # below 2.5e-15, every weight positive, and N = 12 + 16 panels; a head
-    # lets a march of up to 4128 steps reach far smaller gaps than
-    # 1e-26, and with panel nodes summed in log s the error at a = 0.98
-    # was 5.3e-15 at delta = 1e-80 and 2.4e-14 at 1e-300
+    # below 2.5e-15, every node and weight positive, and N trapezoid points
+    # x_0 + j/4 from x_0 = floor(-4 log(40/a))/4 to past log(40 T/delta); a
+    # head lets a march of up to 4160 steps reach far smaller gaps than
+    # 1e-26, and with every weight from exp(a u) the error was 2.3e-14 at
+    # delta = 1e-300
     for T in (0.3, 1.0, 3.0, 100.0):
         s, w = l1_scheme.soe_kernel(alpha, delta, T)
-        panels = math.ceil((math.log(37.0 * T / delta) + 1.0) / 2.0)
-        assert len(s) == len(w) == 12 + 16 * panels
+        x0 = math.floor(-4.0 * math.log(40.0 / alpha)) / 4.0
+        assert len(s) == len(w) == math.floor(4.0 * (math.log(40.0 * T / delta) - x0)) + 2
         assert np.all(w > 0.0) and np.all(s > 0.0)
         t = np.geomspace(delta, T, 3000)
         err = np.exp(-np.outer(t, s)) @ w * t**alpha - 1.0
         assert np.max(np.abs(err)) < 2.5e-15, (T, np.max(np.abs(err)))
-    assert len(l1_scheme.soe_kernel(alpha, 1e-8, 1.0)[0]) == 204
-    assert len(l1_scheme.soe_kernel(alpha, 1e-26, 1.0)[0]) == 540
+    # N at delta = 1e-8 and 1e-26 for T = 1, 204 and 540 with the former
+    # Gauss-Jacobi rule and Gauss-Legendre panels; a small a needs more
+    # points below s = 1/T
+    want = {0.02: (121, 287), 0.25: (111, 277), 0.5: (108, 274), 0.75: (106, 272), 0.98: (105, 271)}[alpha]
+    assert tuple(len(l1_scheme.soe_kernel(alpha, d, 1.0)[0]) for d in (1e-8, 1e-26)) == want
 
 
-@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.75, 0.98])
-def test_gauss_jacobi_by_newton_matches_golub_welsch(alpha):
-    # the 12-node rule of weight (1 + y)^{a-1} on [-1, 1] from Newton's
-    # method in z = 1 + y against the eigenpairs of its Jacobi matrix; the
-    # node nearest -1 is compared in z, where the eigenvalues keep only
-    # its absolute precision
-    b, n = alpha - 1.0, np.arange(1.0, 12.0)
-    c = 2.0 * np.arange(12.0) + b
-    off = n * (n + b) / c[1:] * np.sqrt(4.0 / (c[1:] ** 2 - 1.0))
-    y, vec = np.linalg.eigh(np.diag(b * b / (c * (c + 2.0))) + np.diag(off, 1) + np.diag(off, -1))
-    z, w = l1_scheme._gauss_jacobi(alpha)
-    assert np.max(np.abs(z - (1.0 + y))) < 1e-15
-    assert np.max(np.abs(w / (vec[0] ** 2 * 2.0**alpha / alpha) - 1.0)) < 5e-14
+@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.75, 0.98])
+def test_soe_kernel_for_a_larger_gap_is_a_prefix(alpha):
+    # the march drops the last terms of its kernel as its smallest gap
+    # grows: a kernel fitted for a larger delta is _soe_count's prefix of
+    # one fitted for a smaller delta, bit for bit; at a = 0.02 the first
+    # e^u underflow to 0, and those nodes are raised to a positive s whose
+    # e^{-s T} is 1 and whose cell factor (1 - e^{-s tau}) / s is tau
+    for T in (0.3, 1.0, 100.0):
+        s, w = l1_scheme.soe_kernel(alpha, 1e-300, T)
+        assert np.all(s > 0.0)
+        for delta in (1e-200, 1e-26, 1e-8, 1e-3, 0.1 * T):
+            n = l1_scheme._soe_count(alpha, delta, T)
+            s2, w2 = l1_scheme.soe_kernel(alpha, delta, T)
+            assert len(s2) == len(w2) == n < len(s)
+            assert s2.tobytes() == s[:n].tobytes() and w2.tobytes() == w[:n].tobytes()
+        x0 = math.floor(-4.0 * math.log(40.0 / alpha)) / 4.0
+        assert (math.exp(x0 - math.exp(-x0)) == 0.0) == (alpha == 0.02)
+        flat = np.exp(-s * T) == 1.0
+        assert flat[0]
+        for tau in (1e-17 * T, 1e-3 * T):
+            assert np.allclose(-np.expm1(-s[flat] * tau) / s[flat], tau, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:grading r")
@@ -480,7 +497,8 @@ def test_soe_march_forms_only_near_numerators(monkeypatch):
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
     rhs = np.sin(3.0 * mesh.nodes)
-    blocks = [(a, min(a + 32, M), a, min(a + 32, M)) for a in range(0, M, 32)]
+    rows = l1_scheme._ROWS
+    blocks = [(a, min(a + rows, M), a, min(a + rows, M)) for a in range(0, M, rows)]
     for half in (None, rhs[::2]):
         calls.clear()
         march_l1(0.4, mesh, 2.5, rhs, half)
