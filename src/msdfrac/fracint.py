@@ -20,9 +20,9 @@ frac_integrate_numeric provides the fallback for the samples: the
 integrand is replaced by its piecewise-linear interpolant on the mesh
 and integrated against the kernel exactly (product integration, second
 order for smooth data).  Its cell integrals are the L1 weight family
-with exponent 1 + nu in place of 1 - a, built and summed by the L1
-march's own block loop, l1_scheme.cell_integral_blocks, all from exact
-tiles.
+with exponent 1 + nu in place of 1 - a, formed by
+l1_scheme.l1_weight_block and summed here a block of rows and a tile of
+columns at a time.
 
 msd_split is the multiscale splitting itself, and the one place any
 model applies its splitting operator repeatedly: given data g and an
@@ -41,7 +41,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .l1_scheme import cell_integral_blocks
+from .l1_scheme import _ROWS, l1_weight_block
 from .mesh import GradedMesh, check_real
 
 __all__ = [
@@ -51,6 +51,11 @@ __all__ = [
     "frac_integrate_numeric",
     "as_forcing",
 ]
+
+# Columns per far tile of product integration, whose scratch buffer holds
+# two halves of _ROWS x (_COLS + 1) doubles (2 x 512 KiB) at any M; graded
+# L1 marches ran 10% slower on tiles of 512 and no faster on 2048 or 4096.
+_COLS = 1024
 
 
 def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -186,10 +191,10 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     I^nu f_h = f_0 t^nu / Gamma(1+nu) + I^{1+nu} f_h', and f_h' is the
     slope (f_k - f_{k-1}) / tau_k on cell k: the second term sums the
     slopes against the numerators of exponent p = 1 + nu over
-    Gamma(2 + nu), the L1 weight family (p = 1 - a there), in the L1
-    march's own block loop, l1_scheme.cell_integral_blocks, every far
-    column from exact tiles at every M: about 1.07 s on a graded mesh of
-    M = 16384.  No study runs it above M of about 408.
+    Gamma(2 + nu), the L1 weight family (p = 1 - a there), all exact:
+    the kernel t^nu grows, so no sum of decaying exponentials stands in
+    for the far columns: O(M^2), 0.7-0.8 s at M = 16384 (r = 2, one
+    CPU).  No study runs it above M of about 408.
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     f = np.asarray(f, dtype=float)
@@ -197,8 +202,16 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
         raise ValueError(f"nodal values have shape {f.shape}, expected {mesh.nodes.shape}")
     slopes = np.diff(f) / mesh.steps
     out = f[0] / math.gamma(1.0 + nu) * mesh.nodes**nu
-    for start, stop, far, near in cell_integral_blocks(1.0 + nu, mesh, slopes):
-        out[start + 1 : stop + 1] += (far + near @ slopes[start:stop]) / math.gamma(2.0 + nu)
+    p, M = 1.0 + nu, mesh.M
+    buf = np.empty(2 * _ROWS * (min(M, _COLS) + 1))
+    for start in range(0, M, _ROWS):
+        stop = min(start + _ROWS, M)
+        far = np.zeros(stop - start)
+        for lo in range(0, start, _COLS):
+            hi = min(lo + _COLS, start)
+            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ slopes[lo:hi]
+        near = l1_weight_block(p, mesh, start, stop, start, stop, buf) @ slopes[start:stop]
+        out[start + 1 : stop + 1] += (far + near) / math.gamma(2.0 + nu)
     return out
 
 

@@ -10,73 +10,67 @@ with positive weights that decrease away from the diagonal.
 
 l1_weight_block builds the cell-integral numerators (t_m - t_{k-1})^p -
 (t_m - t_k)^p of a block of rows and a range of columns, bit for bit as
-a single row forms them: p = 1 - a for the L1 weights, and p = 1 + nu
-for the product integration of fracint.frac_integrate_numeric, which
-shares this weight family and its block loop, cell_integral_blocks.  The
-loop takes _ROWS rows at a time.  Its exact far sums take the columns of
-earlier blocks one tile of at most _COLS columns at a time in one
-scratch buffer: powers in one half, their differences in the other, so
-numpy copies no overlapping operand.  Each cancelling difference is
-rounded as in a row.  march_l1 sums it over the scaled increments E_k =
-(v^k - v^{k-1}) / (tau_k Gamma(2-a)); a scalar relaxation coefficient is
-one mode, and the near blocks of all modes are solved as one stack of
-lower-triangular systems in E.
+a single row forms them, in one scratch buffer: powers in one half,
+their differences in the other, so numpy copies no overlapping operand.
+Each cancelling difference is rounded as in a row.  p = 1 - a gives the
+L1 weights; fracint.frac_integrate_numeric sums the same family at p =
+1 + nu, the product integration of its forcing, in its own tile loop.
 
-A graded mesh and its half t_0, t_2, ..., t_M are marched in one pass
-of that loop: a half cell is two fine cells, so the half's numerator
-(j, i) is the fine row 2j summed over columns 2i - 1 and 2i, and no
-numerator of the half is formed.  Sterbenz's lemma makes both fine
-differences exact where the steps grow (r >= 1), so the sum is rounded
-once, to the half's own numerator (at M = 2200: none differs for r = 7,
-7/4, 5/3, 2; one by 1 ulp at r = 5/12).  The half's far history comes
-from the same far sums, its increments repeated as extra columns of E,
-so only the order of its far sums differs from a march of its own.
+march_l1 marches a graded mesh _ROWS rows at a time on the scaled
+increments E_k = (v^k - v^{k-1}) / (tau_k Gamma(2-a)); a scalar
+relaxation coefficient is one mode.  A block's far history, the sum over
+the columns k <= start of earlier blocks, is one exact tile of
+numerators over the first _HEAD = 256 columns, its head, plus a sum of
+exponentials over the columns past the head; its near block is solved
+for all modes as one stack of lower-triangular systems in E.
 
-A graded march takes only the first _HEAD = 256 columns of its far
-history, its head, from these exact tiles, and the columns past the head
-from a sum of exponentials (SOE), at O(M N K) for N exponentials and K
-columns in place of O(M^2 K) (Jiang, Zhang, Zhang and Zhang, Commun.
-Comput. Phys. 21 (2017)).  soe_kernel writes t^{-a} = Gamma(a)^{-1}
-int_0^inf s^{a-1} e^{-st} ds as sum_j w_j e^{-s_j t} on [delta, T], delta
-the smallest gap t_{start+1} - t_start an SOE term sees (blocks from
-start = _HEAD + _ROWS on), by the trapezoid rule of step 1/4 in x for s
-= e^{x - e^{-x}} / T (W. McLean, Exponential sum approximations for
-t^{-beta}, Contemporary Computational Mathematics, Springer 2018).
-Every weight is positive, N = floor(4 (log(40 T/delta) - x_0)) + 2 for
-x_0 = floor(-4 log(40/a))/4: at T = 1, 111 at delta = 1e-8 and 277 at
-1e-26 for alpha = 0.25, 106 and 272 for 0.75 and 121 and 287 for 0.02,
-about half the 204 and 540 of 12-node Gauss-Jacobi and 16-node
-Gauss-Legendre panels; and the relative error of t^{-a} is below
-2.5e-15 for alpha in [0.02, 0.98] and delta down to 1e-300.  Row m's
-far sum past the head is then
-p sum_j w_j e^{-s_j (t_m - t_start)} H_j, H_j the sum over the columns
-head < k <= start of E_k int_{cell k} e^{-s_j (t_start - u)} du.  Before
-each block, H_j <- e^{-s_j (t_start - t_prev)} H_j + sum_k E_k e^{-s_j
-(t_start - t_k)} (1 - e^{-s_j tau_k}) / s_j over the previous block's
-cells past the head, so no term cancels; both factors of each cell and
-each row's e^{-s_j (t_m - t_start)} are formed in place in two scratch
-buffers of the kernel.  A block then keeps only the first terms, those
-of a kernel fitted on its own smallest gap and every later block's,
-with their H_j: where the steps grow, N falls as the march goes on (124
-to 63, 34% fewer exponentials in all, over M = 4096, r = 7 at alpha
-0.25), and no cell of tables 2 and 5 changes by a bit.
-A pair's half columns of E ride in the head and in H unchanged, a half
-cell being two fine cells; the near block keeps the exact numerators.
+A graded mesh and its half t_0, t_2, ..., t_M are marched in one pass:
+a half cell is two fine cells, so the half's numerator (j, i) is the
+fine row 2j summed over columns 2i - 1 and 2i, and no numerator of the
+half is formed.  Sterbenz's lemma makes both fine differences exact
+where the steps grow (r >= 1), so the sum is rounded once, to the half's
+own numerator (at M = 2200: none differs for r = 7, 7/4, 5/3, 2; one by
+1 ulp at r = 5/12).  The half's far history comes from the same far
+sums, its increments repeated as extra columns of E, so only the order
+of its far sums differs from a march of its own.
+
+The sum of exponentials (SOE) costs O(M N K) for N exponentials and K
+columns in place of the O(M^2 K) of exact far sums (Jiang, Zhang, Zhang
+and Zhang, Commun. Comput. Phys. 21 (2017)).  soe_kernel writes t^{-a} =
+Gamma(a)^{-1} int_0^inf s^{a-1} e^{-st} ds as sum_j w_j e^{-s_j t} on
+[delta, T], delta the smallest gap t_{start+1} - t_start an SOE term
+sees (blocks from start = _HEAD + _ROWS on), by the trapezoid rule of
+step 1/4 in x for s = e^{x - e^{-x}} / T (W. McLean, Exponential sum
+approximations for t^{-beta}, Contemporary Computational Mathematics,
+Springer 2018).  Every weight is positive, N = floor(4 (log(40 T/delta)
+- x_0)) + 2 for x_0 = floor(-4 log(40/a))/4: at T = 1, 111 at delta =
+1e-8 and 277 at 1e-26 for alpha = 0.25, 106 and 272 for 0.75 and 121 and
+287 for 0.02; and the relative error of t^{-a} is below 2.5e-15 for
+alpha in [0.02, 0.98] and delta down to 1e-300.  Row m's far sum past
+the head is then p sum_j w_j e^{-s_j (t_m - t_start)} H_j, H_j the sum
+over the columns head < k <= start of E_k int_{cell k} e^{-s_j (t_start
+- u)} du.  Before each block, H_j <- e^{-s_j (t_start - t_prev)} H_j +
+sum_k E_k e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}) / s_j over the
+previous block's cells past the head, so no term cancels.  A block then
+keeps only the first terms, those of a kernel fitted on its own smallest
+gap and every later block's, with their H_j: where the steps grow, N
+falls as the march goes on (124 to 63, 34% fewer exponentials in all,
+over M = 4096, r = 7 at alpha 0.25), and no cell of tables 2 and 5
+changes by a bit.  A pair's half columns of E ride in the head and in H
+unchanged, a half cell being two fine cells; the near block keeps the
+exact numerators.
 
 The head is there for seven cells of tables 2 and 5 (alpha 0.25, r 7, M
 256 to 2048).  They are rounding noise of the cancelling numerators in
 the first ~100 columns of their r = 7 meshes, and an SOE far history
 from the first column on moves them by 19-90%.  With the head no cell
-of tables 2 and 5 moves by more than 3.8e-8 relative from its all-tile
-value (see _HEAD for narrower heads).  A march of at most _HEAD + _ROWS
-= 320 steps never reaches a column past the head: it is the tile loop
-bit for bit and fits no kernel.  A march of more than _SOE_M steps, by
-the mesh's declared M, takes no head, whose M x _HEAD numerators would
-cost a 16384-step pair march 30-45 ms.  A pair march at M = 16384 (table
-5, alpha 0.75) takes 0.09 s in place of 1.05-1.25 s of tiles on one
-CPU, and agrees with them to 5.6e-16 of max |V|.  Product integration
-takes every column from the tiles at every M (its kernel t^nu grows; see
-fracint.frac_integrate_numeric for its cost).
+of tables 2 and 5 moves by more than 3.8e-8 relative from its value with
+exact far sums (see _HEAD for narrower heads).  A march of at most _HEAD
++ _ROWS = 320 steps never reaches a column past the head: its far sums
+are all exact and it fits no kernel.  A march of more than _SOE_M steps,
+by the mesh's declared M, takes no head (see _SOE_M).  A pair march at M
+= 16384 (table 5, alpha 0.75) agrees with exact far sums to 5.6e-16 of
+max |V|.
 
 On a uniform mesh the weights depend only on the gap, a_g, and written
 on the values instead of the differences the derivative is D^a v^m =
@@ -107,19 +101,17 @@ __all__ = ["l1_weight_row", "march_l1"]
 # 64 of 32, 48, 64 and 128 rows: fewer rows add Python work per step,
 # more lengthen the near-block solve.
 _ROWS = 64
-# Columns per far-history tile of product integration, whose far sums
-# are all tiles; its scratch buffer holds two halves of _ROWS x (_COLS +
-# 1) doubles (2 x 512 KiB) at any M.  Tables 2 and 5 ran as fast with
-# 1024 as with 2048 or 4096 columns, and 10% slower with 512, when their
-# marches were all tiles.
-_COLS = 1024
 # Exact far-history columns, the head, of a graded march of at most
 # _SOE_M steps (see the module docstring).  With 256 no cell of tables 2
-# and 5 moves by more than 3.8e-8 relative from its all-tile value; with
-# 128, 64 and 32 the largest moves are 1.1e-6, 1.2e-4 and 4.1e-4.
+# and 5 moves by more than 3.8e-8 relative from its value with exact far
+# sums; with 128, 64 and 32 the largest moves are 1.1e-6, 1.2e-4 and
+# 4.1e-4.
 _HEAD = 256
-# Graded marches of more steps than this take no head.
-_SOE_M = 4 * _COLS + _ROWS
+# Graded marches of more steps than this take no head, whose M x _HEAD
+# numerators would cost a scalar 16384-step pair march 30-60 ms.  The
+# tables' meshes are powers of two, so any gate from 4096 to 8191 gives
+# their marches up to 4096 steps a head and their larger ones none.
+_SOE_M = 4160
 
 
 def l1_weight_block(
@@ -150,51 +142,6 @@ def l1_weight_block(
     # second half: an output overlapping its operands would be copied.
     np.subtract(out[: n - 1], out[1:n], out=out[n : 2 * n - 1])
     return out[n : 2 * n].reshape(x.shape)[:, :-1]
-
-
-def cell_integral_blocks(p: float, mesh: GradedMesh, x: np.ndarray, head: int | None = None):
-    """Per block of _ROWS rows m = start+1..stop, yield (start, stop, far, near).
-
-    far[m-start-1] = sum_{k<=start} block[m, k] x[k-1] for the numerators
-    of exponent p (zeros for the first block): exact over the columns k <=
-    head (all columns by default), a tile of _COLS columns at a time, and
-    over k > head from the exponentials of soe_kernel, which needs 0 < p <
-    1 and x of shape (M, K) (see the module docstring).  near is the block
-    of columns start+1..stop, a view into the scratch buffer valid until
-    the next block.  x is read lazily, so a march may fill x[start:stop]
-    before it asks for the next block.
-    """
-    t, tau, M = mesh.nodes, mesh.steps, mesh.M
-    head = M if head is None else head
-    buf = np.empty(2 * _ROWS * (min(max(head, _ROWS), _COLS) + 1))
-    s = None
-    for start in range(0, M, _ROWS):
-        stop = min(start + _ROWS, M)
-        far = np.zeros((stop - start,) + x.shape[1:])
-        if start > head:
-            delta = tau[start::_ROWS].min()  # the smallest gap a far term of this block or a later one sees
-            n = _soe_count(1.0 - p, delta, mesh.T)  # the terms of a kernel fitted on [delta, T]: a prefix
-            if s is None:  # fitted on the first block with columns past the head
-                s, w = soe_kernel(1.0 - p, delta, mesh.T)
-                w *= p
-                H = np.zeros((n, x.shape[1]))  # H[j] = sum_{head<k<=start} x[k-1] int_{cell k} e^{-s_j (t_start - u)} du
-                fac = np.empty((2, n * _ROWS))  # the cell and row factors, formed in place
-            s, w, H = s[:n], w[:n], H[:n]
-            lo = max(start - _ROWS, head)  # the previous block's cells past the head
-            c, e = fac[:, : n * (start - lo)].reshape(2, n, -1)
-            np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start], out=c), out=c)
-            np.expm1(np.multiply.outer(s, -tau[lo:start], out=e), out=e)
-            c *= e  # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
-            H *= np.exp((t[start - _ROWS] - t[start]) * s)[:, None]
-            H -= (c @ x[lo:start]) / s[:, None]
-            r = fac[1, : (stop - start) * n].reshape(-1, n)
-            np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s, out=r), out=r)
-            r *= w
-            far += r @ H
-        for lo in range(0, min(start, head), _COLS):
-            hi = min(lo + _COLS, start, head)
-            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ x[lo:hi]
-        yield start, stop, far, l1_weight_block(p, mesh, start, stop, start, stop, buf)
 
 
 def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,16 +237,47 @@ def march_l1(
     E = np.zeros((M, K * len(rhss)))  # E[k-1, :K] = (V^k - V^{k-1}) / scale[k-1]; E[k-1, K:] the half's
     scales = [h * math.gamma(2.0 - alpha) for h in steps]  # a^{(m)}_{m-k} = block[., k-1] / scale[k-1]
     tri = np.tri(_ROWS)
-    for start, stop, far, near in cell_integral_blocks(1.0 - alpha, mesh, E, 0 if M > _SOE_M else _HEAD):
-        for s, b, V, scale in zip((1, 2), rhss, Vs, scales):
-            # level s: rows s j and cells of s fine cells; i < j <= i + n are this block's
-            i, n, cols = start // s, (stop - start) // s, slice((s - 1) * K, s * K)
-            A = near if s == 1 else near[1::2, ::2] + near[1::2, 1::2]
+    p, t, tau = 1.0 - alpha, mesh.nodes, mesh.steps
+    head = 0 if M > _SOE_M else _HEAD
+    buf = np.empty(2 * _ROWS * (max(head, _ROWS) + 1))  # the numerators of a head tile or a near block
+    s = None
+    for start in range(0, M, _ROWS):
+        stop = min(start + _ROWS, M)
+        # far[m-start-1] = sum_{k<=start} block[m, k] E[k-1]: past the head from the exponentials
+        far = np.zeros((stop - start, E.shape[1]))
+        if start > head:
+            delta = tau[start::_ROWS].min()  # the smallest gap a far term of this block or a later one sees
+            N = _soe_count(1.0 - p, delta, mesh.T)  # the terms of a kernel fitted on [delta, T]: a prefix
+            if s is None:  # fitted on the first block with columns past the head
+                s, w = soe_kernel(1.0 - p, delta, mesh.T)
+                w *= p
+                H = np.zeros((N, E.shape[1]))  # H[j] = sum_{head<k<=start} E[k-1] int_{cell k} e^{-s_j (t_start - u)} du
+                fac = np.empty((2, N * _ROWS))  # the cell and row factors, formed in place
+            s, w, H = s[:N], w[:N], H[:N]
+            lo = max(start - _ROWS, head)  # the previous block's cells past the head
+            c, em = fac[:, : N * (start - lo)].reshape(2, N, -1)
+            np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start], out=c), out=c)
+            np.expm1(np.multiply.outer(s, -tau[lo:start], out=em), out=em)
+            c *= em  # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
+            H *= np.exp((t[start - _ROWS] - t[start]) * s)[:, None]
+            H -= (c @ E[lo:start]) / s[:, None]
+            r = fac[1, : (stop - start) * N].reshape(-1, N)
+            np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s, out=r), out=r)
+            r *= w
+            far += r @ H
+        h = min(start, head)  # and over the head columns from exact numerators
+        if h:
+            far += l1_weight_block(p, mesh, start, stop, 0, h, buf) @ E[:h]
+        near = l1_weight_block(p, mesh, start, stop, start, stop, buf)
+        for d, b, V, scale in zip((1, 2), rhss, Vs, scales):
+            # level d: rows d j and cells of d fine cells; i < j <= i + n are this block's
+            i, n, cols = start // d, (stop - start) // d, slice((d - 1) * K, d * K)
+            A = near if d == 1 else near[1::2, ::2] + near[1::2, 1::2]
             # sum_{k<=j} A[j, k] E_k + lam (V^i + sum_{i<k<=j} scale_k E_k) = rhs^j per mode
             S = tri[:n, :n] * scale[i : i + n]
-            rest = b[i + 1 : i + n + 1] - far[s - 1 :: s, cols] - lam * V[i]
+            rest = b[i + 1 : i + n + 1] - far[d - 1 :: d, cols] - lam * V[i]
             e = np.linalg.solve(A + lam[:, None, None] * S, rest.T[..., None])[..., 0].T
-            E[start:stop, cols] = np.repeat(e, s, axis=0)
+            E[start:stop, cols] = np.repeat(e, d, axis=0)
             V[i + 1 : i + n + 1] = V[i] + np.cumsum(e * scale[i : i + n, None], axis=0)
     Vs = [V.reshape(shape) for V, shape in zip(Vs, shapes)]
     return Vs[0] if half_rhs is None else (Vs[1], Vs[0])

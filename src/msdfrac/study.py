@@ -41,7 +41,6 @@ import numpy as np
 from .fracint import TimeProfile
 from .mesh import (
     build_mesh, check_alpha, check_count, check_gamma, check_grading, check_horizon, check_nested,
-    check_reals,
 )
 from .pde1d import (
     FieldTrace,
@@ -262,7 +261,7 @@ def make_volterra_study(
     check_alpha(alpha)  # before the default kernel 1/Gamma(1 - alpha) is formed
     if kernel is None:
         kernel = 1.0 / math.gamma(1.0 - alpha)
-    prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, q=len(check_reals(c, "c")), c=c)
+    prob = VolterraProblem(alpha=alpha, T=T, kernel=kernel, f=f, n=n, c=c)
     if prob.c[-1] != 1.0:
         raise ValueError(f"c must end at 1, the mesh point the two-mesh error reads, got c = {prob.c}")
     return StudySpec(

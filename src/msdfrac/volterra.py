@@ -87,7 +87,7 @@ class VolterraProblem:
     kernel: object
     f: object  # TimeProfile, number or callable of t (see as_forcing)
     n: int = 0
-    q: int = 2
+    q: int | None = None  # len(c) by default
     c: tuple = (2.0 / 3.0, 1.0)
 
     def __post_init__(self):
@@ -97,7 +97,7 @@ class VolterraProblem:
         if not callable(self.kernel):
             check_real(self.kernel, "kernel", need="be a finite number or a callable")
         c = check_reals(self.c, "c")
-        object.__setattr__(self, "q", check_count(self.q, "q", 1))
+        object.__setattr__(self, "q", len(c) if self.q is None else check_count(self.q, "q", 1))
         if len(c) != self.q:
             raise ValueError(f"need q = {self.q} collocation parameters, got {c}")
         if not all(0.0 < x <= 1.0 for x in c) or len(set(c)) != len(c) or list(c) != sorted(c):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import msdfrac
 from msdfrac import (
     build_mesh,
+    fracint,
+    frac_integrate_numeric,
     l1_scheme,
     l1_weight_row,
     march_l1,
@@ -217,7 +219,7 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     scale = mesh.steps * math.gamma(2.0 - alpha)
-    rows, cols = l1_scheme._ROWS, l1_scheme._COLS
+    rows, cols = l1_scheme._ROWS, fracint._COLS
     buf = np.full(2 * rows * (cols + 1), np.nan)
     for p in (1.0 - alpha, 1.0 + alpha):
         for start in range(0, M, rows):
@@ -237,6 +239,21 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
                     block = l1_weight_block(p, mesh, start, stop, lo, hi, out)
                     assert block.shape == (stop - start, hi - lo)
                     assert block.tobytes() == want[:, lo:hi].tobytes(), (p, start, lo, hi)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5])
+def test_product_integration_tiles_match_the_row_sums(nu):
+    # frac_integrate_numeric sums the far columns of each block of rows a
+    # tile of fracint._COLS columns at a time; M = 1100 crosses a tile
+    # edge, and every row must be the per-row numerator sum
+    mesh = build_mesh(1.0, 1100, 2.0)
+    assert mesh.M > fracint._COLS + l1_scheme._ROWS
+    t, f = mesh.nodes, np.exp(mesh.nodes)
+    slopes = np.diff(f) / mesh.steps
+    out = frac_integrate_numeric(f, nu, mesh)
+    want = f[0] * t**nu / math.gamma(1.0 + nu)
+    want[1:] += [_numerators(1.0 + nu, t, m) @ slopes[:m] / math.gamma(2.0 + nu) for m in range(1, mesh.M + 1)]
+    assert np.all(np.abs(out - want) <= 1e-14 * np.abs(want))
 
 
 def _stepped_march(alpha, mesh, lam, rhs):

@@ -304,8 +304,15 @@ def test_pointwise_data_runs_at_depth_zero():
 def test_validation():
     with pytest.raises(ValueError):
         VolterraProblem(alpha=1.2, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(2.0 / 3.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q = 2"):
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(0.5,))  # q mismatch
+    with pytest.raises(ValueError, match="q = 2"):
+        VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, q=2, c=(0.2, 0.6, 1.0))
+    # q defaults to len(c), and an explicit q that matches c is kept
+    for q in (None, 3):
+        kw = {} if q is None else {"q": q}
+        assert VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, c=(0.2, 0.6, 1.0), **kw).q == 3
+    assert VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0).q == 2
     with pytest.raises(ValueError):
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=0, q=2, c=(1.0, 2.0 / 3.0))
     # c that is not a nonempty sequence of numbers is named, by the problem and the study
