@@ -52,9 +52,10 @@ __all__ = [
     "as_forcing",
 ]
 
-# Columns per far tile of product integration, whose scratch buffer holds
-# two halves of _ROWS x (_COLS + 1) doubles (2 x 512 KiB) at any M; graded
-# L1 marches ran 10% slower on tiles of 512 and no faster on 2048 or 4096.
+# Columns per far tile of product integration: a tile of numerators is
+# _ROWS x _COLS doubles (512 KiB) at any M.  Graded L1 marches, when they
+# summed these tiles too, ran 10% slower on tiles of 512 and no faster on
+# 2048 or 4096.
 _COLS = 1024
 
 
@@ -193,8 +194,11 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     slopes against the numerators of exponent p = 1 + nu over
     Gamma(2 + nu), the L1 weight family (p = 1 - a there), all exact:
     the kernel t^nu grows, so no sum of decaying exponentials stands in
-    for the far columns: O(M^2), 0.7-0.8 s at M = 16384 (r = 2, one
-    CPU).  No study runs it above M of about 408.
+    for the far columns: O(M^2), 0.73-0.78 s at M = 16384 (r = 2, nu =
+    0.5, one CPU).  No study runs it above M of about 408.  These are the
+    L1 weights' cancelling numerators, so near the origin of a strongly
+    graded mesh, where a step is many orders below t_m, they lose digits
+    here as in the L1 march (ROADMAP item 2).
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     f = np.asarray(f, dtype=float)
@@ -203,14 +207,13 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     slopes = np.diff(f) / mesh.steps
     out = f[0] / math.gamma(1.0 + nu) * mesh.nodes**nu
     p, M = 1.0 + nu, mesh.M
-    buf = np.empty(2 * _ROWS * (min(M, _COLS) + 1))
     for start in range(0, M, _ROWS):
         stop = min(start + _ROWS, M)
         far = np.zeros(stop - start)
         for lo in range(0, start, _COLS):
             hi = min(lo + _COLS, start)
-            far += l1_weight_block(p, mesh, start, stop, lo, hi, buf) @ slopes[lo:hi]
-        near = l1_weight_block(p, mesh, start, stop, start, stop, buf) @ slopes[start:stop]
+            far += l1_weight_block(p, mesh, start, stop, lo, hi) @ slopes[lo:hi]
+        near = l1_weight_block(p, mesh, start, stop, start, stop) @ slopes[start:stop]
         out[start + 1 : stop + 1] += (far + near) / math.gamma(2.0 + nu)
     return out
 

@@ -10,11 +10,10 @@ with positive weights that decrease away from the diagonal.
 
 l1_weight_block builds the cell-integral numerators (t_m - t_{k-1})^p -
 (t_m - t_k)^p of a block of rows and a range of columns, bit for bit as
-a single row forms them, in one scratch buffer: powers in one half,
-their differences in the other, so numpy copies no overlapping operand.
-Each cancelling difference is rounded as in a row.  p = 1 - a gives the
-L1 weights; fracint.frac_integrate_numeric sums the same family at p =
-1 + nu, the product integration of its forcing, in its own tile loop.
+a single row forms them: each cancelling difference is rounded as in a
+row.  p = 1 - a gives the L1 weights; fracint.frac_integrate_numeric
+sums the same family at p = 1 + nu, the product integration of its
+forcing, in its own tile loop.
 
 march_l1 marches a graded mesh _ROWS rows at a time on the scaled
 increments E_k = (v^k - v^{k-1}) / (tau_k Gamma(2-a)); a scalar
@@ -38,27 +37,23 @@ The sum of exponentials (SOE) costs O(M N K) for N exponentials and K
 columns in place of the O(M^2 K) of exact far sums (Jiang, Zhang, Zhang
 and Zhang, Commun. Comput. Phys. 21 (2017)).  soe_kernel writes t^{-a} =
 Gamma(a)^{-1} int_0^inf s^{a-1} e^{-st} ds as sum_j w_j e^{-s_j t} on
-[delta, T], delta the smallest gap t_{start+1} - t_start an SOE term
-sees (blocks from start = _HEAD + _ROWS on), by the trapezoid rule of
-step 1/4 in x for s = e^{x - e^{-x}} / T (W. McLean, Exponential sum
-approximations for t^{-beta}, Contemporary Computational Mathematics,
-Springer 2018).  Every weight is positive, N = floor(4 (log(40 T/delta)
-- x_0)) + 2 for x_0 = floor(-4 log(40/a))/4: at T = 1, 111 at delta =
-1e-8 and 277 at 1e-26 for alpha = 0.25, 106 and 272 for 0.75 and 121 and
-287 for 0.02; and the relative error of t^{-a} is below 2.5e-15 for
-alpha in [0.02, 0.98] and delta down to 1e-300.  Row m's far sum past
-the head is then p sum_j w_j e^{-s_j (t_m - t_start)} H_j, H_j the sum
-over the columns head < k <= start of E_k int_{cell k} e^{-s_j (t_start
-- u)} du.  Before each block, H_j <- e^{-s_j (t_start - t_prev)} H_j +
-sum_k E_k e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}) / s_j over the
-previous block's cells past the head, so no term cancels.  A block then
-keeps only the first terms, those of a kernel fitted on its own smallest
-gap and every later block's, with their H_j: where the steps grow, N
-falls as the march goes on (124 to 63, 34% fewer exponentials in all,
-over M = 4096, r = 7 at alpha 0.25), and no cell of tables 2 and 5
-changes by a bit.  A pair's half columns of E ride in the head and in H
-unchanged, a half cell being two fine cells; the near block keeps the
-exact numerators.
+[delta, T] by the trapezoid rule of step 1/4 in x for s = e^{x - e^{-x}}
+/ T (W. McLean, Exponential sum approximations for t^{-beta},
+Contemporary Computational Mathematics, Springer 2018).  Every weight is
+positive, N = floor(4 (log(40 T/delta) - x_0)) + 2 for x_0 = floor(-4
+log(40/a))/4: at T = 1, 111 at delta = 1e-8 and 277 at 1e-26 for alpha =
+0.25, 106 and 272 for 0.75 and 121 and 287 for 0.02; and the relative
+error of t^{-a} is below 2.5e-15 for alpha in [1e-4, 0.9999] and delta
+down to 1e-300.  A march fits one kernel, on the smallest gap t_{start+1}
+- t_start that any SOE term sees (blocks from start = head + _ROWS on),
+and uses all of its terms in every block.  Row m's far sum past the head
+is then p sum_j w_j e^{-s_j (t_m - t_start)} H_j, H_j the sum over the
+columns head < k <= start of E_k int_{cell k} e^{-s_j (t_start - u)} du.
+Before each block, H_j <- e^{-s_j (t_start - t_prev)} H_j + sum_k E_k
+e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}) / s_j over the previous
+block's cells past the head, so no term cancels.  A pair's half columns
+of E ride in the head and in H unchanged, a half cell being two fine
+cells; the near block keeps the exact numerators.
 
 The head is there for seven cells of tables 2 and 5 (alpha 0.25, r 7, M
 256 to 2048).  They are rounding noise of the cancelling numerators in
@@ -115,33 +110,23 @@ _SOE_M = 4160
 
 
 def l1_weight_block(
-    p: float, mesh: GradedMesh, start: int, stop: int, lo: int = 0, hi: int | None = None, out=None
+    p: float, mesh: GradedMesh, start: int, stop: int, lo: int = 0, hi: int | None = None
 ) -> np.ndarray:
     """Numerators of exponent p for rows m = start+1..stop, columns k = lo+1..hi.
 
     block[m-start-1, k-lo-1] = (t_m - t_{k-1})^p - (t_m - t_k)^p for
     k = lo+1..hi (hi defaults to stop), exactly 0 for k > m.  Over
     Gamma(1+p) it is the integral of beta_p(t_m - s) on cell k; for p = 1-a
-    and over tau_k Gamma(2-a) it is the L1 weight a^{(m)}_{m-k}.  ``out``
-    is an optional flat scratch array of at least 2 (stop - start) (hi -
-    lo + 1) doubles; the block is then a view into it, valid until the
-    next call that uses it.
+    and over tau_k Gamma(2-a) it is the L1 weight a^{(m)}_{m-k}.
     """
     hi = stop if hi is None else hi
-    n = (stop - start) * (hi - lo + 1)
-    out = np.empty(2 * n) if out is None else out
-    x = out[:n].reshape(stop - start, -1)  # x[i, j] = t_m - t_{lo+j}, then its power
-    np.subtract(mesh.nodes[start + 1 : stop + 1, None], mesh.nodes[lo : hi + 1], out=x)
+    x = mesh.nodes[start + 1 : stop + 1, None] - mesh.nodes[lo : hi + 1]  # x[i, j] = t_m - t_{lo+j}
     near = x[:, max(start - lo, 0) :]
     beyond = near < 0.0  # t_m - t_k < 0 for k > m, where the numerators are 0
     np.abs(near, out=near)  # np.power is some 2.5 times slower on zeros
     x **= p
     near[beyond] = 0.0
-    # Neighbour differences along the flat powers are the row differences
-    # in every column but the last, which is dropped.  They go to the
-    # second half: an output overlapping its operands would be copied.
-    np.subtract(out[: n - 1], out[1:n], out=out[n : 2 * n - 1])
-    return out[n : 2 * n].reshape(x.shape)[:, :-1]
+    return x[:, :-1] - x[:, 1:]
 
 
 def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,30 +134,24 @@ def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray
 
     t^{-a} is Gamma(a)^{-1} times the integral of s^{a-1} e^{-st} over s >
     0, here in u = log(s T) = x - e^{-x} by the trapezoid rule at the
-    exact points x_j = x_0 + j/4, j < _soe_count(a, delta, T): s_j =
-    e^{u_j}/T and w_j = e^{a u_j} (1 + e^{-x_j}) / (4 Gamma(a) T^a).  So a
-    kernel for a larger delta is a prefix of this one.  Where u >= 0,
-    e^{a u} is (e^u)^a, the weight of the rounded node; exp(a u) was off by
-    2.3e-14 at delta = 1e-300.  Nodes below 2^-500 / T (e^u underflows to
-    0 at a = 0.02) are raised to it: e^{-s t} is 1 either way, and s tau
-    stays normal for tau > 1e-157 T.  The relative error is below 2.5e-15
-    for a in [0.02, 0.98], T in [0.3, 100] and delta down to 1e-300.
+    exact points x_j = x_0 + j/4, j < N: s_j = e^{u_j}/T and w_j = e^{a
+    u_j} (1 + e^{-x_j}) / (4 Gamma(a) T^a).  x_0 = floor(-4 log(40/a))/4
+    leaves out an integral below e^{-40} / Gamma(1 + a) of t^{-a}, and N =
+    floor(4 (log(40 T/delta) - x_0)) + 2 puts the last node past 39/delta,
+    where e^{-s delta} < e^{-39}; so a kernel for a larger delta is a
+    prefix of this one.  Where u >= 0, e^{a u} is (e^u)^a, the weight of
+    the rounded node; exp(a u) was off by 2.3e-14 at delta = 1e-300.
+    Nodes below 2^-500 / T (e^u underflows to 0 at a = 0.02) are raised
+    to it: e^{-s t} is 1 either way, and s tau stays normal for
+    tau > 1e-157 T.  The relative error is below 2.5e-15 for a in [1e-4,
+    0.9999], T in [0.3, 100] and delta down to 1e-300.
     """
-    x = _soe_x0(a) + np.arange(_soe_count(a, delta, T)) / 4.0
+    x0 = math.floor(-4.0 * math.log(40.0 / a)) / 4.0
+    x = x0 + np.arange(math.floor(4.0 * (math.log(40.0 * T / delta) - x0)) + 2) / 4.0
     u = x - np.exp(-x)
     eu = np.exp(u)
     w = np.where(u >= 0.0, eu**a, np.exp(a * u)) * (1.0 + np.exp(-x)) / (4.0 * math.gamma(a) * T**a)
     return np.maximum(eu, 2.0**-500) / T, w
-
-
-def _soe_x0(a: float) -> float:
-    """soe_kernel's x_0: the integral below its node is under e^{-40} / Gamma(1 + a) of t^{-a}."""
-    return math.floor(-4.0 * math.log(40.0 / a)) / 4.0
-
-
-def _soe_count(a: float, delta: float, T: float) -> int:
-    """soe_kernel's N on [delta, T]: its last node is past 39/delta, where e^{-s delta} < e^{-39}."""
-    return math.floor(4.0 * (math.log(40.0 * T / delta) - _soe_x0(a))) + 2
 
 
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
@@ -239,36 +218,26 @@ def march_l1(
     tri = np.tri(_ROWS)
     p, t, tau = 1.0 - alpha, mesh.nodes, mesh.steps
     head = 0 if M > _SOE_M else _HEAD
-    buf = np.empty(2 * _ROWS * (max(head, _ROWS) + 1))  # the numerators of a head tile or a near block
-    s = None
+    if M > head + _ROWS:  # a block past the head: one kernel on the smallest gap any far term sees
+        s, w = soe_kernel(1.0 - p, tau[head + _ROWS :: _ROWS].min(), mesh.T)
+        w *= p
+        H = np.zeros((len(s), E.shape[1]))  # H[j] = sum_{head<k<=start} E[k-1] int_{cell k} e^{-s_j (t_start - u)} du
     for start in range(0, M, _ROWS):
         stop = min(start + _ROWS, M)
         # far[m-start-1] = sum_{k<=start} block[m, k] E[k-1]: past the head from the exponentials
         far = np.zeros((stop - start, E.shape[1]))
         if start > head:
-            delta = tau[start::_ROWS].min()  # the smallest gap a far term of this block or a later one sees
-            N = _soe_count(1.0 - p, delta, mesh.T)  # the terms of a kernel fitted on [delta, T]: a prefix
-            if s is None:  # fitted on the first block with columns past the head
-                s, w = soe_kernel(1.0 - p, delta, mesh.T)
-                w *= p
-                H = np.zeros((N, E.shape[1]))  # H[j] = sum_{head<k<=start} E[k-1] int_{cell k} e^{-s_j (t_start - u)} du
-                fac = np.empty((2, N * _ROWS))  # the cell and row factors, formed in place
-            s, w, H = s[:N], w[:N], H[:N]
             lo = max(start - _ROWS, head)  # the previous block's cells past the head
-            c, em = fac[:, : N * (start - lo)].reshape(2, N, -1)
-            np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start], out=c), out=c)
-            np.expm1(np.multiply.outer(s, -tau[lo:start], out=em), out=em)
-            c *= em  # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
+            # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
+            c = np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start]))
+            c *= np.expm1(np.multiply.outer(s, -tau[lo:start]))
             H *= np.exp((t[start - _ROWS] - t[start]) * s)[:, None]
             H -= (c @ E[lo:start]) / s[:, None]
-            r = fac[1, : (stop - start) * N].reshape(-1, N)
-            np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s, out=r), out=r)
-            r *= w
-            far += r @ H
+            far += (np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s)) * w) @ H
         h = min(start, head)  # and over the head columns from exact numerators
         if h:
-            far += l1_weight_block(p, mesh, start, stop, 0, h, buf) @ E[:h]
-        near = l1_weight_block(p, mesh, start, stop, start, stop, buf)
+            far += l1_weight_block(p, mesh, start, stop, 0, h) @ E[:h]
+        near = l1_weight_block(p, mesh, start, stop, start, stop)
         for d, b, V, scale in zip((1, 2), rhss, Vs, scales):
             # level d: rows d j and cells of d fine cells; i < j <= i + n are this block's
             i, n, cols = start // d, (stop - start) // d, slice((d - 1) * K, d * K)

@@ -124,10 +124,12 @@ def check_nested(coarse: GradedMesh, fine: GradedMesh) -> None:
 
 
 def half_mesh(mesh: GradedMesh) -> GradedMesh:
-    """build_mesh(T, M // 2, r), checked to nest in mesh (an odd M never does).
+    """build_mesh(T, M // 2, r) for an even M, checked to nest in mesh.
 
     A grading r < 1 is not warned about again: mesh was built with it.
     """
-    half = _graded(mesh.T, max(mesh.M // 2, 1), mesh.r)  # M = 1 has no half either
+    if mesh.M % 2:
+        raise ValueError(f"a mesh has a half only at even M, got M = {mesh.M}")
+    half = _graded(mesh.T, mesh.M // 2, mesh.r)
     check_nested(half, mesh)
     return half

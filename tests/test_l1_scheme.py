@@ -111,9 +111,9 @@ def test_march_solves_the_scheme(monkeypatch):
     alpha, lam = 0.4, 2.5
     formed = None  # formed[m, k]: times numerator (m, k) was formed
 
-    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
+    def counted_block(p, mesh, start, stop, lo=0, hi=None):
         formed[start + 1 : stop + 1, lo + 1 : (stop if hi is None else hi) + 1] += 1
-        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
+        return l1_weight_block(p, mesh, start, stop, lo, hi)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
     edge = l1_scheme._HEAD + l1_scheme._ROWS  # the longest march with no column past the head
@@ -213,14 +213,12 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
     # block rows are the numerators bit for bit, +0.0 beyond the diagonal,
     # and l1_weight_row divides one of them by tau_k Gamma(2-a); so is every
     # range of columns: the march's far tiles, the near block, and ranges
-    # across the diagonal and across a tile edge, each built fresh and in a
-    # scratch buffer that earlier blocks left dirty; for the L1 exponent
-    # 1 - a and for product integration's 1 + a
+    # across the diagonal and across a tile edge; for the L1 exponent 1 - a
+    # and for product integration's 1 + a
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     scale = mesh.steps * math.gamma(2.0 - alpha)
     rows, cols = l1_scheme._ROWS, fracint._COLS
-    buf = np.full(2 * rows * (cols + 1), np.nan)
     for p in (1.0 - alpha, 1.0 + alpha):
         for start in range(0, M, rows):
             stop = min(start + rows, M)
@@ -235,10 +233,9 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
             if stop > cols - 3:
                 ranges.append((cols - 3, min(cols + 5, stop)))
             for lo, hi in ranges:
-                for out in (None, buf):
-                    block = l1_weight_block(p, mesh, start, stop, lo, hi, out)
-                    assert block.shape == (stop - start, hi - lo)
-                    assert block.tobytes() == want[:, lo:hi].tobytes(), (p, start, lo, hi)
+                block = l1_weight_block(p, mesh, start, stop, lo, hi)
+                assert block.shape == (stop - start, hi - lo)
+                assert block.tobytes() == want[:, lo:hi].tobytes(), (p, start, lo, hi)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5])
@@ -365,10 +362,10 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
     # numerator on the half mesh
     formed, meshes = None, []
 
-    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
+    def counted_block(p, mesh, start, stop, lo=0, hi=None):
         meshes.append(mesh)
         formed[start + 1 : stop + 1, lo + 1 : (stop if hi is None else hi) + 1] += 1
-        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
+        return l1_weight_block(p, mesh, start, stop, lo, hi)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
     edge = l1_scheme._HEAD + l1_scheme._ROWS  # the longest march with no column past the head
@@ -381,7 +378,7 @@ def test_pair_march_forms_only_the_fine_numerators(monkeypatch):
         assert np.all(np.tril(formed[1:, 1:]) == _formed_once(M))
 
 
-@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.75, 0.98])
+@pytest.mark.parametrize("alpha", [1e-4, 0.02, 0.25, 0.5, 0.75, 0.98, 0.9999])
 @pytest.mark.parametrize("delta", [1e-8, 1e-16, 1e-26, 1e-80, 1e-300])
 def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     # sum_j w_j exp(-s_j t) against t^{-a} on [delta, T], relative error
@@ -389,7 +386,9 @@ def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     # x_0 + j/4 from x_0 = floor(-4 log(40/a))/4 to past log(40 T/delta); a
     # head lets a march of up to 4160 steps reach far smaller gaps than
     # 1e-26, and with every weight from exp(a u) the error was 2.3e-14 at
-    # delta = 1e-300
+    # delta = 1e-300; alpha 1e-4 and 0.9999 stand for the ends of the open
+    # interval (0, 1) that check_alpha admits (worst errors 1.3e-15 and
+    # 1.1e-15)
     for T in (0.3, 1.0, 3.0, 100.0):
         s, w = l1_scheme.soe_kernel(alpha, delta, T)
         x0 = math.floor(-4.0 * math.log(40.0 / alpha)) / 4.0
@@ -401,26 +400,29 @@ def test_soe_kernel_within_its_stated_accuracy(alpha, delta):
     # N at delta = 1e-8 and 1e-26 for T = 1, 204 and 540 with the former
     # Gauss-Jacobi rule and Gauss-Legendre panels; a small a needs more
     # points below s = 1/T
-    want = {0.02: (121, 287), 0.25: (111, 277), 0.5: (108, 274), 0.75: (106, 272), 0.98: (105, 271)}[alpha]
+    want = {
+        1e-4: (142, 308), 0.02: (121, 287), 0.25: (111, 277), 0.5: (108, 274),
+        0.75: (106, 272), 0.98: (105, 271), 0.9999: (105, 271),
+    }[alpha]
     assert tuple(len(l1_scheme.soe_kernel(alpha, d, 1.0)[0]) for d in (1e-8, 1e-26)) == want
 
 
 @pytest.mark.parametrize("alpha", [0.02, 0.25, 0.75, 0.98])
 def test_soe_kernel_for_a_larger_gap_is_a_prefix(alpha):
-    # the march drops the last terms of its kernel as its smallest gap
-    # grows: a kernel fitted for a larger delta is _soe_count's prefix of
-    # one fitted for a smaller delta, bit for bit; at a = 0.02 the first
-    # e^u underflow to 0, and those nodes are raised to a positive s whose
-    # e^{-s T} is 1 and whose cell factor (1 - e^{-s tau}) / s is tau
+    # a kernel fitted for a larger delta is the first N terms of one fitted
+    # for a smaller delta, bit for bit, N as in the accuracy test above; at
+    # a = 0.02 the first e^u underflow to 0, and those nodes are raised to
+    # a positive s whose e^{-s T} is 1 and whose cell factor
+    # (1 - e^{-s tau}) / s is tau
+    x0 = math.floor(-4.0 * math.log(40.0 / alpha)) / 4.0
     for T in (0.3, 1.0, 100.0):
         s, w = l1_scheme.soe_kernel(alpha, 1e-300, T)
         assert np.all(s > 0.0)
         for delta in (1e-200, 1e-26, 1e-8, 1e-3, 0.1 * T):
-            n = l1_scheme._soe_count(alpha, delta, T)
+            n = math.floor(4.0 * (math.log(40.0 * T / delta) - x0)) + 2
             s2, w2 = l1_scheme.soe_kernel(alpha, delta, T)
             assert len(s2) == len(w2) == n < len(s)
             assert s2.tobytes() == s[:n].tobytes() and w2.tobytes() == w[:n].tobytes()
-        x0 = math.floor(-4.0 * math.log(40.0 / alpha)) / 4.0
         assert (math.exp(x0 - math.exp(-x0)) == 0.0) == (alpha == 0.02)
         flat = np.exp(-s * T) == 1.0
         assert flat[0]
@@ -508,9 +510,9 @@ def test_soe_march_forms_only_near_numerators(monkeypatch):
     mesh = build_mesh(1.0, M, 2.0)
     calls = []
 
-    def counted_block(p, mesh, start, stop, lo=0, hi=None, out=None):
+    def counted_block(p, mesh, start, stop, lo=0, hi=None):
         calls.append((start, stop, lo, hi))
-        return l1_weight_block(p, mesh, start, stop, lo, hi, out)
+        return l1_weight_block(p, mesh, start, stop, lo, hi)
 
     monkeypatch.setattr(l1_scheme, "l1_weight_block", counted_block)
     rhs = np.sin(3.0 * mesh.nodes)
@@ -540,7 +542,7 @@ def test_pair_march_validation():
     for mesh in (build_mesh(1.0, 8), build_mesh(1.0, 7, 2.0)):  # uniform, odd M
         with pytest.raises(ValueError, match="half"):
             march_l1(0.5, mesh, 1.0, np.zeros(mesh.M + 1), np.zeros(mesh.M // 2 + 1))
-    with pytest.raises(ValueError, match="fine mesh has 7 steps, expected 6"):
+    with pytest.raises(ValueError, match="a mesh has a half only at even M, got M = 7"):
         half_mesh(build_mesh(1.0, 7, 2.0))
     # a mesh whose every other node is not build_mesh(T, M/2, r) has no half
     nodes = graded.nodes.copy()

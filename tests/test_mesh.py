@@ -80,3 +80,17 @@ def test_pair_solve_warns_once_for_a_coarsening_grading():
             half, fine = solve(mesh)
         assert len(caught) == 1
         assert half.mesh.nodes.tobytes() == mesh.nodes[::2].tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 5])
+def test_pair_solvers_reject_an_odd_step_count(M):
+    # an odd mesh has no half: the pair solvers say so by M, before any
+    # nesting check
+    dom = (0.0, 1.0)
+    f, u0 = SeparableField(dom, ((2, 1.0),)), SeparableField(dom, ((1, 1.0),))
+    prob, data = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0), msd_subdiffusion_data(f, u0, 0, 0.5)
+    mesh = build_mesh(1.0, M, 2.0)
+    with pytest.raises(ValueError, match=f"a mesh has a half only at even M, got M = {M}$"):
+        solve_relaxation_pair(prob, mesh)
+    with pytest.raises(ValueError, match=f"a mesh has a half only at even M, got M = {M}$"):
+        solve_subdiffusion_pair(0.5, data, mesh, assemble_fem(0.0, 1.0, 8))

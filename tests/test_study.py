@@ -169,6 +169,26 @@ def test_only_graded_l1_studies_solve_pairs():
         assert spec.solve_pair is None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="l1_weight_block's numerators (t_m - t_{k-1})^p - (t_m - t_k)^p cancel near the origin"
+    " of a strongly graded mesh, and the march divides them by steps many orders below t_m",
+)
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+@pytest.mark.parametrize("model", ["relaxation", "subdiffusion"])
+def test_small_alpha_graded_l1_reaches_its_theory_rate(model, alpha):
+    # the tables' grading r = (2 - a)/a for order 2 - a at depth 0, at
+    # alphas the tables never run; finest rates measured 0.77 and 0.82 at
+    # alpha 0.05 (theory 1.95), 0.00 and 0.02 at alpha 0.1 (theory 1.90)
+    r = (2.0 - alpha) / alpha
+    if model == "relaxation":
+        spec = make_relaxation_study(alpha, r=r)
+    else:
+        spec = make_subdiffusion_study(alpha, r=r, J=32)
+    report = run_study(spec, [64, 128, 256, 512])
+    assert report.rows[-1].rate >= spec.theory - 0.15
+
+
 def test_subdiffusion_study_peaks_below_one_nodal_field():
     # finest solve at M = 4096: its nodal field alone is 4097 x 127
     # doubles.  The two-mesh error forms no nodal field, not even the
