@@ -170,15 +170,18 @@ def as_forcing(f):
 
 def sample(f, *args, name: str | None = None) -> np.ndarray:
     """f(t) or f(x, t) at broadcastable points, as a read-only view of the
-    common shape of the arguments: a scalar return is spread over it.
-    ``name`` is what the shape error calls f (default "forcing f(x, t)")."""
+    common shape of the arguments: a scalar return is spread over it.  A
+    wrong shape or a value that is not finite raises a ValueError calling f
+    ``name`` (default "forcing f(t)" or "forcing f(x, t)")."""
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast_shapes(*(a.shape for a in args))
     vals = np.asarray(f(*args), dtype=float)
+    name = name or f"forcing f({', '.join('xt'[-len(args) :])})"
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{name} must be finite, got {vals[~np.isfinite(vals)][0]}")
     try:
         return np.broadcast_to(vals, shape)
     except ValueError:
-        name = name or f"forcing f({', '.join('xt'[-len(args) :])})"
         raise ValueError(
             f"{name} returned shape {vals.shape}, which does not"
             f" broadcast to {shape}, the common shape of its arguments"

@@ -87,7 +87,7 @@ import math
 import numpy as np
 
 from .mesh import GradedMesh, check_alpha
-from .toeplitz import march, modal_inverse
+from .toeplitz import march
 
 __all__ = ["l1_weight_row", "march_l1"]
 
@@ -154,6 +154,13 @@ def soe_kernel(a: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarray
     return np.maximum(eu, 2.0**-500) / T, w
 
 
+def _decay(x: np.ndarray) -> np.ndarray:
+    """e^x for the SOE exponents x <= 0, raised to -700 in place: numpy's exp
+    is 10-140 times slower per element below -708 (numpy 2.4, AVX-512), where
+    14% of those in tables 2 and 5 lie, and e^-700 is below every far sum's last bit."""
+    return np.exp(np.maximum(x, -700.0, out=x))
+
+
 def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
     """Row of L1 weights at node m: row[k-1] = a^{(m)}_{m-k}, k = 1..m.
 
@@ -195,6 +202,8 @@ def march_l1(
             f"lam must be a scalar or a vector with one entry per rhs column,"
             f" got shape {lam.shape} for rhs of shape {rhss[0].shape}"
         )
+    if not np.isfinite(lam).all():
+        raise ValueError(f"lam must be finite, got lam = {lam}")
     # the half's cells are pairs of fine cells, so its largest step is the largest
     steps = [mesh.steps, np.diff(mesh.nodes[::2])][: len(rhss)]
     a0_min = steps[-1].max() ** (-alpha) / math.gamma(2.0 - alpha)
@@ -209,7 +218,7 @@ def march_l1(
         pw = np.arange(M + 1, dtype=float) ** (1.0 - alpha)
         a = (pw[1:] - pw[:-1]) * (mesh.T / M) ** (-alpha) / math.gamma(2.0 - alpha)
         c = np.concatenate([a[:1], np.diff(a)])
-        Vs[0][1:] = march(c, rhss[0][1:].copy(), modal_inverse(c, lam))
+        Vs[0][1:] = march(c, rhss[0][1:].copy(), lam)
         return Vs[0].reshape(shapes[0])
 
     K = len(lam)
@@ -229,11 +238,11 @@ def march_l1(
         if start > head:
             lo = max(start - _ROWS, head)  # the previous block's cells past the head
             # -e^{-s_j (t_start - t_k)} (1 - e^{-s_j tau_k}), each factor to full precision
-            c = np.exp(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start]))
+            c = _decay(np.multiply.outer(s, t[lo + 1 : start + 1] - t[start]))
             c *= np.expm1(np.multiply.outer(s, -tau[lo:start]))
-            H *= np.exp((t[start - _ROWS] - t[start]) * s)[:, None]
+            H *= _decay((t[start - _ROWS] - t[start]) * s)[:, None]
             H -= (c @ E[lo:start]) / s[:, None]
-            far += (np.exp(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s)) * w) @ H
+            far += (_decay(np.multiply.outer(t[start] - t[start + 1 : stop + 1], s)) * w) @ H
         h = min(start, head)  # and over the head columns from exact numerators
         if h:
             far += l1_weight_block(p, mesh, start, stop, 0, h) @ E[:h]

@@ -65,7 +65,7 @@ from .conv_quad import build_cq
 from .fracint import TimeProfile, beta_profile, frac_integrate, msd_split, sample
 from .l1_scheme import l1_weight_row, march_l1
 from .mesh import GradedMesh, check_alpha, check_count, check_gamma, half_mesh
-from .toeplitz import march, modal_inverse
+from .toeplitz import march
 
 __all__ = [
     "IntervalFem",
@@ -490,7 +490,7 @@ def solve_integro(
 
     if method == "modal":
         lam, amps, rows = _modal_data(data.forcing, fem, mesh.nodes)
-        D = march(G, 0.5 * (amps[1:] + amps[:-1]) / lam, modal_inverse(G, 1.0 / (tau * lam)))
+        D = march(G, 0.5 * (amps[1:] + amps[:-1]) / lam, 1.0 / (tau * lam))
         V = np.cumsum(D, axis=0)
     else:
         rows = np.eye(fem.J - 1)

@@ -13,7 +13,7 @@ module.  Each is the direct, unoptimized form of a scheme:
 - singular_moment: one history moment of the collocation scheme;
 - toeplitz_inverse_steps: the first (block) column of the inverse of a
   lower-triangular (block-)Toeplitz matrix, by forward substitution one
-  entry at a time, as toeplitz.block_inverse and modal_inverse define it;
+  entry at a time, for either kind of system toeplitz.march solves;
 - volterra_steps: the collocation scheme marched one cell at a time,
   with the direct history sum and one q x q solve per cell;
 - collocation_residual: the collocation equations checked by the same
@@ -111,9 +111,9 @@ def toeplitz_inverse_steps(kern: np.ndarray, shift=None) -> np.ndarray:
     """z with sum_{i<=j} K[j-i] z[i] = delta_{j0} for j = 0..len(kern)-1.
 
     With ``shift`` None, kern holds q x q blocks and K[0] is the identity
-    (kern[0] is not read), as for toeplitz.block_inverse.  Otherwise kern
-    is scalar and K[0] = kern[0] + shift, one column of z per entry of
-    the scalar or vector shift, as for toeplitz.modal_inverse.
+    (kern[0] is not read).  Otherwise kern is scalar and K[0] = kern[0] +
+    shift, a column of z per entry of the scalar or vector shift: z is
+    the impulse response of toeplitz.march(kern, x, shift).
     """
     kern = np.asarray(kern, dtype=float)
     if shift is None:

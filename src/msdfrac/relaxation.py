@@ -93,7 +93,8 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
             "computed by nodal product quadrature and are approximate",
             stacklevel=4,
         )
-    vals = sample(prob.f, mesh.nodes)
+    # at n = 0 no product integration reads t_0, where f may be singular: 0 there, as in _nodal
+    vals = sample(prob.f, mesh.nodes) if prob.n else np.append(0.0, sample(prob.f, mesh.nodes[1:]))
     forcing, head = msd_split(vals, lambda v: -lam * frac_integrate_numeric(v, a, mesh), prob.n)
     zero = np.zeros_like(vals)
     return forcing, frac_integrate_numeric(sum(head, zero), a, mesh) if head else zero

@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
 from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon, check_real, check_reals
-from .toeplitz import block_inverse, march
+from .toeplitz import march
 
 __all__ = [
     "VolterraProblem",
@@ -243,10 +243,7 @@ def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
 
 def _kernel_at(kernel, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """K(s, t) spread over the common shape of s and t; every sample must be finite."""
-    vals = sample(kernel, s, t, name="kernel K(s, t)")
-    if not np.isfinite(vals).all():
-        raise ValueError(f"kernel K(s, t) must be finite, got {vals[~np.isfinite(vals)][0]}")
-    return vals
+    return sample(kernel, s, t, name="kernel K(s, t)")
 
 
 def _weights(prob: VolterraProblem, M: int):
@@ -280,6 +277,8 @@ def _march_kernel(kernel, psi, phi, scale, pts, rhs) -> np.ndarray:
     V = np.zeros((M, q))
     g = np.arange(min(_CELLS, M))
     near_w = psi[(g[:, None] - g).clip(0)].transpose(0, 2, 1, 3)  # [m, i, e, j]; psi[0] = 0
+    # wins[d, i, j, k] = psi[d + k], zero past gap M: each tile's window is a slice of it
+    wins = sliding_window_view(np.concatenate([psi, np.zeros((_TILE,) + psi.shape[1:])]), _TILE, axis=0)
     buf = np.empty(_CELLS * q * q * _TILE)
     for start in range(0, M, _CELLS):
         stop = min(start + _CELLS, M)
@@ -288,7 +287,7 @@ def _march_kernel(kernel, psi, phi, scale, pts, rhs) -> np.ndarray:
         for lo in range(0, start, _TILE):
             hi = min(lo + _TILE, start)
             # win[m, i, j, k] = psi[m - e] for e = hi - 1 - k: the tile's cells run backwards
-            win = sliding_window_view(psi, hi - lo, axis=0)[start - hi + 1 : stop - hi + 1]
+            win = wins[start - hi + 1 : stop - hi + 1, ..., : hi - lo]
             tile = buf[: win.size].reshape(win.shape)
             np.multiply(win, _kernel_at(kernel, pts[lo:hi][::-1].T, t), out=tile)
             hist += tile.reshape(b * q, -1) @ V[lo:hi][::-1].T.ravel()
@@ -311,9 +310,9 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
         scale *= float(prob.kernel)
         # times inv, the scheme has identity diagonal blocks and kern[g] = -scale inv psi[g]
         inv = np.linalg.inv(_local_matrix(phi, scale))
-        kern = -(scale * inv) @ psi[:M]
-        kern[0] = np.eye(prob.q)
-        V = march(kern, rhs @ inv.T, block_inverse(kern))
+        kern, x = -(scale * inv) @ psi[:M], rhs @ inv.T
+        del psi, pts, rhs  # the march reads none of them: keep them out of its working set
+        V = march(kern, x)
     else:
         V = _march_kernel(prob.kernel, psi, phi, scale, pts, rhs)
 

@@ -198,6 +198,11 @@ def test_validation():
         for lam, shape in ((np.ones(2), 9), (np.ones(3), (9, 2)), (np.ones((2, 2)), (9, 2))):
             with pytest.raises(ValueError, match="lam"):
                 march_l1(0.5, grid, lam, np.zeros(shape))  # one entry per rhs column
+        # NaN passed the degenerate-step check, which compares False, and so did
+        # +inf: both marched to NaN
+        for lam, shape in ((math.nan, 9), (math.inf, 9), (-math.inf, 9), (np.array([1.0, math.nan]), (9, 2))):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                march_l1(0.5, grid, lam, np.ones(shape))
 
 
 def _numerators(p, t, m):

@@ -924,3 +924,21 @@ def test_trace_U_is_V_plus_the_added_back_parts(model, method):
     assert np.all(V[0] == 0.0)
     dev = np.max(np.abs(U - V - _added_back(data, mesh, fem)))
     assert dev <= 1e-14 * np.max(np.abs(U))
+
+
+@pytest.mark.parametrize("method", ["modal", "full"])
+def test_non_finite_callable_forcing_is_rejected(method):
+    # a NaN or inf where a solve reads f(x, t) used to run to a NaN trace; only
+    # the integro stepper reads t = 0, where f may be singular for subdiffusion
+    fem, mesh = assemble_fem(0.0, 1.0, 8), build_mesh(1.0, 8)
+    u0 = SeparableField((0.0, 1.0), ((1, 1.0),))
+    sub = lambda f: solve_subdiffusion(0.5, 0, msd_subdiffusion_data(f, u0, 0, 0.5), mesh, fem, method=method)
+    integro = lambda f: solve_integro(0.5, integro_direct_data(f, u0, 0.5), mesh, fem, method=method)
+    for bad in (np.nan, np.inf):
+        for solve in (sub, integro):
+            with pytest.raises(ValueError, match=r"forcing f\(x, t\) must be finite, got"):
+                solve(lambda x, t: np.where(t > 0.5, bad, x))
+    at_zero = lambda x, t: np.where(t == 0.0, np.inf, x)
+    assert np.isfinite(sub(at_zero).U).all()
+    with pytest.raises(ValueError, match=r"forcing f\(x, t\) must be finite, got inf"):
+        integro(at_zero)

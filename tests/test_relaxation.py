@@ -170,6 +170,25 @@ def test_non_finite_input_is_rejected(field, value):
         RelaxationProblem(**args)
 
 
+@pytest.mark.filterwarnings("ignore:forcing is only available pointwise")
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_non_finite_pointwise_forcing_is_rejected(n, r):
+    # a NaN or inf where the solve reads f used to run to a NaN trace.  Only
+    # product integration (n > 0) reads t_0, so at n = 0 f may be singular there
+    mesh = build_mesh(1.0, 16, r)
+    for bad in (np.nan, np.inf):
+        prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=lambda t: np.where(t > 0.5, bad, 1.0), n=n)
+        with pytest.raises(ValueError, match=r"forcing f\(t\) must be finite, got"):
+            solve_relaxation(prob, mesh)
+    prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=lambda t: t**-0.5, n=n)
+    if n:
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=r"f\(t\) must be finite, got inf"):
+            solve_relaxation(prob, mesh)
+    else:
+        assert np.isfinite(solve_relaxation(prob, mesh).U).all()
+
+
 @pytest.mark.parametrize("n", [1.5, 2.0, True, "1", -1])
 def test_depth_must_be_a_nonnegative_integer(n):
     # a float depth used to fail inside the solve with a bare TypeError,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from msdfrac import build_cq, toeplitz
 from msdfrac.reference import toeplitz_inverse_steps
 
-# The doubling inverses form their products by FFT, whose rounding is
+# The doubling inverse forms its products by FFT, whose rounding is
 # relative to the largest terms of each product, so every check is
 # relative to max |z|, per column of one shift each.  Where z stays
 # bounded (no negative shift) the largest error measured was 3.7e-14 of
@@ -57,8 +57,8 @@ def test_block_inverse_matches_forward_substitution_and_dense_solve(n, q):
     g = np.arange(n, dtype=float)[:, None, None]
     kern = rng.uniform(-1.0, 1.0, (n, q, q)) / (1.0 + g) ** 1.5
     kern[0] = np.eye(q)
-    z = toeplitz.block_inverse(kern)
     nb = min(n, toeplitz._BLOCK)
+    z = toeplitz._inverse(kern[:nb], None)
     assert z.shape == (nb, q, q)
     assert _relerr(z, toeplitz_inverse_steps(kern[:nb])) <= TOL
     # dense: the nb q x nb q block matrix, solved for its first block column
@@ -84,12 +84,12 @@ def test_modal_inverse_on_l1_kernels(alpha, n):
         (-0.9 * a0, TOL_GROWING),
         (np.array([-0.9 * a0, -0.5 * a0, 0.0, 1.0, 1e3, 1e8]), TOL_GROWING),
     ]:
-        z = toeplitz.modal_inverse(kern, shift)
+        z = toeplitz._inverse(kern[:nb], shift)
         assert z.shape == (nb,) + np.shape(shift)
         assert _relerr(z, toeplitz_inverse_steps(kern[:nb], shift)) <= tol
     for lam in [0.0, 1.0, 1e3]:
         dense = np.linalg.solve(_dense(kern[:nb], a0 + lam), np.eye(nb)[:, 0])
-        assert _relerr(toeplitz.modal_inverse(kern, lam), dense) <= TOL
+        assert _relerr(toeplitz._inverse(kern[:nb], lam), dense) <= TOL
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -101,12 +101,12 @@ def test_modal_inverse_on_cq_kernels(alpha, n):
     nb = min(n, toeplitz._BLOCK)
     lam = 4.0 * 32**2 * np.sin(np.array([1, 8, 31]) * np.pi / 64) ** 2
     shifts = n / lam
-    z = toeplitz.modal_inverse(kern, shifts)
+    z = toeplitz._inverse(kern[:nb], shifts)
     assert _relerr(z, toeplitz_inverse_steps(kern[:nb], shifts)) <= TOL
     for k, s in enumerate(shifts):
         dense = np.linalg.solve(_dense(kern[:nb], kern[0] + s), np.eye(nb)[:, 0])
         assert _relerr(z[:, k], dense) <= TOL
-        assert _relerr(toeplitz.modal_inverse(kern, s), dense) <= TOL
+        assert _relerr(toeplitz._inverse(kern[:nb], s), dense) <= TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +123,33 @@ def test_modal_inverse_on_random_decaying_kernels(n, decay, shifts, seed):
     kern[0] = 1.0
     shift = np.array(shifts)
     nb = min(n, toeplitz._BLOCK)
-    assert _relerr(toeplitz.modal_inverse(kern, shift), toeplitz_inverse_steps(kern[:nb], shift)) <= TOL
+    assert _relerr(toeplitz._inverse(kern[:nb], shift), toeplitz_inverse_steps(kern[:nb], shift)) <= TOL
+
+
+@pytest.mark.parametrize("M", [1, 16, 255, 256, 257, 1000])
+def test_march_impulse_response_is_the_inverse_column(M):
+    # march's whole first (block) column against forward substitution over all
+    # M entries: one block, far history, and a shorter last block.  Where z grows
+    # (a negative shift), a shorter last block solved with the leading part of a
+    # full block's z was off by 0.66% of max |z| at M = 257 for alpha 0.3 and by
+    # 1e53 times max |z| for alpha 0.9 (shift -a0/2): it carried the rounding of
+    # the full block's last doubling step and of a product with all of z
+    rng = np.random.default_rng(M)
+    g = np.arange(M, dtype=float)[:, None, None]
+    for q in (1, 2, 3):
+        kern = rng.uniform(-1.0, 1.0, (M, q, q)) / (1.0 + g) ** 1.5  # kern[0] is not read: K[0] = I
+        x = np.zeros((M, q, q))
+        x[0] = np.eye(q)
+        assert _relerr(toeplitz.march(kern, x), toeplitz_inverse_steps(kern)) <= TOL
+    lam = 4.0 * 32**2 * np.sin(np.array([1, 8, 31]) * np.pi / 64) ** 2
+    cases = [(_cq_kernel(alpha, M), M / lam, TOL) for alpha in (0.25, 0.75)]
+    for alpha in (0.3, 0.9):
+        kern = _l1_kernel(alpha, M)
+        cases += [(kern, np.array([0.0, 1.0, 1e3, 1e8]), TOL), (kern, np.array([-0.5, -0.2]) * kern[0], TOL_GROWING)]
+    for kern, shift, tol in cases:
+        x = np.zeros((M, len(shift)))
+        x[0] = 1.0
+        assert _relerr(toeplitz.march(kern, x, shift), toeplitz_inverse_steps(kern, shift)) <= tol
 
 
 @pytest.mark.parametrize("M", [5, 16, 100, 300, 1000])
@@ -134,7 +160,7 @@ def test_march_with_doubled_inverse_solves_the_system(M):
     rng = np.random.default_rng(M)
     x = rng.standard_normal((M, 2))
     lam = np.array([0.5, 40.0])
-    u = toeplitz.march(kern, x.copy(), toeplitz.modal_inverse(kern, lam))
+    u = toeplitz.march(kern, x.copy(), lam)
     for k in range(2):
         ref = np.linalg.solve(_dense(kern, kern[0] + lam[k]), x[:, k])
         assert _relerr(u[:, k], ref) <= TOL

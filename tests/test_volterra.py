@@ -272,6 +272,16 @@ def test_kernel_samples_are_checked(solve):
 
 
 @pytest.mark.parametrize("solve", [solve_volterra, volterra_steps])
+def test_pointwise_forcing_samples_are_checked(solve):
+    # a NaN or inf in f at a collocation point used to run to a NaN solution
+    for bad in (np.nan, np.inf):
+        for kernel in (1.0, lambda s, t: 1.0 + s * t):
+            prob = VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=lambda t: np.where(t > 0.5, bad, 1.0))
+            with pytest.raises(ValueError, match=r"forcing f\(t\) must be finite, got"):
+                solve(prob, 8)
+
+
+@pytest.mark.parametrize("solve", [solve_volterra, volterra_steps])
 def test_singular_local_system_is_reported(solve):
     # with c = (0.2, 0.6, 1) phi has one real eigenvalue lam, and K = 1 /
     # (tau^{1-a} lam) makes I - tau^{1-a} K phi singular on every cell; the
