@@ -160,8 +160,7 @@ def as_forcing(f):
     if isinstance(f, TimeProfile) or callable(f):
         return f
     if isinstance(f, numbers.Real) and not isinstance(f, bool):
-        if not math.isfinite(f):
-            raise ValueError(f"forcing f must be finite, got {f}")
+        check_real(f, "forcing f", need="be finite")
         return TimeProfile.constant(float(f))
     raise TypeError(
         f"forcing f must be a TimeProfile, a real number or a callable of t, got {type(f).__name__}"

@@ -87,7 +87,7 @@ import math
 import numpy as np
 
 from .mesh import GradedMesh, check_alpha
-from .toeplitz import march
+from .toeplitz import finite, march
 
 __all__ = ["l1_weight_row", "march_l1"]
 
@@ -169,6 +169,7 @@ def l1_weight_row(alpha: float, mesh: GradedMesh, m: int) -> np.ndarray:
     return l1_weight_block(1.0 - alpha, mesh, m - 1, m)[0] / (mesh.steps[:m] * math.gamma(2.0 - alpha))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by finite
 def march_l1(
     alpha: float, mesh: GradedMesh, lam: float | np.ndarray, rhs: np.ndarray, half_rhs=None
 ):
@@ -257,5 +258,7 @@ def march_l1(
             e = np.linalg.solve(A + lam[:, None, None] * S, rest.T[..., None])[..., 0].T
             E[start:stop, cols] = np.repeat(e, d, axis=0)
             V[i + 1 : i + n + 1] = V[i] + np.cumsum(e * scale[i : i + n, None], axis=0)
+    for V in Vs:
+        finite(V[1:])  # V^0 = 0 is no step
     Vs = [V.reshape(shape) for V, shape in zip(Vs, shapes)]
     return Vs[0] if half_rhs is None else (Vs[1], Vs[0])

@@ -41,21 +41,14 @@ import math
 
 import numpy as np
 
-from .mesh import check_alpha
+from .mesh import check_alpha, check_real
 
 __all__ = ["ml_eval", "relaxation_exact"]
 
 _L = 40.0  # discretization and truncation errors are about e^-_L
 _GAP = 0.75  # least distance of a pole from the real u axis
 _H = 2.0 * math.pi * _GAP / _L  # trapezoidal step in u
-_CHUNK = 4096  # arguments per array operation, which bounds the memory
-
-
-def _validate(alpha: float, beta: float) -> None:
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"first parameter must lie in (0, 2], got {alpha}")
-    if not (0.0 < beta <= 3.0):
-        raise ValueError(f"second parameter must lie in (0, 3], got {beta}")
+_CHUNK = 2**17  # arguments times contour nodes per array operation, which bounds the memory
 
 
 def _poles(alpha: float, beta: float, x: np.ndarray):
@@ -96,7 +89,8 @@ def ml_eval(alpha: float, beta: float, x):
     beyond the float64 range is inf.  Raises ValueError for a parameter
     out of range or a non-finite x.
     """
-    _validate(alpha, beta)
+    check_real(alpha, "alpha", lambda a: 0.0 < a <= 2.0, "lie in (0, 2] as the first parameter")
+    check_real(beta, "beta", lambda b: 0.0 < b <= 3.0, "lie in (0, 3] as the second parameter")
     xv = np.asarray(x, dtype=float)
     bad = xv[~np.isfinite(xv)]
     if bad.size:
@@ -115,8 +109,9 @@ def ml_eval(alpha: float, beta: float, x):
         for kk in np.unique(k):
             sa, w = _contour(alpha, beta, kk)
             idx = np.flatnonzero(k == kk)
-            for c in range(0, idx.size, _CHUNK):
-                i = idx[c : c + _CHUNK]
+            step = max(1, _CHUNK // len(sa))
+            for c in range(0, idx.size, step):
+                i = idx[c : c + step]
                 out[i] += (w / (sa - flat[i, None])).sum(axis=1).real
         out = out.reshape(xv.shape)
     return float(out) if np.isscalar(x) else out
@@ -128,8 +123,7 @@ def relaxation_exact(alpha: float, lam: float, t):
     u(t) = (1 - E_{alpha,1}(-lam t^alpha)) / lam.
     """
     check_alpha(alpha)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"relaxation coefficient lam must be positive and finite, got lam={lam}")
+    check_real(lam, "relaxation coefficient lam", lambda v: 0.0 < v < math.inf, "be positive and finite")
     scalar = np.isscalar(t)
     tv = np.asarray(t, dtype=float)
     vals = ml_eval(alpha, 1.0, -lam * tv**alpha)

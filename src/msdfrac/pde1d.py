@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 
-# The per-step solves keep these names for perfbench's tracer until ROADMAP item 1.
+# Two functions under perfbench's traced names until ROADMAP item 1; one under both would count twice.
 def solveh_banded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 

@@ -11,9 +11,9 @@ module.  Each is the direct, unoptimized form of a scheme:
 - apply_dfrac and apply_cq: one value of the discrete Caputo
   derivative and of the convolution quadrature;
 - singular_moment: one history moment of the collocation scheme;
-- toeplitz_inverse_steps: the first (block) column of the inverse of a
-  lower-triangular (block-)Toeplitz matrix, by forward substitution one
-  entry at a time, for either kind of system toeplitz.march solves;
+- toeplitz_inverse_steps: the first (block) column of the inverse of
+  either kind of system toeplitz.march solves, by forward substitution
+  over every entry, with einsum and matmul products in place of _times;
 - volterra_steps: the collocation scheme marched one cell at a time,
   with the direct history sum and one q x q solve per cell;
 - collocation_residual: the collocation equations checked by the same
@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .conv_quad import CQWeights
+from .fracint import sample
 from .l1_scheme import l1_weight_block
 from .mesh import GradedMesh, build_mesh, check_alpha, check_count
 from .volterra import (
@@ -36,7 +37,6 @@ from .volterra import (
     VolterraProblem,
     _collocation_points,
     _forcing_at,
-    _kernel_at,
     _local_matrix,
     _moments,
     _weights,
@@ -134,8 +134,8 @@ def _kernel_samples(prob: VolterraProblem, pts: np.ndarray, m: int):
     """K(t_{e,j}, t_{m,i}) for the history cells e = 0..m-1, indexed [i, e, j]
     (empty at m = 0), and for the current cell, indexed [i, j]."""
     kernel = prob.kernel if callable(prob.kernel) else lambda s, t: float(prob.kernel)
-    ti = pts[m]  # (q,)
-    return _kernel_at(kernel, pts[:m][None], ti[:, None, None]), _kernel_at(kernel, pts[m], ti[:, None])
+    ti, name = pts[m], "kernel K(s, t)"  # ti: (q,)
+    return sample(kernel, pts[:m][None], ti[:, None, None], name=name), sample(kernel, pts[m], ti[:, None], name=name)
 
 
 def _history(psi: np.ndarray, vals: np.ndarray, m: int, hist_k) -> np.ndarray:

@@ -22,19 +22,23 @@ shared by every column of x, with K[0] + shift[k] on the diagonal of
 column k (L1 and CQ, one column per mode).  The near history, from
 earlier unknowns of the same block, is solved by the inverse of the
 block system, again lower-triangular (block-)Toeplitz and fixed by its
-first (block) column z.  march finds z once for the full blocks and
-once for a shorter last one: forward substitution gives its first
-entries, at most _FIRST, and each doubling step then extends the n
-known entries by m <= n more with two FFT products (Commenges and
-Monsion, IEEE Trans. Automat. Control 29, 1984): w = (K * z[:n])[n:n+m]
-and z[n:n+m] = -(z[:m] * w)[:m], since the residual of the truncated z
-is -w from entry n on.  A diagonal shift would enter w only through
-entries of the truncated z from n on, which are zero, so every column
-forms w on the shared unshifted kernel.  Each block then advances with
-one FFT product with z, with no Python work per step.  Where z grows (a
-negative shift), a shorter last block solved with the leading part of a
-full block's z took on the rounding of z's largest entries: 1e53 times
-max |z| at M = 257 for L1 at alpha 0.9 and shift -a_0/2.
+first (block) column z.  march finds z once for the full blocks and once
+for a shorter last one: one recursion through _times, the same for both
+kinds, gives its first entries, at most _FIRST, and each doubling step
+then extends the n known entries by m <= n more with two FFT products
+(Commenges and Monsion, IEEE Trans. Automat. Control 29, 1984):
+w = (K * z[:n])[n:n+m] and z[n:n+m] = -(z[:m] * w)[:m], since the
+residual of the truncated z is -w from entry n on.  A diagonal shift
+would enter w only through entries of the truncated z from n on, which
+are zero, so every column forms w on the shared unshifted kernel.  Each
+block then advances with one FFT product with z, with no Python work
+per step.
+
+Where z grows (a negative shift), FFT rounding is relative to its
+largest entries: at alpha 0.3 and shift -0.9 a_0 the L1 impulse response
+is 1.95e-7, 3.43e-8 and 3.86e-9 of max |z| (1.6e232 to 4.7e301) off
+forward substitution at M = 385, 450 and 500, all in the second block,
+against 5.5e-14 for milder shifts.  At M = 600 z overflows (see finite).
 
 The CQ march, on the table-6 data at M = 4096 (alpha 0.25 and 0.75,
 split and direct), stays within 1.9e-15 to 3.9e-15 of a long-double
@@ -64,7 +68,7 @@ _FIRST = 16
 
 
 def _times(spec: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Product of two spectra along axis 0.
+    """Product of two spectra, or of two sequences of entries, along axis 0.
 
     A three-axis spec holds q x q blocks, which multiply s's vectors or
     blocks as matrices; one with fewer axes than s is shared by every
@@ -81,6 +85,7 @@ def _convolve(spec: np.ndarray, src: np.ndarray, N: int) -> np.ndarray:
     return np.fft.irfft(_times(spec, np.fft.rfft(src, n=N, axis=0)), n=N, axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by finite
 def march(kern: np.ndarray, x: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
     """Solve sum_{i<=j} K[j-i] u_i = x_j in place; returns x holding u.
 
@@ -107,13 +112,22 @@ def march(kern: np.ndarray, x: np.ndarray, shift: np.ndarray | None = None) -> n
             spectra[L] = np.fft.rfft(np.concatenate([np.zeros_like(kern[:1]), kern[1 : 2 * L]]), n=2 * L, axis=0)
         far = _convolve(spectra[L], x[stop - L : stop], 2 * L)
         x[stop : stop + L] -= far[L : L + min(L, M - stop)]
-    return x
+    return finite(x)
+
+
+def finite(V: np.ndarray) -> np.ndarray:
+    """V, one row per step of a march, if finite; else a ValueError naming its first step that is not."""
+    if not np.isfinite(V).all():
+        step = np.isfinite(V.reshape(len(V), -1)).all(axis=1).argmin() + 1
+        raise ValueError(f"the solution overflows double precision: step {step} of {len(V)} is not finite")
+    return V
 
 
 def _inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
     """First (block) column z of the inverse of march's system on
-    len(col) <= _BLOCK unknowns: z[j] = -K[0]^{-1} sum_{i=1..j} K[i] z[j-i]
-    for the first n entries, all columns at once, then doubling.  Both
+    len(col) <= _BLOCK unknowns: z[j] = -sum_{i=1..j} K[i] z[j-i] / d for
+    the first n entries, one recursion through _times for both kinds and
+    all columns (d = 1 for blocks, K[0] for scalars), then doubling.  Both
     products of a doubling step are length-2n FFT products with z[:n]; in
     a last step that falls short, the entries of z[:n] from m on do not
     reach the m outputs kept."""
@@ -125,26 +139,20 @@ def _inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
     n = len(col)
     while n > _FIRST:
         n = (n + 1) // 2
-    if shift is None:
-        q = col.shape[1]
-        col = np.concatenate([np.eye(q)[None], col[1:]])  # K[0] = I, whatever kern[0] holds
-        wide = col[1:n].transpose(1, 0, 2).reshape(q, (n - 1) * q)  # K[1] .. K[n-1] side by side
-        rev = np.zeros((n * q, q))  # z[n-1] .. z[0] stacked, filled from the bottom
-        rev[-q:] = np.eye(q)
-        for j in range(1, n):
-            rev[(n - 1 - j) * q : (n - j) * q] = -wide[:, : j * q] @ rev[(n - j) * q :]
-        z = np.empty(col.shape)
-        z[:n] = rev.reshape(n, q, q)[::-1]
+    if shift is None:  # K[0] = I, whatever kern[0] holds
+        col = np.concatenate([np.eye(col.shape[1])[None], col[1:]])
+        d, z0 = 1.0, col[0]
     else:
         d = col[0] + shift
-        z = np.empty((len(col),) + d.shape)
-        z[0] = 1.0 / d
-        for j in range(1, n):
-            z[j] = -(col[j:0:-1] @ z[:j]) / d
+        z0 = 1.0 / d
+    z = np.empty((len(col),) + np.shape(z0))
+    z[0] = z0
+    for j in range(1, n):
+        z[j] = -_times(col[j:0:-1], z[:j]).sum(axis=0) / d
     while n < len(z):
         m, N = min(n, len(z) - n), 2 * n
         zs = np.fft.rfft(z[:n], n=N, axis=0)
         w = np.fft.irfft(_times(np.fft.rfft(col[: n + m], n=N, axis=0), zs), n=N, axis=0)[n : n + m]
-        z[n : n + m] = -np.fft.irfft(_times(zs, np.fft.rfft(w, n=N, axis=0)), n=N, axis=0)[:m]
+        z[n : n + m] = -_convolve(zs, w, N)[:m]
         n += m
     return z

@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fracint import TimeProfile, as_forcing, frac_integrate, msd_split, sample
 from .mesh import GradedMesh, build_mesh, check_alpha, check_count, check_horizon, check_real, check_reals
-from .toeplitz import march
+from .toeplitz import finite, march
 
 __all__ = [
     "VolterraProblem",
@@ -241,11 +241,6 @@ def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
     return tau * (np.arange(M)[:, None] + np.asarray(c)[None, :])
 
 
-def _kernel_at(kernel, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """K(s, t) spread over the common shape of s and t; every sample must be finite."""
-    return sample(kernel, s, t, name="kernel K(s, t)")
-
-
 def _weights(prob: VolterraProblem, M: int):
     """(psi, phi, scale) on M cells: the history and current-cell blocks,
     and the factor tau^{1-a} of every cell integral."""
@@ -289,14 +284,14 @@ def _march_kernel(kernel, psi, phi, scale, pts, rhs) -> np.ndarray:
             # win[m, i, j, k] = psi[m - e] for e = hi - 1 - k: the tile's cells run backwards
             win = wins[start - hi + 1 : stop - hi + 1, ..., : hi - lo]
             tile = buf[: win.size].reshape(win.shape)
-            np.multiply(win, _kernel_at(kernel, pts[lo:hi][::-1].T, t), out=tile)
+            np.multiply(win, sample(kernel, pts[lo:hi][::-1].T, t, name="kernel K(s, t)"), out=tile)
             hist += tile.reshape(b * q, -1) @ V[lo:hi][::-1].T.ravel()
-        k = _kernel_at(kernel, pts[start:stop], t)  # [m, i, e, j]
+        k = sample(kernel, pts[start:stop], t, name="kernel K(s, t)")  # [m, i, e, j]
         mat = -scale * (near_w[:b, :, :b] * k)
         mat[g[:b], :, g[:b]] = _local_matrix(phi, scale, k[g[:b], :, g[:b]])  # diagonal blocks
         rhs_b = rhs[start:stop].ravel() + scale * hist
         V[start:stop] = np.linalg.solve(mat.reshape(b * q, -1), rhs_b).reshape(b, q)
-    return V
+    return finite(V)
 
 
 def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -584,3 +585,29 @@ def test_uniform_march_matches_a_long_double_solve(alpha):
     V = march_l1(alpha, build_mesh(1.0, M), lam, rhs)
     ref = _longdouble_uniform_march(alpha, M, lam, rhs)
     assert float(np.max(np.abs(V - ref)) / np.max(np.abs(ref))) <= 1e-12
+
+
+def test_overflowing_march_is_reported():
+    # lam near the degenerate limit -a0 of the largest step makes V grow: on
+    # the uniform mesh (toeplitz.march), on graded ones (the block loop; at T
+    # = 1e6 its products warned of the overflow) and in a pair march whose half
+    # overflows first, V passes the double range, and the march names the first
+    # step that is not finite instead of returning inf and NaN
+    def lam(alpha, mesh, eps):
+        return -(1.0 - eps) * mesh.steps.max() ** -alpha / math.gamma(2.0 - alpha)
+
+    uniform, graded, wide = build_mesh(1.0, 600), build_mesh(1.0, 2048, 2.0), build_mesh(1e6, 1024, 1.2)
+    cases = [
+        (0.3, uniform, lam(0.3, uniform, 0.1), None, "step 257 of 600"),
+        (0.3, graded, lam(0.3, graded, 1e-12), None, "step 1537 of 2048"),
+        (0.1, wide, lam(0.1, wide, 1e-9), None, "step 1024 of 1024"),
+        (0.9, graded, lam(0.9, half_mesh(graded), 1e-6), np.ones(1025), "step 961 of 1024"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, mesh, lam_, half_rhs, step in cases:
+            with pytest.raises(ValueError, match=f"^the solution overflows double precision: {step} is not finite$"):
+                march_l1(alpha, mesh, lam_, np.ones(mesh.M + 1), half_rhs)
+        # short of the double range the graded march runs as before
+        mesh = build_mesh(1.0, 1024, 2.0)
+        assert 1e230 < np.abs(march_l1(0.3, mesh, lam(0.3, mesh, 1e-12), np.ones(mesh.M + 1))).max() < np.inf

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from msdfrac import ml_eval, relaxation_exact
+from msdfrac import mittag_leffler, ml_eval, relaxation_exact
 
 
 def test_reduces_to_exp():
@@ -144,3 +145,24 @@ def test_non_finite_and_overflowing_arguments():
     assert got[0] == math.inf and np.all(np.isfinite(got[1:]))
     with pytest.raises(ValueError, match="second parameter"):
         ml_eval(0.5, 3.5, -1.0)  # beyond the measured range of beta
+
+
+def test_chunks_bound_the_memory_and_keep_every_value(monkeypatch):
+    # arguments in [0.26, 0.30] at a = 0.5 all take the k = 3 contour of 431
+    # nodes; chunks of 4096 arguments formed (4096 x 430) complex temporaries
+    # and peaked at 55.9 MiB, chunks of _CHUNK entries at 6.0 MiB
+    x = np.linspace(0.26, 0.30, 20000)
+    tracemalloc.start()
+    try:
+        got = ml_eval(0.5, 1.0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    grid = np.linspace(-100.0, 5.0, 22001)
+    pairs = [(0.25, 1.0), (0.5, 0.5), (0.75, 1.5), (1.25, 1.0), (1.9, 2.5)]
+    chunked = [ml_eval(a, b, grid) for a, b in pairs]
+    monkeypatch.setattr(mittag_leffler, "_CHUNK", 2**62)  # one operation per contour
+    assert np.array_equal(ml_eval(0.5, 1.0, x), got)
+    for (a, b), vals in zip(pairs, chunked):
+        assert np.array_equal(ml_eval(a, b, grid), vals), (a, b)

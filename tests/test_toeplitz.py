@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,34 @@ def test_march_impulse_response_is_the_inverse_column(M):
         x = np.zeros((M, len(shift)))
         x[0] = 1.0
         assert _relerr(toeplitz.march(kern, x, shift), toeplitz_inverse_steps(kern, shift)) <= tol
+
+
+@pytest.mark.parametrize("M", [385, 450, 500])
+def test_march_in_the_growth_regime(M):
+    # the uniform L1 kernel at alpha 0.3 with shift -0.9 a0: max |z| is
+    # 1.6e232 (M = 385) .. 4.7e301 (M = 500), and the march's impulse
+    # response is 1.95e-7, 3.43e-8 and 3.86e-9 of max |z| off forward
+    # substitution, against 5.5e-14 for every milder case of a sweep over
+    # M = 257..1100
+    kern = _l1_kernel(0.3, M)
+    shift = np.array([-0.9 * kern[0]])
+    x = np.zeros((M, 1))
+    x[0] = 1.0
+    ref = toeplitz_inverse_steps(kern, shift)
+    assert 1e232 < np.abs(ref).max() < 1e302
+    assert _relerr(toeplitz.march(kern, x, shift), ref) <= 1e-6
+
+
+def test_march_reports_an_overflowing_solution():
+    # at M = 600 the same z passes the double range in its second block
+    M = 600
+    kern = _l1_kernel(0.3, M)
+    x = np.zeros((M, 1))
+    x[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the solution overflows double precision: step 257 of 600 is not finite$"):
+            toeplitz.march(kern, x, np.array([-0.9 * kern[0]]))
 
 
 @pytest.mark.parametrize("M", [5, 16, 100, 300, 1000])

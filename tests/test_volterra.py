@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from msdfrac import (
+    StudyError,
     VolterraProblem,
     collocation_depth,
     make_volterra_study,
     ml_eval,
     msd_volterra_forcing,
+    run_study,
     solve_volterra,
     volterra,
 )
@@ -279,6 +281,23 @@ def test_pointwise_forcing_samples_are_checked(solve):
             prob = VolterraProblem(alpha=0.5, T=1.0, kernel=kernel, f=lambda t: np.where(t > 0.5, bad, 1.0))
             with pytest.raises(ValueError, match=r"forcing f\(t\) must be finite, got"):
                 solve(prob, 8)
+
+
+def test_overflowing_solution_is_reported():
+    # u = E_{1/4}(1.5 Gamma(1/4) t^{1/4}) is about e^875 at t = 1: the march
+    # (toeplitz.march for the constant kernel, the callable-kernel march for
+    # the same K as a callable) passes the double range and says so, where
+    # it returned NaN with numpy warnings
+    kwargs = dict(alpha=0.75, T=1.0, f=1.0, c=(0.2, 0.6, 1.0))
+    cases = [(1.5, 300, "257 of 300"), (1.5, 4096, "3073 of 4096"), (lambda s, t: 1.5 + 0.0 * s * t, 300, "257 of 300")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, M, step in cases:
+            with pytest.raises(ValueError, match=f"^the solution overflows double precision: step {step} is not"):
+                solve_volterra(VolterraProblem(kernel=kernel, **kwargs), M)
+        # a study names the mesh that failed, where its M = 256 row read a NaN error
+        with pytest.raises(StudyError, match="^volterra solve failed at M=512: the solution overflows"):
+            run_study(make_volterra_study(0.75, c=kwargs["c"], kernel=1.5), [64, 128, 256])
 
 
 @pytest.mark.parametrize("solve", [solve_volterra, volterra_steps])
