@@ -13,7 +13,15 @@ The starting weights chi_m absorb the rule's error on constants: they
 are defined so that Q_m(1) = t_m^a/Gamma(1+a) holds exactly for every
 m (chi_0, forced by that identity at t_0 = 0, makes Q_0 vanish
 identically).  The rule is then second-order accurate for smooth
-inputs.
+inputs.  No solver reads chi (the CQ Crank-Nicolson stepper of pde1d
+takes omega alone), so build_cq returns omega only, and
+reference.apply_cq forms chi itself.
+
+The recurrence runs step by step, so omega_0..omega_M is a prefix of
+the weights of any larger M, bit for bit: _OMEGA keeps the weights of
+the last alpha at the largest M asked, and a smaller M gets a read-only
+slice of them.  A study solves its finest mesh first, so its coarser
+meshes, and the other block of a table at the same alpha, take slices.
 """
 
 from __future__ import annotations
@@ -27,14 +35,17 @@ from .mesh import check_alpha, check_count, check_real
 
 __all__ = ["CQWeights", "build_cq"]
 
+# alpha -> omega_0..omega_M at the largest M asked, for the last alpha only: M + 1
+# doubles, 32 KiB at M = 4096
+_OMEGA: dict = {}
+
 
 @dataclass(frozen=True, eq=False)
 class CQWeights:
     alpha: float
     tau: float
     M: int
-    omega: np.ndarray  # omega_0 .. omega_M
-    chi: np.ndarray  # chi_0 .. chi_M
+    omega: np.ndarray  # omega_0 .. omega_M, read-only
 
 
 def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
@@ -42,12 +53,12 @@ def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
     check_real(tau, "tau", lambda t: 0.0 < t < math.inf, "be a positive finite step")
     M = check_count(M, "M", 1)
 
-    w = [1.0, 2.0 * alpha]
-    for k in range(1, M):
-        w.append((2.0 * alpha * w[k] + (k - 1) * w[k - 1]) / (k + 1))
-    omega = 2.0 ** (-alpha) * np.array(w)
-
-    t = tau * np.arange(M + 1)
-    chi = t**alpha / math.gamma(1.0 + alpha) - tau**alpha * np.cumsum(omega)
-    return CQWeights(alpha=alpha, tau=tau, M=M, omega=omega, chi=chi)
-
+    if len(_OMEGA.get(alpha, ())) <= M:
+        _OMEGA.clear()
+        w = [1.0, 2.0 * alpha]
+        for k in range(1, M):
+            w.append((2.0 * alpha * w[k] + (k - 1) * w[k - 1]) / (k + 1))
+        omega = 2.0 ** (-alpha) * np.array(w)
+        omega.flags.writeable = False
+        _OMEGA[alpha] = omega
+    return CQWeights(alpha=alpha, tau=tau, M=M, omega=_OMEGA[alpha][: M + 1])

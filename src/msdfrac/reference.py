@@ -9,7 +9,8 @@ module.  Each is the direct, unoptimized form of a scheme:
   identity the stability analysis of every L1-based solver rests on.
   It costs O(M^3);
 - apply_dfrac and apply_cq: one value of the discrete Caputo
-  derivative and of the convolution quadrature;
+  derivative and of the convolution quadrature, whose starting
+  weights chi cq_starting_weights forms;
 - singular_moment: one history moment of the collocation scheme;
 - toeplitz_inverse_steps: the first (block) column of the inverse of
   either kind of system toeplitz.march solves, by forward substitution
@@ -47,6 +48,7 @@ __all__ = [
     "complementary_kernel",
     "apply_dfrac",
     "apply_cq",
+    "cq_starting_weights",
     "singular_moment",
     "toeplitz_inverse_steps",
     "volterra_steps",
@@ -97,7 +99,14 @@ def apply_cq(w: CQWeights, values) -> float:
     m = phi.size - 1
     if m > w.M:
         raise ValueError(f"got {phi.size} values but the rule holds {w.M + 1} weights")
-    return float(w.tau**w.alpha * (w.omega[: m + 1] @ phi[::-1]) + w.chi[m] * phi[0])
+    return float(w.tau**w.alpha * (w.omega[: m + 1] @ phi[::-1]) + cq_starting_weights(w)[m] * phi[0])
+
+
+def cq_starting_weights(w: CQWeights) -> np.ndarray:
+    """chi_0..chi_M, which make the quadrature exact on constants:
+    chi_m = t_m^a/Gamma(1+a) - tau^a sum_{p<=m} omega_p."""
+    t = w.tau * np.arange(w.M + 1)
+    return t**w.alpha / math.gamma(1.0 + w.alpha) - w.tau**w.alpha * np.cumsum(w.omega)
 
 
 def singular_moment(alpha: float, d: float, k: int) -> float:

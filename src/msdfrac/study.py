@@ -191,10 +191,12 @@ class StudySpec:
 def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     """Solve at every M in a strictly doubling list plus one refinement.
 
-    A study over k rows needs k+1 meshes, each solved once: one at a time
-    from the coarsest, or with ``spec.solve_pair`` in pairs from the
-    finest down (2M_k with M_k, then M_{k-1} with M_{k-2}, ..., and a
-    coarsest mesh left over alone).  Each row's error is taken as soon as
+    A study over k rows needs k+1 meshes, each solved once from the
+    finest down: one at a time, or with ``spec.solve_pair`` in pairs (2M_k
+    with M_k, then M_{k-1} with M_{k-2}, ..., and a coarsest mesh left
+    over alone).  The finest first lets a solver keep what it forms for
+    the largest M, such as the Volterra moments and CQ weights, and hand
+    the coarser meshes prefixes of it.  Each row's error is taken as soon as
     both of its traces exist, and a trace is dropped once its rows are
     done: at most two traces are alive, or three with pairs.  The report's
     note flags a rate at the finest row that is negative or below half the
@@ -210,7 +212,7 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     levels = Ms + [2 * Ms[-1]]  # row k compares the traces of levels k and k+1
     pairs = [[k - 1, k] for k in range(len(levels) - 1, 0, -2)] + [[0]] * (len(levels) % 2)
     errors, live = {}, {}
-    for group in [[k] for k in range(len(levels))] if spec.solve_pair is None else pairs:
+    for group in [[k] for k in reversed(range(len(levels)))] if spec.solve_pair is None else pairs:
         M = levels[group[-1]]
         try:
             live.update(zip(group, spec.solve_pair(M) if len(group) == 2 else [spec.solve(M)]))

@@ -32,7 +32,11 @@ residual of the truncated z is -w from entry n on.  A diagonal shift
 would enter w only through entries of the truncated z from n on, which
 are zero, so every column forms w on the shared unshifted kernel.  Each
 block then advances with one FFT product with z, with no Python work
-per step.
+per step.  A published table marches each operator on the same
+meshes in both of its blocks, so march takes z from _block_inverse,
+which keeps the columns of the last _MEMO systems it inverted, keyed by
+the bytes, shape and dtype of kern's first block and of shift: a hit is
+the column the same system would give again, bit for bit.
 
 Where z grows (a negative shift), FFT rounding is relative to its
 largest entries: at alpha 0.3 and shift -0.9 a_0 the L1 impulse response
@@ -65,6 +69,12 @@ _BLOCK = 256
 # Most entries of an inverse's first column found by forward substitution;
 # a full block's column then takes log2(_BLOCK / _FIRST) doubling steps.
 _FIRST = 16
+# Block systems whose inverse columns _block_inverse keeps: enough for one study's six
+# meshes, one entry each (two where a march ends in a shorter block), so that the other
+# block of a table finds them.  An entry is len(col) <= _BLOCK rows of q^2 doubles, or of
+# one double per shift.
+_MEMO = 8
+_INVERSES: dict = {}
 
 
 def _times(spec: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -100,7 +110,7 @@ def march(kern: np.ndarray, x: np.ndarray, shift: np.ndarray | None = None) -> n
         stop = min(start + _BLOCK, M)
         if N != 2 * (stop - start):  # the first block, and a shorter last one
             N = 2 * (stop - start)
-            zspec = np.fft.rfft(_inverse(kern[: N // 2], shift), n=N, axis=0)
+            zspec = np.fft.rfft(_block_inverse(kern[: N // 2], shift), n=N, axis=0)
         x[start:stop] = _convolve(zspec, x[start:stop], N)[: stop - start]
         if stop == M:
             break
@@ -121,6 +131,21 @@ def finite(V: np.ndarray) -> np.ndarray:
         step = np.isfinite(V.reshape(len(V), -1)).all(axis=1).argmin() + 1
         raise ValueError(f"the solution overflows double precision: step {step} of {len(V)} is not finite")
     return V
+
+
+def _block_inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
+    """_inverse(col, shift), read-only: from _INVERSES if the same system
+    was inverted among the last _MEMO, which are kept least recent first."""
+    system = (col,) if shift is None else (col, np.asarray(shift))
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in system)
+    z = _INVERSES.pop(key, None)
+    if z is None:
+        z = _inverse(col, shift)
+        z.flags.writeable = False
+        if len(_INVERSES) >= _MEMO:
+            del _INVERSES[next(iter(_INVERSES))]
+    _INVERSES[key] = z
+    return z
 
 
 def _inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:

@@ -29,7 +29,10 @@ is summed as d^{-a} sum_l (a)_l/l! d^{-l}/(k+l+1) from d = 3 on:
 every term is positive and the ratio is at most 1/d, so the evaluation
 is stable for arbitrarily large gaps (the direct binomial expansion
 loses d^k worth of digits there).  Closer to 1 the exact antiderivative
-is used; _moments evaluates both, vectorized over d.
+is used; _moments evaluates both, vectorized over d.  The moments do not
+depend on M, and _history_blocks keeps those of the last (alpha, c) at
+the largest M asked: a study solves its finest mesh first, and the
+coarser meshes take read-only prefixes, bit for bit.
 
 With a constant kernel the history of cell m, sum_{e<m} psi[m-e] V[e],
 is a lower-triangular block-Toeplitz convolution, and the march is
@@ -70,6 +73,9 @@ _GAPS = 2048  # gaps per chunk of the moments psi: O(_GAPS q^2) scratch at any M
 # Gaps 1.._NEAR - 1 form the first chunk of psi, which alone needs up to 35
 # series terms; the later chunks, from d > 64 on, need at most 9.
 _NEAR = 64
+# (alpha, c) -> psi at the largest M asked, for the last (alpha, c) only: (M + 1) q^2
+# doubles, 0.5 MiB at M = 16384 and q = 2
+_PSI: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,22 +196,30 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
     return mom
 
 
-def _history_blocks(alpha: float, c: tuple, A: np.ndarray, M: int) -> np.ndarray:
-    """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M.
+def _history_blocks(alpha: float, c: tuple, M: int) -> np.ndarray:
+    """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M, read-only.
 
     psi[0] is unused (zero).  Formed in chunks, gaps 1.._NEAR - 1 and
     then _GAPS gaps at a time, each entry as from all gaps at once: the
-    chunk's least gap sets how many series terms _moments sums.
+    chunk's least gap sets how many series terms _moments sums.  So the
+    table of any M is a prefix of that of a larger M, bit for bit, and
+    _PSI keeps the table of the last (alpha, c) at the largest M asked;
+    a smaller M gets a slice of it, a larger one forms it anew.
     """
-    psi = np.zeros((M + 1, len(c), len(c)))
-    edges = [1, *range(_NEAR, M + 1, _GAPS), M + 1]
-    for lo, hi in zip(edges, edges[1:]):
-        g = np.arange(lo, hi, dtype=float)
-        np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo:hi])
-    return psi
+    if len(_PSI.get((alpha, c), ())) <= M:
+        _PSI.clear()  # the old table goes before the new one is formed
+        A = _lagrange_coeffs(c)
+        psi = np.zeros((M + 1, len(c), len(c)))
+        edges = [1, *range(_NEAR, M + 1, _GAPS), M + 1]
+        for lo, hi in zip(edges, edges[1:]):
+            g = np.arange(lo, hi, dtype=float)
+            np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo:hi])
+        psi.flags.writeable = False
+        _PSI[alpha, c] = psi
+    return _PSI[alpha, c][: M + 1]
 
 
-def _current_block(alpha: float, c: tuple, A: np.ndarray) -> np.ndarray:
+def _current_block(alpha: float, c: tuple) -> np.ndarray:
     """Phi[i, j] = int_0^{c_i} (c_i - s)^{-a} L_j(s) ds, exact."""
     q = len(c)
     mom = np.empty((q, q))
@@ -217,7 +231,7 @@ def _current_block(alpha: float, c: tuple, A: np.ndarray) -> np.ndarray:
                 * math.gamma(1.0 - alpha)
                 / math.gamma(k + 2.0 - alpha)
             )
-    return mom @ A
+    return mom @ _lagrange_coeffs(c)
 
 
 def msd_volterra_forcing(prob: VolterraProblem):
@@ -244,14 +258,15 @@ def _collocation_points(T: float, M: int, c: tuple) -> np.ndarray:
 def _weights(prob: VolterraProblem, M: int):
     """(psi, phi, scale) on M cells: the history and current-cell blocks,
     and the factor tau^{1-a} of every cell integral."""
-    A = _lagrange_coeffs(prob.c)
     scale = (prob.T / M) ** (1.0 - prob.alpha)
-    return _history_blocks(prob.alpha, prob.c, A, M), _current_block(prob.alpha, prob.c, A), scale
+    return _history_blocks(prob.alpha, prob.c, M), _current_block(prob.alpha, prob.c), scale
 
 
 def _local_matrix(phi: np.ndarray, scale: float, cur_k=1.0) -> np.ndarray:
     mat = np.eye(len(phi)) - scale * (phi * cur_k)
-    if not np.all(np.abs(np.linalg.det(mat)) >= 1e-14):  # a NaN det fails too
+    # singular when the least singular value is below 1e-14 of the largest: the condition
+    # number does not overflow with a large K, as a determinant does
+    if not (np.isfinite(mat).all() and np.all(np.linalg.cond(mat) < 1e14)):
         raise ValueError("singular local collocation system; check the c_i")
     return mat
 
@@ -306,7 +321,7 @@ def solve_volterra(prob: VolterraProblem, M: int) -> CollocationTrace:
         # times inv, the scheme has identity diagonal blocks and kern[g] = -scale inv psi[g]
         inv = np.linalg.inv(_local_matrix(phi, scale))
         kern, x = -(scale * inv) @ psi[:M], rhs @ inv.T
-        del psi, pts, rhs  # the march reads none of them: keep them out of its working set
+        del pts, rhs  # the march reads neither: keep them out of its working set
         V = march(kern, x)
     else:
         V = _march_kernel(prob.kernel, psi, phi, scale, pts, rhs)

@@ -36,7 +36,7 @@ from msdfrac import (
     solve_subdiffusion,
     solve_volterra,
 )
-from msdfrac.reference import apply_dfrac, build_l1, complementary_kernel
+from msdfrac.reference import apply_dfrac, build_l1, complementary_kernel, cq_starting_weights
 
 pytestmark = pytest.mark.filterwarnings("ignore:grading r =")
 
@@ -217,7 +217,7 @@ def test_exact_identities():
         for tau in (0.3, 1.0 / 512.0):
             cq = build_cq(alpha, tau, 512)
             t = tau * np.arange(513)
-            lhs = tau**alpha * np.cumsum(cq.omega) + cq.chi
+            lhs = tau**alpha * np.cumsum(cq.omega) + cq_starting_weights(cq)
             worst = max(worst, float(np.max(np.abs(lhs - t**alpha / math.gamma(1.0 + alpha)))))
 
     # piecewise-linear product integration exact on linears

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdfrac import build_cq
-from msdfrac.reference import apply_cq
+from msdfrac import build_cq, conv_quad
+from msdfrac.reference import apply_cq, cq_starting_weights
 
 
 def test_weights_match_binomial_products():
@@ -47,7 +47,7 @@ def test_constant_exactness_identity(alpha, tau):
     M = 512
     cq = build_cq(alpha, tau, M)
     t = tau * np.arange(M + 1)
-    lhs = tau**alpha * np.cumsum(cq.omega) + cq.chi
+    lhs = tau**alpha * np.cumsum(cq.omega) + cq_starting_weights(cq)
     ref = t**alpha / math.gamma(1.0 + alpha)
     assert np.max(np.abs(lhs - ref)) < 1e-12
 
@@ -111,3 +111,24 @@ def test_step_count_must_be_an_integer(M):
 
 def test_numpy_integer_step_count_accepted():
     assert np.array_equal(build_cq(0.5, 0.1, np.int64(8)).omega, build_cq(0.5, 0.1, 8).omega)
+
+
+def test_weights_memo_hands_out_read_only_prefixes():
+    # omega at M sliced from the weights kept at 16 M are fresh weights of M
+    # bit for bit, whatever tau; another alpha forms its own
+    M = 256
+    conv_quad._OMEGA.clear()
+    fresh = build_cq(0.25, 0.1, M).omega.copy()
+    conv_quad._OMEGA.clear()
+    big = build_cq(0.25, 0.2, 16 * M).omega
+    omega = build_cq(0.25, 0.3, M).omega
+    assert np.shares_memory(omega, big) and omega.tobytes() == fresh.tobytes()
+    other = build_cq(0.75, 0.3, M).omega
+    assert not np.shares_memory(other, big)
+    conv_quad._OMEGA.clear()
+    assert other.tobytes() == build_cq(0.75, 0.3, M).omega.tobytes()
+    for arr in (big, omega, other):
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True

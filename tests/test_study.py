@@ -239,7 +239,7 @@ def test_run_study_wraps_solver_failure():
         raise RuntimeError("boom")
 
     spec = StudySpec(model="synthetic", params={"alpha": 0.5}, theory=None, solve=solve)
-    with pytest.raises(StudyError, match="M=16"):
+    with pytest.raises(StudyError, match="M=64"):  # the finest mesh is solved first
         run_study(spec, [16, 32])
 
 

@@ -193,3 +193,51 @@ def test_march_with_doubled_inverse_solves_the_system(M):
     for k in range(2):
         ref = np.linalg.solve(_dense(kern, kern[0] + lam[k]), x[:, k])
         assert _relerr(u[:, k], ref) <= TOL
+
+
+def test_repeated_march_reuses_its_block_inverses(monkeypatch):
+    # a march of 300 steps inverts a full block and a shorter last one; the
+    # same system again inverts nothing and gives the same bytes, a change of
+    # kern or shift inverts anew, and the kept columns are read-only
+    calls = []
+    inverse = toeplitz._inverse
+    monkeypatch.setattr(toeplitz, "_inverse", lambda col, shift: calls.append(len(col)) or inverse(col, shift))
+    monkeypatch.setattr(toeplitz, "_INVERSES", {})
+    M = 300
+    kern, rng = _l1_kernel(0.6, M), np.random.default_rng(M)
+    x, lam = rng.standard_normal((M, 2)), np.array([0.5, 40.0])
+    blocks = rng.uniform(-1.0, 1.0, (M, 2, 2)) / (1.0 + np.arange(M))[:, None, None] ** 1.5
+    bx = rng.standard_normal((M, 2))
+    first = toeplitz.march(kern, x.copy(), lam)
+    first_blocks = toeplitz.march(blocks, bx.copy())
+    assert calls == [256, 44] * 2
+    assert toeplitz.march(kern, x.copy(), lam).tobytes() == first.tobytes()
+    assert toeplitz.march(blocks, bx.copy()).tobytes() == first_blocks.tobytes()
+    assert len(calls) == 4
+    bumped = kern.copy()
+    bumped[20] *= 1.0 + 2.0**-52
+    # one step less keeps the full block's system and changes the last one's
+    for k, shift, inverted in [(kern, np.array([0.5, 41.0]), [256, 44]), (bumped, lam, [256, 44]), (kern[:299], lam, [43])]:
+        del calls[:]
+        toeplitz.march(k, x[: len(k)].copy(), shift)
+        assert calls == inverted
+    for z in toeplitz._INVERSES.values():
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+    # a fresh inverse gives the bytes of a kept one
+    toeplitz._INVERSES.clear()
+    assert toeplitz.march(kern, x.copy(), lam).tobytes() == first.tobytes()
+
+
+def test_block_inverse_memo_keeps_the_last_systems():
+    # least recently used out first, and never more than _MEMO systems
+    toeplitz._INVERSES.clear()
+    kerns = [_l1_kernel(alpha, 64) for alpha in np.linspace(0.1, 0.9, toeplitz._MEMO + 1)]
+    shift = np.array([1.0])
+    for kern in kerns[: toeplitz._MEMO]:
+        toeplitz._block_inverse(kern, shift)
+    z = toeplitz._block_inverse(kerns[0], shift)  # a hit: now the most recent
+    toeplitz._block_inverse(kerns[-1], shift)  # evicts kerns[1]
+    assert len(toeplitz._INVERSES) == toeplitz._MEMO
+    assert toeplitz._block_inverse(kerns[0], shift) is z
+    assert not any(np.array_equal(kept, toeplitz._inverse(kerns[1], shift)) for kept in toeplitz._INVERSES.values())

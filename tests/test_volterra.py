@@ -205,6 +205,7 @@ def test_kernel_march_peaks_below_one_block_of_full_rows():
     # full-width rows of samples (4 MiB at M = 4096)
     M, q = 4096, 2
     prob = VolterraProblem(alpha=0.5, T=1.0, kernel=lambda s, t: 1.0 + 0.5 * s * t, f=1.0)
+    volterra._PSI.clear()  # psi of M is formed inside the measurement, not sliced from a larger one
     solve_volterra(prob, 64)  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
@@ -222,10 +223,11 @@ def test_history_moments_are_formed_in_chunks():
     # peaked at 5.5 times psi at M = 16384 (2.75 MiB)
     M, c = 16384, (2.0 / 3.0, 1.0)
     A = volterra._lagrange_coeffs(c)
-    volterra._history_blocks(0.25, c, A, 64)  # first-call set-up outside the measurement
+    volterra._PSI.clear()  # psi of M is formed inside the measurement, not sliced from a larger one
+    volterra._history_blocks(0.25, c, 64)  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
-        psi = volterra._history_blocks(0.25, c, A, M)
+        psi = volterra._history_blocks(0.25, c, M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,6 +235,39 @@ def test_history_moments_are_formed_in_chunks():
     whole = volterra._moments(0.25, np.arange(1.0, M + 1.0)[:, None] + np.asarray(c), len(c)) @ A
     assert psi[0].tobytes() == bytes(psi[0].nbytes)
     assert psi[1:].tobytes() == whole.tobytes()
+
+
+def test_history_moments_memo_hands_out_read_only_prefixes():
+    # psi at M sliced from a table kept at 16 M is a fresh table of M bit
+    # for bit; another alpha or c forms its own table
+    c, M = (2.0 / 3.0, 1.0), 1000
+    volterra._PSI.clear()
+    fresh = volterra._history_blocks(0.25, c, M).copy()
+    volterra._PSI.clear()
+    big = volterra._history_blocks(0.25, c, 16 * M)
+    psi = volterra._history_blocks(0.25, c, M)
+    assert np.shares_memory(psi, big) and psi.tobytes() == fresh.tobytes()
+    for alpha, other_c in [(0.75, c), (0.25, (0.5, 1.0))]:
+        other = volterra._history_blocks(alpha, other_c, M)
+        assert not np.shares_memory(other, big)
+        volterra._PSI.clear()
+        assert other.tobytes() == volterra._history_blocks(alpha, other_c, M).tobytes()
+    for arr in (big, psi, other):
+        with pytest.raises(ValueError):
+            arr[1, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
+def test_large_kernel_solves_without_warnings():
+    # the local system's singularity test is scale-free: its determinant
+    # overflowed at K = 1e200 and warned, once for the constant kernel and
+    # once per block of the callable one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (1e200, lambda s, t: 1e200):
+            U = solve_volterra(VolterraProblem(alpha=0.5, T=10.0, kernel=kernel, f=1.0), 300).U
+            assert np.isfinite(U).all()
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
