@@ -5,13 +5,14 @@ problem at the requested parameters; ``table --id N`` reruns both
 blocks of published table N.  Output is a pretty block or CSV on
 stdout, plus CSV to a file via --out.
 
-Exit codes: 0 on success, 2 for invalid parameters, 3 when a solve
-fails mid-study.
+Exit codes: 0 on success, 2 for invalid parameters or an unwritable
+--out, 3 when a solve fails mid-study.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -126,7 +127,7 @@ def _table(table_id: int) -> list:
     return list(left) + list(right)
 
 
-def _emit(reports: list, fmt: str, out_path):
+def _emit(reports: list, fmt: str) -> str:
     for rep in reports:
         if rep.note:
             print(f"note: {rep.title()}: {rep.note}", file=sys.stderr)
@@ -135,15 +136,15 @@ def _emit(reports: list, fmt: str, out_path):
         sys.stdout.write(text)
     else:
         print("\n\n".join(rep.pretty() for rep in reports))
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    return text
 
 
 def main(argv=None) -> int:
     opts = vars(build_parser().parse_args(argv))
     command, fmt, out_path = opts.pop("command"), opts.pop("format"), opts.pop("out")
     try:
+        if out_path and (os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or os.curdir)):
+            raise ValueError(f"--out {out_path}: not a file in an existing directory")
         if command == "table":
             reports = _table(opts["id"])
         else:
@@ -156,7 +157,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(reports, fmt, out_path)
+    text = _emit(reports, fmt)
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:  # one the check before the solves cannot see, such as a read-only file
+            print(f"error: --out {out_path}: {e.strerror}", file=sys.stderr)
+            return 2
     return 0
 
 

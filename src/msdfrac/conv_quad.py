@@ -14,46 +14,38 @@ are defined so that Q_m(1) = t_m^a/Gamma(1+a) holds exactly for every
 m (chi_0, forced by that identity at t_0 = 0, makes Q_0 vanish
 identically).  The rule is then second-order accurate for smooth
 inputs.  No solver reads chi (the CQ Crank-Nicolson stepper of pde1d
-takes omega alone), so build_cq returns omega only, and
-reference.apply_cq forms chi itself.
+takes omega alone), so build_cq(alpha, M) returns the read-only
+omega_0..omega_M, which depend on alpha alone, and reference.apply_cq
+forms chi itself.
 
 The recurrence runs step by step, so omega_0..omega_M is a prefix of
 the weights of any larger M, bit for bit: _OMEGA keeps the weights of
 the last alpha at the largest M asked, and a smaller M gets a read-only
 slice of them.  A study solves its finest mesh first, so its coarser
-meshes, and the other block of a table at the same alpha, take slices.
+meshes, and the other block of a table at the same alpha, take slices
+of the weights its one lookup found (threads may share _OMEGA).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import check_alpha, check_count, check_real
+from .mesh import check_alpha, check_count
 
-__all__ = ["CQWeights", "build_cq"]
+__all__ = ["build_cq"]
 
 # alpha -> omega_0..omega_M at the largest M asked, for the last alpha only: M + 1
 # doubles, 32 KiB at M = 4096
 _OMEGA: dict = {}
 
 
-@dataclass(frozen=True, eq=False)
-class CQWeights:
-    alpha: float
-    tau: float
-    M: int
-    omega: np.ndarray  # omega_0 .. omega_M, read-only
-
-
-def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
+def build_cq(alpha: float, M: int) -> np.ndarray:
+    """omega_0..omega_M of order alpha, read-only."""
     check_alpha(alpha)
-    check_real(tau, "tau", lambda t: 0.0 < t < math.inf, "be a positive finite step")
     M = check_count(M, "M", 1)
 
-    if len(_OMEGA.get(alpha, ())) <= M:
+    omega = _OMEGA.get(alpha, ())
+    if len(omega) <= M:
         _OMEGA.clear()
         w = [1.0, 2.0 * alpha]
         for k in range(1, M):
@@ -61,4 +53,4 @@ def build_cq(alpha: float, tau: float, M: int) -> CQWeights:
         omega = 2.0 ** (-alpha) * np.array(w)
         omega.flags.writeable = False
         _OMEGA[alpha] = omega
-    return CQWeights(alpha=alpha, tau=tau, M=M, omega=_OMEGA[alpha][: M + 1])
+    return omega[: M + 1]

@@ -485,7 +485,7 @@ def solve_integro(
     if not mesh.uniform:
         raise ValueError("convolution quadrature needs a uniform mesh")
     tau = mesh.T / mesh.M
-    w = build_cq(alpha, tau, mesh.M).omega[: mesh.M]
+    w = build_cq(alpha, mesh.M)[: mesh.M]
     G = np.cumsum(tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]]))
 
     if method == "modal":

@@ -9,8 +9,8 @@ module.  Each is the direct, unoptimized form of a scheme:
   identity the stability analysis of every L1-based solver rests on.
   It costs O(M^3);
 - apply_dfrac and apply_cq: one value of the discrete Caputo
-  derivative and of the convolution quadrature, whose starting
-  weights chi cq_starting_weights forms;
+  derivative and of the convolution quadrature of weights omega,
+  whose starting weights chi cq_starting_weights forms;
 - singular_moment: one history moment of the collocation scheme;
 - toeplitz_inverse_steps: the first (block) column of the inverse of
   either kind of system toeplitz.march solves, by forward substitution
@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from .conv_quad import CQWeights
 from .fracint import sample
 from .l1_scheme import l1_weight_block
 from .mesh import GradedMesh, build_mesh, check_alpha, check_count
@@ -91,22 +90,20 @@ def apply_dfrac(a: np.ndarray, values) -> float:
     return float(a[m, 1 : m + 1] @ np.diff(v))
 
 
-def apply_cq(w: CQWeights, values) -> float:
-    """Quadrature value approximating (I^a phi)(t_m) from phi^0..phi^m."""
+def apply_cq(alpha: float, tau: float, omega: np.ndarray, values) -> float:
+    """(I^a phi)(t_m) from phi^0..phi^m by the quadrature of weights omega on steps tau."""
     phi = np.asarray(values, dtype=float)
-    if phi.ndim != 1 or phi.size < 1:
-        raise ValueError("expected a one-dimensional sequence of node values")
-    m = phi.size - 1
-    if m > w.M:
-        raise ValueError(f"got {phi.size} values but the rule holds {w.M + 1} weights")
-    return float(w.tau**w.alpha * (w.omega[: m + 1] @ phi[::-1]) + cq_starting_weights(w)[m] * phi[0])
+    if phi.ndim != 1 or not 1 <= phi.size <= len(omega):
+        raise ValueError(f"expected a one-dimensional sequence of 1 to {len(omega)} node values, one per weight")
+    chi = cq_starting_weights(alpha, tau, omega)[phi.size - 1]
+    return float(tau**alpha * (omega[: phi.size] @ phi[::-1]) + chi * phi[0])
 
 
-def cq_starting_weights(w: CQWeights) -> np.ndarray:
-    """chi_0..chi_M, which make the quadrature exact on constants:
-    chi_m = t_m^a/Gamma(1+a) - tau^a sum_{p<=m} omega_p."""
-    t = w.tau * np.arange(w.M + 1)
-    return t**w.alpha / math.gamma(1.0 + w.alpha) - w.tau**w.alpha * np.cumsum(w.omega)
+def cq_starting_weights(alpha: float, tau: float, omega: np.ndarray) -> np.ndarray:
+    """chi_0..chi_M, which make the quadrature of weights omega_0..omega_M exact on
+    constants: chi_m = t_m^a/Gamma(1+a) - tau^a sum_{p<=m} omega_p."""
+    t = tau * np.arange(len(omega))
+    return t**alpha / math.gamma(1.0 + alpha) - tau**alpha * np.cumsum(omega)
 
 
 def singular_moment(alpha: float, d: float, k: int) -> float:

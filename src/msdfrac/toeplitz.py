@@ -34,9 +34,9 @@ are zero, so every column forms w on the shared unshifted kernel.  Each
 block then advances with one FFT product with z, with no Python work
 per step.  A published table marches each operator on the same
 meshes in both of its blocks, so march takes z from _block_inverse,
-which keeps the columns of the last _MEMO systems it inverted, keyed by
-the bytes, shape and dtype of kern's first block and of shift: a hit is
-the column the same system would give again, bit for bit.
+a functools.lru_cache (threads may share it) of the last _MEMO systems,
+keyed by the bytes, shape and dtype of kern's first block and shift:
+a hit is the column the same system would give again, bit for bit.
 
 Where z grows (a negative shift), FFT rounding is relative to its
 largest entries: at alpha 0.3 and shift -0.9 a_0 the L1 impulse response
@@ -58,6 +58,8 @@ runs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["march"]
@@ -69,12 +71,11 @@ _BLOCK = 256
 # Most entries of an inverse's first column found by forward substitution;
 # a full block's column then takes log2(_BLOCK / _FIRST) doubling steps.
 _FIRST = 16
-# Block systems whose inverse columns _block_inverse keeps: enough for one study's six
+# Block systems whose inverse columns _inverse_of keeps: enough for one study's six
 # meshes, one entry each (two where a march ends in a shorter block), so that the other
 # block of a table finds them.  An entry is len(col) <= _BLOCK rows of q^2 doubles, or of
 # one double per shift.
 _MEMO = 8
-_INVERSES: dict = {}
 
 
 def _times(spec: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -134,21 +135,20 @@ def finite(V: np.ndarray) -> np.ndarray:
 
 
 def _block_inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
-    """_inverse(col, shift), read-only: from _INVERSES if the same system
-    was inverted among the last _MEMO, which are kept least recent first."""
+    """_inverse(col, shift), read-only, keyed by the dtype, shape and bytes of col and shift."""
     system = (col,) if shift is None else (col, np.asarray(shift))
-    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in system)
-    z = _INVERSES.pop(key, None)
-    if z is None:
-        z = _inverse(col, shift)
-        z.flags.writeable = False
-        if len(_INVERSES) >= _MEMO:
-            del _INVERSES[next(iter(_INVERSES))]
-    _INVERSES[key] = z
+    return _inverse_of(tuple((a.dtype.str, a.shape, a.tobytes()) for a in system))
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _inverse_of(key: tuple) -> np.ndarray:
+    """_inverse of the system _block_inverse spelled out as key, read-only."""
+    z = _inverse(*(np.frombuffer(data, dtype).reshape(shape) for dtype, shape, data in key))
+    z.flags.writeable = False
     return z
 
 
-def _inverse(col: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
+def _inverse(col: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
     """First (block) column z of the inverse of march's system on
     len(col) <= _BLOCK unknowns: z[j] = -sum_{i=1..j} K[i] z[j-i] / d for
     the first n entries, one recursion through _times for both kinds and

@@ -202,12 +202,14 @@ def _history_blocks(alpha: float, c: tuple, M: int) -> np.ndarray:
     psi[0] is unused (zero).  Formed in chunks, gaps 1.._NEAR - 1 and
     then _GAPS gaps at a time, each entry as from all gaps at once: the
     chunk's least gap sets how many series terms _moments sums.  So the
-    table of any M is a prefix of that of a larger M, bit for bit, and
-    _PSI keeps the table of the last (alpha, c) at the largest M asked;
-    a smaller M gets a slice of it, a larger one forms it anew.
+    table of any M is a prefix of that of a larger M, bit for bit: a
+    smaller M gets a slice of the table in _PSI its one lookup found
+    (threads may share _PSI), a larger one forms it anew.
     """
-    if len(_PSI.get((alpha, c), ())) <= M:
-        _PSI.clear()  # the old table goes before the new one is formed
+    psi = _PSI.get((alpha, c), ())
+    if len(psi) <= M:
+        del psi  # with _PSI's entry, the old table goes before the new one is formed
+        _PSI.clear()
         A = _lagrange_coeffs(c)
         psi = np.zeros((M + 1, len(c), len(c)))
         edges = [1, *range(_NEAR, M + 1, _GAPS), M + 1]
@@ -216,7 +218,7 @@ def _history_blocks(alpha: float, c: tuple, M: int) -> np.ndarray:
             np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo:hi])
         psi.flags.writeable = False
         _PSI[alpha, c] = psi
-    return _PSI[alpha, c][: M + 1]
+    return psi[: M + 1]
 
 
 def _current_block(alpha: float, c: tuple) -> np.ndarray:

@@ -215,9 +215,9 @@ def test_exact_identities():
     # convolution quadrature exact on constants
     for alpha in (0.25, 0.5, 0.75):
         for tau in (0.3, 1.0 / 512.0):
-            cq = build_cq(alpha, tau, 512)
+            omega = build_cq(alpha, 512)
             t = tau * np.arange(513)
-            lhs = tau**alpha * np.cumsum(cq.omega) + cq_starting_weights(cq)
+            lhs = tau**alpha * np.cumsum(omega) + cq_starting_weights(alpha, tau, omega)
             worst = max(worst, float(np.max(np.abs(lhs - t**alpha / math.gamma(1.0 + alpha)))))
 
     # piecewise-linear product integration exact on linears
@@ -345,9 +345,9 @@ def test_quadrature_form_nonnegative():
     for _ in range(100):
         alpha = float(rng.uniform(0.05, 0.95))
         M = int(rng.integers(2, 60))
-        cq = build_cq(alpha, 1.0, M)
+        omega = build_cq(alpha, M)
         v = rng.standard_normal(M + 1)
-        conv = np.convolve(cq.omega, v)[: M + 1]
+        conv = np.convolve(omega, v)[: M + 1]
         q = float(v @ conv)
         worst = min(worst, q / float(v @ v))
         assert q >= -1e-12 * float(v @ v)

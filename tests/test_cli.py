@@ -52,6 +52,16 @@ def test_out_file_matches_csv_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_2_before_the_first_solve(tmp_path, capsys, monkeypatch, where):
+    target = tmp_path / "nonexistent" / "x.csv" if where == "missing directory" else tmp_path
+    monkeypatch.setattr(cli, "run_study", lambda *a: pytest.fail("solved before checking --out"))
+    code, out, err = _run(capsys, ["relaxation", "--alpha", "0.5", "--M", "8", "--M", "16", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --out ") and str(target) in err
+
+
 def test_invalid_alpha_exits_2(capsys):
     code, _, err = _run(capsys, ["relaxation", "--alpha", "1.5", "--M", "64", "--M", "128"])
     assert code == 2

@@ -580,7 +580,7 @@ def _cq_cn_steps(alpha, tau, fbar, solve, mass, stiff):
     # t = tau^a, W^j = (V^j + V^{j-1})/2; mass(v) applies M/tau, stiff(v)
     # K and solve(r) inverts M/tau + t w0 K/2
     M = len(fbar)
-    w = build_cq(alpha, tau, M).omega
+    w = build_cq(alpha, M)
     ta = tau**alpha
     V = np.zeros((M + 1,) + fbar.shape[1:], dtype=fbar.dtype)
     half = np.zeros_like(V)
@@ -611,7 +611,7 @@ def test_integro_march_matches_stepwise_recursion(M):
     fem = assemble_fem(0.0, 1.0, 64)
     mesh = build_mesh(T, M, 1.0)
     tau, ta = T / M, (T / M) ** alpha
-    w0 = build_cq(alpha, tau, M).omega[0]
+    w0 = build_cq(alpha, M)[0]
     t = mesh.nodes
 
     # modal: one scalar recursion per discrete eigenvalue
@@ -662,7 +662,7 @@ def test_integro_matches_long_double_recursion(alpha, n):
     M = 4096
     mesh = build_mesh(1.0, M, 1.0)
     tau, ta = 1.0 / M, (1.0 / M) ** alpha
-    w0 = build_cq(alpha, tau, M).omega[0]
+    w0 = build_cq(alpha, M)[0]
     t = mesh.nodes
     ks = [k for k, _, _ in data.forcing.modes]
     lam = np.array([fem.discrete_eigenvalue(k) for k in ks], dtype=np.longdouble)

@@ -47,7 +47,7 @@ def _l1_kernel(alpha, M):
 def _cq_kernel(alpha, M):
     # solve_integro's kernel G on (0, 1), marched with shifts 1/(tau lam)
     tau = 1.0 / M
-    w = build_cq(alpha, tau, M).omega[:M]
+    w = build_cq(alpha, M)[:M]
     return np.cumsum(tau**alpha / 2.0 * np.concatenate([w[:1], w[1:] + w[:-1]]))
 
 
@@ -199,10 +199,16 @@ def test_repeated_march_reuses_its_block_inverses(monkeypatch):
     # a march of 300 steps inverts a full block and a shorter last one; the
     # same system again inverts nothing and gives the same bytes, a change of
     # kern or shift inverts anew, and the kept columns are read-only
-    calls = []
+    calls, kept = [], []
     inverse = toeplitz._inverse
-    monkeypatch.setattr(toeplitz, "_inverse", lambda col, shift: calls.append(len(col)) or inverse(col, shift))
-    monkeypatch.setattr(toeplitz, "_INVERSES", {})
+
+    def counted(col, shift=None):
+        calls.append(len(col))
+        kept.append(inverse(col, shift))
+        return kept[-1]
+
+    monkeypatch.setattr(toeplitz, "_inverse", counted)
+    toeplitz._inverse_of.cache_clear()
     M = 300
     kern, rng = _l1_kernel(0.6, M), np.random.default_rng(M)
     x, lam = rng.standard_normal((M, 2)), np.array([0.5, 40.0])
@@ -214,6 +220,7 @@ def test_repeated_march_reuses_its_block_inverses(monkeypatch):
     assert toeplitz.march(kern, x.copy(), lam).tobytes() == first.tobytes()
     assert toeplitz.march(blocks, bx.copy()).tobytes() == first_blocks.tobytes()
     assert len(calls) == 4
+    assert toeplitz._inverse_of.cache_info()[:2] == (4, 4)  # (hits, misses)
     bumped = kern.copy()
     bumped[20] *= 1.0 + 2.0**-52
     # one step less keeps the full block's system and changes the last one's
@@ -221,23 +228,26 @@ def test_repeated_march_reuses_its_block_inverses(monkeypatch):
         del calls[:]
         toeplitz.march(k, x[: len(k)].copy(), shift)
         assert calls == inverted
-    for z in toeplitz._INVERSES.values():
+    for z in kept:
         with pytest.raises(ValueError):
             z[0] = 0.0
     # a fresh inverse gives the bytes of a kept one
-    toeplitz._INVERSES.clear()
+    toeplitz._inverse_of.cache_clear()
     assert toeplitz.march(kern, x.copy(), lam).tobytes() == first.tobytes()
 
 
 def test_block_inverse_memo_keeps_the_last_systems():
     # least recently used out first, and never more than _MEMO systems
-    toeplitz._INVERSES.clear()
+    toeplitz._inverse_of.cache_clear()
     kerns = [_l1_kernel(alpha, 64) for alpha in np.linspace(0.1, 0.9, toeplitz._MEMO + 1)]
     shift = np.array([1.0])
     for kern in kerns[: toeplitz._MEMO]:
         toeplitz._block_inverse(kern, shift)
     z = toeplitz._block_inverse(kerns[0], shift)  # a hit: now the most recent
+    assert not z.flags.writeable
     toeplitz._block_inverse(kerns[-1], shift)  # evicts kerns[1]
-    assert len(toeplitz._INVERSES) == toeplitz._MEMO
+    assert toeplitz._inverse_of.cache_info().currsize == toeplitz._MEMO
     assert toeplitz._block_inverse(kerns[0], shift) is z
-    assert not any(np.array_equal(kept, toeplitz._inverse(kerns[1], shift)) for kept in toeplitz._INVERSES.values())
+    misses = toeplitz._inverse_of.cache_info().misses
+    toeplitz._block_inverse(kerns[1], shift)  # gone: inverted anew
+    assert toeplitz._inverse_of.cache_info().misses == misses + 1
