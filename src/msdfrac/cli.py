@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 for invalid parameters or an unwritable
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import warnings
@@ -19,6 +20,7 @@ import warnings
 from .study import (
     StudyError,
     TABLE_IDS,
+    _fmt_param,
     default_ms,
     emit_csv,
     make_diffusion_wave_study,
@@ -42,30 +44,18 @@ def _parse_c(text: str) -> tuple:
     return tuple(out)
 
 
-def _add_common(p: argparse.ArgumentParser, make, *, gamma: bool = False):
-    """The options every model shares; make is the model's study constructor,
-    called with the parsed options other than --M, --out and --format."""
-    p.set_defaults(make=make)
-    if gamma:
-        p.add_argument("--gamma", type=float, required=True, help="wave exponent in (1, 2)")
-    else:
-        p.add_argument("--alpha", type=float, required=True, help="fractional exponent in (0, 1)")
-    p.add_argument(
-        "--M",
-        type=int,
-        action="append",
-        dest="Ms",
-        metavar="M",
-        help="time-step count; repeat for a doubling list (default: the table's column)",
-    )
-    p.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
-    p.add_argument("--out", type=str, default=None, help="also write the rows as CSV here")
-    p.add_argument(
-        "--format",
-        choices=("csv", "pretty"),
-        default="pretty",
-        help="stdout format (default pretty)",
-    )
+# constructor keyword -> (flag, type, help).  A model subcommand offers those its study
+# constructor takes, with the constructor's defaults; one without a default is required.
+_OPTIONS = {
+    "alpha": ("--alpha", float, "fractional exponent in (0, 1)"),
+    "gamma": ("--gamma", float, "wave exponent in (1, 2)"),
+    "n": ("--n", int, "separated terms"),
+    "r": ("--r", float, "mesh grading"),
+    "lam": ("--lambda", float, "coefficient"),
+    "c": ("--c", _parse_c, "collocation points per step, comma list, fractions allowed"),
+    "J": ("--J", int, "spatial cells"),
+    "T": ("--T", float, "time horizon"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,42 +64,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence studies for solvers of nonlocal-in-time problems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("relaxation", help="scalar fractional relaxation, L1 scheme")
-    _add_common(p, make_relaxation_study)
-    p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
-    p.add_argument("--r", type=float, default=1.0, help="mesh grading (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="coefficient (default 1)")
-
-    p = sub.add_parser("volterra", help="weakly singular Volterra equation, collocation")
-    _add_common(p, make_volterra_study)
-    p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
-    p.add_argument(
-        "--c",
-        type=_parse_c,
-        default=(2.0 / 3.0, 1.0),
-        help="collocation points per step, comma list, fractions allowed (default 2/3,1)",
-    )
-
-    p = sub.add_parser("subdiffusion", help="1D subdiffusion, L1 + linear FEM")
-    _add_common(p, make_subdiffusion_study)
-    p.add_argument("--n", type=int, default=0, help="separated terms (default 0)")
-    p.add_argument("--r", type=float, default=1.0, help="mesh grading (default 1)")
-    p.add_argument("--J", type=int, default=128, help="spatial cells (default 128)")
-
-    p = sub.add_parser("integro", help="1D integrodifferential, CQ + Crank-Nicolson")
-    _add_common(p, make_integro_study)
-    p.add_argument("--n", type=int, default=1, help="0 = direct stepper, 1 = one-term split")
-    p.add_argument("--J", type=int, default=32, help="spatial cells (default 32)")
-
-    p = sub.add_parser("diffusion-wave", help="1D diffusion-wave via the integro stepper")
-    _add_common(p, make_diffusion_wave_study, gamma=True)
-    p.add_argument("--J", type=int, default=32, help="spatial cells (default 32)")
+    for model, make, about in (
+        ("relaxation", make_relaxation_study, "scalar fractional relaxation, L1 scheme"),
+        ("volterra", make_volterra_study, "weakly singular Volterra equation, collocation"),
+        ("subdiffusion", make_subdiffusion_study, "1D subdiffusion, L1 + linear FEM"),
+        ("integro", make_integro_study, "1D integrodifferential, CQ + Crank-Nicolson"),
+        ("diffusion-wave", make_diffusion_wave_study, "1D diffusion-wave via the integro stepper"),
+    ):
+        p = sub.add_parser(model, help=about)
+        p.set_defaults(make=make)  # called with the parsed options other than --M, --out and --format
+        for name, param in inspect.signature(make).parameters.items():
+            if name in _OPTIONS:
+                flag, kind, text = _OPTIONS[name]
+                if param.default is param.empty:
+                    p.add_argument(flag, dest=name, type=kind, required=True, help=text)
+                else:
+                    text += f" (default {_fmt_param(param.default)})"
+                    p.add_argument(flag, dest=name, type=kind, default=param.default, help=text)
+        p.add_argument(
+            "--M",
+            type=int,
+            action="append",
+            dest="Ms",
+            metavar="M",
+            help="time-step count; repeat for a doubling list (default: the table's column)",
+        )
 
     p = sub.add_parser("table", help="rerun a published table")
     p.add_argument("--id", type=int, required=True, help=f"table number, one of {TABLE_IDS}")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, default=None, help="also write the rows as CSV here")
+        p.add_argument(
+            "--format",
+            choices=("csv", "pretty"),
+            default="pretty",
+            help="stdout format (default pretty)",
+        )
 
     return ap
 

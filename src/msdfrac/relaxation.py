@@ -78,8 +78,8 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
     Both are TimeProfiles when f is a TimeProfile, else nodal value arrays
     computed by product integration (that path carries the quadrature's
     own O(tau^2) error on top of the scheme's).  Its cell integrals are
-    the L1 weights' numerators with exponent 1 + a, summed by the L1
-    march's block loop from exact tiles (see l1_scheme).
+    the L1 weights' numerators with exponent 1 + a, which
+    fracint.frac_integrate_numeric sums over its own exact tiles.
     """
     a, lam = prob.alpha, prob.lam
     if isinstance(prob.f, TimeProfile):

@@ -290,17 +290,15 @@ def make_subdiffusion_study(
         domain = (0.0, 2.0 * math.pi)
         f = SeparableField(domain, ((2, TimeProfile.constant(1.0)),))
         u0 = SeparableField(domain, ((1, TimeProfile.constant(1.0)),))
-    field = next((cand for cand in (f, u0) if isinstance(cand, SeparableField)), None)
-    if field is not None and domain is not None and tuple(domain) != tuple(field.domain):
-        raise ValueError(f"domain {tuple(domain)} differs from the fields' domain {field.domain}")
-    if domain is None:
-        if field is None:
+    if not isinstance(f, SeparableField) and not isinstance(u0, SeparableField):
+        if domain is None:
             raise ValueError("domain is required when no argument is a SeparableField")
-        domain = field.domain
-    if u0 is None:
-        u0 = SeparableField.zero(domain)
-    fem = assemble_fem(domain[0], domain[1], J)
+        u0 = SeparableField.zero(domain) if u0 is None else u0
     data = msd_subdiffusion_data(f, u0, n, alpha)
+    dom = data.initial.domain
+    if domain is not None and tuple(domain) != dom:
+        raise ValueError(f"domain {tuple(domain)} differs from the fields' domain {dom}")
+    fem = assemble_fem(dom[0], dom[1], J)
     return StudySpec(
         model="subdiffusion",
         params={"alpha": alpha, "n": n, "r": r, "J": J, "T": T},
@@ -322,6 +320,7 @@ def make_integro_study(
 ) -> StudySpec:
     """n = 0 runs the undecomposed stepper, n = 1 the one-term split."""
     check_alpha(alpha)  # before the default forcing t^alpha is formed
+    n = check_count(n, "n", 0)
     if n not in (0, 1):
         raise ValueError(f"the stepper supports n = 0 (direct) or n = 1 (split), got {n}")
     check_horizon(T)
@@ -433,10 +432,6 @@ def reproduce_table(table_id: int):
 _CSV_HEADER = ["model", "alpha", "n", "r", "M", "error", "rate"]
 
 
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def emit_csv(reports) -> str:
     """Serialize one report or an iterable of reports."""
     if isinstance(reports, ConvergenceReport):
@@ -448,10 +443,10 @@ def emit_csv(reports) -> str:
         alpha = rep.params.get("alpha", rep.params.get("gamma"))
         n = rep.params.get("n", 0)
         r = rep.params.get("r", 1.0)
-        head = [rep.model, _sig6(float(alpha)), int(n), _sig6(float(r))]
+        head = [rep.model, _fmt_param(float(alpha)), int(n), _fmt_param(float(r))]
         for row in rep.rows:
-            rate = "" if row.rate is None else _sig6(row.rate)
-            writer.writerow(head + [row.M, _sig6(row.error), rate])
+            rate = "" if row.rate is None else _fmt_param(row.rate)
+            writer.writerow(head + [row.M, _fmt_param(row.error), rate])
     return buf.getvalue()
 
 
@@ -460,34 +455,29 @@ def parse_csv(text: str) -> list[ConvergenceReport]:
 
     Rows are grouped into reports on change of (model, alpha, n, r);
     a row with an empty rate also starts a new report.  Parsed reports
-    carry only the schema parameters and no theory order.
+    carry only the schema parameters and no theory order.  A row that
+    does not parse raises a ValueError naming it.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header!r}, want {_CSV_HEADER!r}")
-    reports: list[ConvergenceReport] = []
-    key = None
-    rows: list[StudyRow] = []
-
-    def flush():
-        if rows:
-            model, alpha, n, r = key
-            reports.append(ConvergenceReport(model, {"alpha": alpha, "n": n, "r": r}, tuple(rows)))
-
+    groups: list[tuple[tuple, list[StudyRow]]] = []  # (model, alpha, n, r) and the report's rows
     for rec in reader:
         if not rec:
             continue
         if len(rec) != len(_CSV_HEADER):
             raise ValueError(f"malformed CSV row {rec!r}")
         model, alpha_s, n_s, r_s, M_s, err_s, rate_s = rec
-        this_key = (model, float(alpha_s), int(n_s), float(r_s))
-        if this_key != key or rate_s == "":
-            flush()
-            key = this_key
-            rows = []
-        rows.append(
-            StudyRow(M=int(M_s), error=float(err_s), rate=None if rate_s == "" else float(rate_s))
-        )
-    flush()
-    return reports
+        try:
+            key = (model, float(alpha_s), int(n_s), float(r_s))
+            row = StudyRow(M=int(M_s), error=float(err_s), rate=None if rate_s == "" else float(rate_s))
+        except ValueError as e:
+            raise ValueError(f"malformed CSV row {rec!r}: {e}") from None
+        if not groups or key != groups[-1][0] or row.rate is None:
+            groups.append((key, []))
+        groups[-1][1].append(row)
+    return [
+        ConvergenceReport(model, {"alpha": alpha, "n": n, "r": r}, tuple(rows))
+        for (model, alpha, n, r), rows in groups
+    ]

@@ -1,12 +1,25 @@
 """CLI exit codes and output formats, driven through main() directly."""
 
 import csv
+import inspect
 import io
 import warnings
 
 import pytest
 
-from msdfrac import StudyError, cli, reproduce_table
+from msdfrac import (
+    StudyError,
+    cli,
+    emit_csv,
+    make_diffusion_wave_study,
+    make_integro_study,
+    make_relaxation_study,
+    make_subdiffusion_study,
+    make_volterra_study,
+    reproduce_table,
+    run_study,
+)
+from msdfrac.study import _fmt_param
 
 
 def _run(capsys, argv):
@@ -33,6 +46,52 @@ def test_default_ms_are_the_table_column(capsys):
     assert code == 0, err
     rows = list(csv.reader(io.StringIO(out)))
     assert [r[4] for r in rows[1:]] == ["128", "256", "512", "1024", "2048"]
+
+
+# constructor keyword -> the CLI flag that sets it
+_FLAGS = {
+    "alpha": "--alpha", "gamma": "--gamma", "n": "--n", "r": "--r", "lam": "--lambda", "c": "--c",
+    "J": "--J", "T": "--T",
+}
+
+
+_MODELS = [
+    ("relaxation", make_relaxation_study, "--alpha", 0.5),
+    ("volterra", make_volterra_study, "--alpha", 0.5),
+    ("subdiffusion", make_subdiffusion_study, "--alpha", 0.5),
+    ("integro", make_integro_study, "--alpha", 0.5),
+    ("diffusion-wave", make_diffusion_wave_study, "--gamma", 1.5),
+]
+
+
+@pytest.mark.parametrize("model, make, flag, x", _MODELS, ids=[case[0] for case in _MODELS])
+def test_model_options_follow_the_constructor(capsys, model, make, flag, x):
+    # run with its default options, a subcommand runs the constructor with its own defaults
+    code, out, err = _run(capsys, [model, flag, str(x), "--M", "8", "--M", "16", "--format", "csv"])
+    assert code == 0, err
+    assert out == emit_csv(run_study(make(x), [8, 16]))
+    # and --help lists each keyword the CLI exposes with the signature's default
+    with pytest.raises(SystemExit) as exc:
+        cli.main([model, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    entries = {seg.split()[0]: seg for seg in text.split(" --")}  # the option list follows the usage
+    exposed = [p for name, p in inspect.signature(make).parameters.items() if name in _FLAGS]
+    assert {p.name for p in exposed} >= {flag[2:], "T"}
+    for param in exposed:
+        entry = entries[_FLAGS[param.name][2:]]
+        if param.default is param.empty:
+            assert "(default" not in entry and f"[{_FLAGS[param.name]} " not in text, entry
+        else:
+            assert entry.endswith(f"(default {_fmt_param(param.default)})"), entry
+
+
+def test_lambda_sets_lam(capsys):
+    args = ["relaxation", "--alpha", "0.5", "--lambda", "2", "--M", "8", "--M", "16", "--format", "csv"]
+    code, out, err = _run(capsys, args)
+    assert code == 0, err
+    assert out == emit_csv(run_study(make_relaxation_study(0.5, lam=2.0), [8, 16]))
+    assert out != emit_csv(run_study(make_relaxation_study(0.5), [8, 16]))
 
 
 def test_pretty_output_has_theory_line(capsys):

@@ -349,6 +349,14 @@ def test_make_integro_study_rejects_deep_split():
         make_integro_study(0.5, n=2)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "1", -1])
+def test_make_integro_study_depth_must_be_a_nonnegative_integer(n):
+    # n = True used to run the split and print 1 in the CSV, and 1.0 passed
+    with pytest.raises(ValueError, match="n must be"):
+        make_integro_study(0.5, n=n)
+    assert make_integro_study(0.5, n=np.int64(1)).params["n"] == 1
+
+
 def test_make_subdiffusion_study_requires_domain_for_callables():
     with pytest.raises(ValueError):
         make_subdiffusion_study(0.5, f=lambda x, t: x * t, u0=lambda x, t: 0.0)
@@ -448,6 +456,18 @@ def test_parse_csv_validates():
     good = emit_csv(_sample_reports())
     with pytest.raises(ValueError):
         parse_csv(good + "relaxation,0.25\n")
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [("relaxation,x,0,1,8,1e-3,", "'x'"), ("relaxation,0.5,0,1,8,oops,", "'oops'")],
+    ids=["alpha", "error"],
+)
+def test_parse_csv_names_the_row_of_a_bad_number(row, column):
+    # a bare "could not convert string to float" named neither row nor column
+    with pytest.raises(ValueError, match="malformed CSV row") as exc:
+        parse_csv(emit_csv(_sample_reports()) + row + "\n")
+    assert repr(row.split(",")) in str(exc.value) and column in str(exc.value)
 
 
 def test_pretty_mentions_theory_and_stars_first_row():
