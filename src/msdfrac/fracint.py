@@ -21,8 +21,8 @@ integrand is replaced by its piecewise-linear interpolant on the mesh
 and integrated against the kernel exactly (product integration, second
 order for smooth data).  Its cell integrals are the L1 weight family
 with exponent 1 + nu in place of 1 - a, formed by
-l1_scheme.l1_weight_block and summed here a block of rows and a tile of
-columns at a time.
+l1_scheme.l1_weight_block a block of rows at a time, against every
+column up to the block's end, and summed in one product per block.
 
 msd_split is the multiscale splitting itself, and the one place any
 model applies its splitting operator repeatedly: given data g and an
@@ -51,12 +51,6 @@ __all__ = [
     "frac_integrate_numeric",
     "as_forcing",
 ]
-
-# Columns per far tile of product integration: a tile of numerators is
-# _ROWS x _COLS doubles (512 KiB) at any M.  Graded L1 marches, when they
-# summed these tiles too, ran 10% slower on tiles of 512 and no faster on
-# 2048 or 4096.
-_COLS = 1024
 
 
 def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -110,10 +104,7 @@ class TimeProfile:
             raise ValueError("profile with a negative exponent cannot be evaluated at t = 0")
         acc = np.zeros_like(tv)
         for c, p in self.terms:
-            if p == 0.0:
-                acc += c
-            else:
-                acc += c * tv**p
+            acc += c * tv**p  # t**0.0 is exactly 1.0
         return float(acc) if scalar else acc
 
     def __add__(self, other: "TimeProfile") -> "TimeProfile":
@@ -196,11 +187,13 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     slopes against the numerators of exponent p = 1 + nu over
     Gamma(2 + nu), the L1 weight family (p = 1 - a there), all exact:
     the kernel t^nu grows, so no sum of decaying exponentials stands in
-    for the far columns: O(M^2), 0.73-0.78 s at M = 16384 (r = 2, nu =
-    0.5, one CPU).  No study runs it above M of about 408.  These are the
-    L1 weights' cancelling numerators, so near the origin of a strongly
-    graded mesh, where a step is many orders below t_m, they lose digits
-    here as in the L1 march (ROADMAP item 2).
+    for the far columns.  O(M^2): 1.0-1.1 s at M = 16384 (r = 2, nu =
+    0.5, one CPU), one product per block of rows with all its columns,
+    whose _ROWS x M numerators peak at 4.1 MiB at M = 4096 and 16.3 MiB
+    at 16384.  No study runs it above M of about 408.  These are the L1
+    weights' cancelling numerators, so near the origin of a strongly
+    graded mesh, where a step is many orders below t_m, they lose
+    digits here as in the L1 march (ROADMAP item 2).
     """
     check_real(nu, "nu", lambda v: 0.0 < v <= 2.0, "lie in (0, 2] as an integration order")
     f = np.asarray(f, dtype=float)
@@ -211,12 +204,7 @@ def frac_integrate_numeric(f: np.ndarray, nu: float, mesh: GradedMesh) -> np.nda
     p, M = 1.0 + nu, mesh.M
     for start in range(0, M, _ROWS):
         stop = min(start + _ROWS, M)
-        far = np.zeros(stop - start)
-        for lo in range(0, start, _COLS):
-            hi = min(lo + _COLS, start)
-            far += l1_weight_block(p, mesh, start, stop, lo, hi) @ slopes[lo:hi]
-        near = l1_weight_block(p, mesh, start, stop, start, stop) @ slopes[start:stop]
-        out[start + 1 : stop + 1] += (far + near) / math.gamma(2.0 + nu)
+        out[start + 1 : stop + 1] += l1_weight_block(p, mesh, start, stop) @ slopes[:stop] / math.gamma(2.0 + nu)
     return out
 
 

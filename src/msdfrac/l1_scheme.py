@@ -13,7 +13,7 @@ l1_weight_block builds the cell-integral numerators (t_m - t_{k-1})^p -
 a single row forms them: each cancelling difference is rounded as in a
 row.  p = 1 - a gives the L1 weights; fracint.frac_integrate_numeric
 sums the same family at p = 1 + nu, the product integration of its
-forcing, in its own tile loop.
+forcing, in one product per block of rows.
 
 march_l1 marches a graded mesh _ROWS rows at a time on the scaled
 increments E_k = (v^k - v^{k-1}) / (tau_k Gamma(2-a)); a scalar
@@ -194,6 +194,9 @@ def march_l1(
     for name, b, rows in zip(("rhs", "half_rhs"), rhss, (M + 1, M // 2 + 1)):
         if b.ndim == 0 or len(b) != rows or b.shape[1:] != rhss[0].shape[1:]:
             raise ValueError(f"{name} must have {rows} rows, one per node, got shape {b.shape}")
+        finite_rows = np.isfinite(b[1:]).all(axis=tuple(range(1, b.ndim)))
+        if not finite_rows.all():  # row 0 is never read
+            raise ValueError(f"{name} must be finite, but row {np.argmin(finite_rows) + 1} is not")
     try:
         lam = np.asarray(lam, dtype=float)
     except (TypeError, ValueError):

@@ -124,8 +124,4 @@ def relaxation_exact(alpha: float, lam: float, t):
     """
     check_alpha(alpha)
     check_real(lam, "relaxation coefficient lam", lambda v: 0.0 < v < math.inf, "be positive and finite")
-    scalar = np.isscalar(t)
-    tv = np.asarray(t, dtype=float)
-    vals = ml_eval(alpha, 1.0, -lam * tv**alpha)
-    out = (1.0 - vals) / lam
-    return float(out) if scalar else out
+    return (1.0 - ml_eval(alpha, 1.0, -lam * np.asarray(t, dtype=float) ** alpha)) / lam

@@ -209,16 +209,12 @@ class SeparableField:
         return all(amp.is_zero for _, _, amp in self.modes)
 
     def __add__(self, other: "SeparableField") -> "SeparableField":
-        if other == 0:
-            return self
         if self.domain != other.domain:
             raise ValueError("cannot add fields on different domains")
         acc = {k: amp for k, _, amp in self.modes}
         for k, _, amp in other.modes:
             acc[k] = acc[k] + amp if k in acc else amp
         return SeparableField(self.domain, tuple((k, a) for k, a in acc.items() if not a.is_zero))
-
-    __radd__ = __add__
 
     def laplacian(self) -> "SeparableField":
         return self.map_amplitudes(lambda lam, amp: amp * (-lam))
@@ -451,6 +447,8 @@ def integro_direct_data(f, u0, alpha: float) -> PdeData:
     """Unsplit forcing for the same stepper: g = f + beta_{1+a} Lap u0.
     f may be a callable f(x, t) (see the module docstring)."""
     check_alpha(alpha)
+    if isinstance(f, SeparableField) and any(amp.min_exponent < 0.0 for _, _, amp in f.modes):
+        raise ValueError("forcing f is infinite at t = 0, where the unsplit stepper reads it; split it (n = 1)")
     return _pde_data(f, u0, 0, 1.0 + alpha, 1.0, 1.0 + alpha)
 
 

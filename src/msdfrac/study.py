@@ -126,13 +126,16 @@ class StudyError(RuntimeError):
 
 
 def theory_order(model: str, alpha: float, n: int = 0, r: float = 1.0, q: int = 2) -> float:
-    """Predicted temporal convergence order for the given setup.
+    """Temporal convergence order for the given setup.
 
-    L1 on a graded mesh: min(2 - a, r (n+1) a).  Collocation of order
-    q on a uniform mesh: min(q, 2 (n+1)(1 - a)).  The CQ/CN stepper:
-    1 + a undecomposed, 2 with at least one separated term.  For the
-    wave solver alpha is the wave exponent gamma and the two-term
-    split always restores second order.
+    L1 on a graded mesh: min(2 - a, r (n+1) a), a prediction while the
+    remainder's leading term t^{(n+1)a} is singular (short of it at small
+    a and strong grading, from rounding: see l1_scheme) and a lower bound
+    once that term is smooth (1 at a = 0.5, n = 1, r = 1; observed 1.35).
+    Collocation of order q on a uniform mesh: min(q, 2 (n+1)(1 - a)), a
+    lower bound (0.2 at a = 0.9, n = 0; observed 0.63, 0.58, 0.53 at M
+    128-512).  The CQ/CN stepper: 1 + a undecomposed, 2 with at least
+    one separated term, and the wave solver (alpha is gamma) 2: predictions.
     """
     if model in ("relaxation", "subdiffusion"):
         return min(2.0 - alpha, r * (n + 1) * alpha)
@@ -197,8 +200,8 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
     over alone).  The finest first lets a solver keep what it forms for
     the largest M, such as the Volterra moments and CQ weights, and hand
     the coarser meshes prefixes of it.  Each row's error is taken as soon as
-    both of its traces exist, and a trace is dropped once its rows are
-    done: at most two traces are alive, or three with pairs.  The report's
+    both of its traces exist, and each solve keeps only its coarsest trace
+    for the next: at most two traces are alive, or three with pairs.  The report's
     note flags a rate at the finest row that is negative or below half the
     theory rate, with no claim about its cause.
     """
@@ -211,7 +214,7 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
 
     levels = Ms + [2 * Ms[-1]]  # row k compares the traces of levels k and k+1
     pairs = [[k - 1, k] for k in range(len(levels) - 1, 0, -2)] + [[0]] * (len(levels) % 2)
-    errors, live = {}, {}
+    errs, live = [0.0] * len(Ms), {}
     for group in [[k] for k in reversed(range(len(levels)))] if spec.solve_pair is None else pairs:
         M = levels[group[-1]]
         try:
@@ -219,12 +222,11 @@ def run_study(spec: StudySpec, Ms: Sequence[int]) -> ConvergenceReport:
         except Exception as e:
             at = " and ".join(str(levels[k]) for k in group)
             raise StudyError(f"{spec.model} solve failed at M={at}: {e}") from e
-        for k in [k for k in live if k + 1 in live and k not in errors]:
-            errors[k] = two_mesh_error(live[k], live[k + 1])
-        # keep a trace while a row on either side of it is still open
-        live = {k: t for k, t in live.items() if {k - 1, k} - {-1, len(Ms)} - errors.keys()}
+        for k in [k for k in group if k + 1 in live]:
+            errs[k] = two_mesh_error(live[k], live[k + 1])
+        # only the coarsest trace has a row left open: the next group's finest level is one below it
+        live = {group[0]: live[group[0]]}
 
-    errs = [errors[k] for k in range(len(Ms))]
     rates = [math.log2(p / e) if e > 0.0 and p > 0.0 else None for p, e in zip([0.0] + errs, errs)]
     rows = tuple(StudyRow(M=M, error=e, rate=rate) for M, e, rate in zip(Ms, errs, rates))
     last, theory, note = rates[-1], spec.theory, ""

@@ -70,9 +70,6 @@ __all__ = [
 # with 32 of 16, 32 and 64 cells, and as fast with 256 as with 512 history cells.
 _CELLS, _TILE = 32, 256
 _GAPS = 2048  # gaps per chunk of the moments psi: O(_GAPS q^2) scratch at any M
-# Gaps 1.._NEAR - 1 form the first chunk of psi, which alone needs up to 35
-# series terms; the later chunks, from d > 64 on, need at most 9.
-_NEAR = 64
 # (alpha, c) -> psi at the largest M asked, for the last (alpha, c) only: (M + 1) q^2
 # doubles, 0.5 MiB at M = 16384 and q = 2
 _PSI: dict = {}
@@ -110,6 +107,8 @@ class VolterraProblem:
             raise ValueError(f"collocation parameters must be distinct, increasing, in (0, 1]: {c}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f", as_forcing(self.f))
+        if self.analytic and self.f.min_exponent < 0.0:  # the split subtracts f(0)
+            raise ValueError("forcing f is infinite at t = 0; a callable f is solved undecomposed at n = 0")
         if self.n and not self.analytic:
             raise ValueError(f"a callable kernel or f is solved at depth n = 0, got n={self.n}")
 
@@ -165,7 +164,7 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
     # the least d >= 3, every later term is below half an ulp of its
     # partial sum and adds nothing, so the sums from d = 3 on are those of
     # any longer series, bit for bit.  That takes at most 35 terms at d = 3
-    # (the ratio is 1/d <= 1/3) and at most 9 from d = 64 on.
+    # (the ratio is 1/d <= 1/3) and at most 5 from d = 2048 on.
     far = d[d >= 3.0]
     terms, bound = 0, 1.0
     while far.size and bound > 2.0**-54:
@@ -199,12 +198,12 @@ def _moments(alpha: float, d: np.ndarray, q: int) -> np.ndarray:
 def _history_blocks(alpha: float, c: tuple, M: int) -> np.ndarray:
     """psi[g, i, j] = int_0^1 (c_i + g - s)^{-a} L_j(s) ds for g = 1..M, read-only.
 
-    psi[0] is unused (zero).  Formed in chunks, gaps 1.._NEAR - 1 and
-    then _GAPS gaps at a time, each entry as from all gaps at once: the
-    chunk's least gap sets how many series terms _moments sums.  So the
-    table of any M is a prefix of that of a larger M, bit for bit: a
-    smaller M gets a slice of the table in _PSI its one lookup found
-    (threads may share _PSI), a larger one forms it anew.
+    psi[0] is unused (zero).  Formed _GAPS gaps at a time from gap 1,
+    each entry as from all gaps at once: the chunk's least gap sets how
+    many series terms _moments sums, and any further term is below half
+    an ulp.  So the table of any M is a prefix of that of a larger M,
+    bit for bit: a smaller M gets a slice of the table in _PSI its one
+    lookup found (threads may share _PSI), a larger one forms it anew.
     """
     psi = _PSI.get((alpha, c), ())
     if len(psi) <= M:
@@ -212,7 +211,7 @@ def _history_blocks(alpha: float, c: tuple, M: int) -> np.ndarray:
         _PSI.clear()
         A = _lagrange_coeffs(c)
         psi = np.zeros((M + 1, len(c), len(c)))
-        edges = [1, *range(_NEAR, M + 1, _GAPS), M + 1]
+        edges = [*range(1, M + 1, _GAPS), M + 1]
         for lo, hi in zip(edges, edges[1:]):
             g = np.arange(lo, hi, dtype=float)
             np.matmul(_moments(alpha, g[:, None] + np.asarray(c), len(c)), A, out=psi[lo:hi])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import msdfrac
 from msdfrac import (
     build_mesh,
-    fracint,
     frac_integrate_numeric,
     l1_scheme,
     l1_weight_row,
@@ -218,13 +217,13 @@ def _numerators(p, t, m):
 def test_weight_block_rows_match_the_formula(alpha, r, M):
     # block rows are the numerators bit for bit, +0.0 beyond the diagonal,
     # and l1_weight_row divides one of them by tau_k Gamma(2-a); so is every
-    # range of columns: the march's far tiles, the near block, and ranges
-    # across the diagonal and across a tile edge; for the L1 exponent 1 - a
-    # and for product integration's 1 + a
+    # range of columns: runs of 1024 columns before the block, the near
+    # block, and ranges across the diagonal and across column 1024; for the
+    # L1 exponent 1 - a and for product integration's 1 + a
     mesh = build_mesh(1.0, M, r)
     t = mesh.nodes
     scale = mesh.steps * math.gamma(2.0 - alpha)
-    rows, cols = l1_scheme._ROWS, fracint._COLS
+    rows, cols = l1_scheme._ROWS, 1024
     for p in (1.0 - alpha, 1.0 + alpha):
         for start in range(0, M, rows):
             stop = min(start + rows, M)
@@ -246,11 +245,10 @@ def test_weight_block_rows_match_the_formula(alpha, r, M):
 
 @pytest.mark.parametrize("nu", [0.5, 1.5])
 def test_product_integration_tiles_match_the_row_sums(nu):
-    # frac_integrate_numeric sums the far columns of each block of rows a
-    # tile of fracint._COLS columns at a time; M = 1100 crosses a tile
-    # edge, and every row must be the per-row numerator sum
+    # frac_integrate_numeric sums each block of rows against all columns up
+    # to the block's end in one product; at M = 1100 every row must still be
+    # the per-row numerator sum
     mesh = build_mesh(1.0, 1100, 2.0)
-    assert mesh.M > fracint._COLS + l1_scheme._ROWS
     t, f = mesh.nodes, np.exp(mesh.nodes)
     slopes = np.diff(f) / mesh.steps
     out = frac_integrate_numeric(f, nu, mesh)
@@ -611,3 +609,28 @@ def test_overflowing_march_is_reported():
         # short of the double range the graded march runs as before
         mesh = build_mesh(1.0, 1024, 2.0)
         assert 1e230 < np.abs(march_l1(0.3, mesh, lam(0.3, mesh, 1e-12), np.ones(mesh.M + 1))).max() < np.inf
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_non_finite_rhs_is_blamed_on_the_rhs(r):
+    # a NaN in rhs or an inf in half_rhs used to march on and be reported as
+    # "the solution overflows double precision: step 1 of ..."; rhs[0] is never read
+    mesh = build_mesh(1.0, 16, r)
+    rhs = np.ones(17)
+    rhs[5] = np.nan
+    with pytest.raises(ValueError, match="^rhs must be finite, but row 5 is not$"):
+        march_l1(0.5, mesh, 1.0, rhs)
+    modes = np.ones((17, 3))
+    modes[16, 2] = -np.inf
+    with pytest.raises(ValueError, match="^rhs must be finite, but row 16 is not$"):
+        march_l1(0.5, mesh, np.ones(3), modes)
+    rhs[5] = 1.0
+    if r != 1.0:
+        half = np.ones(9)
+        half[3] = np.inf
+        with pytest.raises(ValueError, match="^half_rhs must be finite, but row 3 is not$"):
+            march_l1(0.5, mesh, 1.0, rhs, half)
+    rhs[0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert march_l1(0.5, mesh, 1.0, rhs).tobytes() == march_l1(0.5, mesh, 1.0, np.ones(17)).tobytes()

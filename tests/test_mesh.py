@@ -49,6 +49,9 @@ def test_validation():
     for r in (0.0, -1.0, math.nan, math.inf, "2", True):
         with pytest.raises(ValueError, match="grading exponent"):
             build_mesh(1.0, 8, r)
+    # (1/4096)^200 underflows: the first nodes coincide
+    with pytest.raises(ValueError, match="mesh steps must be positive"):
+        build_mesh(1.0, 4096, 200.0)
 
 
 @pytest.mark.parametrize("M", [2.5, 8.0, "8", True])

@@ -91,6 +91,12 @@ def test_relaxation_exact_limits():
     t = np.linspace(0.0, 5.0, 50)
     u = relaxation_exact(0.25, 1.0, t)
     assert np.all(np.diff(u) > 0.0)  # monotone approach to the plateau
+    # a float for a scalar t, an array for a sequence, the same values either way
+    for ts in (1.5, np.float64(1.5)):
+        assert type(relaxation_exact(0.5, 2.0, ts)) is float
+    for ts in ([0.5, 1.5], np.array([0.5, 1.5])):
+        got = relaxation_exact(0.5, 2.0, ts)
+        assert type(got) is np.ndarray and got.tolist() == [relaxation_exact(0.5, 2.0, x) for x in ts]
 
 
 def _mpmath_reference(alpha, beta, x):

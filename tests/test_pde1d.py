@@ -158,6 +158,8 @@ def test_field_algebra_and_evaluation():
     g = SeparableField(dom, ((1, TimeProfile.constant(-2.0)),))
     s = f + g
     assert len(s.modes) == 1 and s.modes[0][0] == 3
+    with pytest.raises(ValueError, match="cannot add fields on different domains"):
+        f + SeparableField((0.0, 2.0), ())
     x, t = 0.3, 2.0
     assert f.evaluate(x, t) == pytest.approx(
         2.0 * math.sin(math.pi * x) + t * math.sin(3.0 * math.pi * x)
@@ -401,6 +403,14 @@ def test_subdiffusion_initial_value_reproduced():
     trace = solve_subdiffusion(alpha, 1, data, mesh, fem)
     x = fem.interior_nodes
     assert np.allclose(trace.U[0], np.sin(math.pi * x), atol=1e-14)
+    # a mode of u0 with amplitude zero changes nothing, bit for bit
+    u0_zero_mode = SeparableField(u0.domain, (*((k, amp) for k, _, amp in u0.modes), (3, 0.0)))
+    assert u0_zero_mode.modes[-1][2].is_zero
+    for n in (0, 1):
+        for grid in (mesh, build_mesh(1.0, 16, 2.0)):
+            want = solve_subdiffusion(alpha, n, msd_subdiffusion_data(f, u0, n, alpha), grid, fem).U
+            got = solve_subdiffusion(alpha, n, msd_subdiffusion_data(f, u0_zero_mode, n, alpha), grid, fem).U
+            assert got.tobytes() == want.tobytes()
 
 
 def test_msd_data_validation():
@@ -423,6 +433,9 @@ def test_msd_data_validation():
         msd_subdiffusion_data(lambda x, t: x * t, None, 0, 0.5)
     with pytest.raises(ValueError, match="depth 0"):
         msd_integro_data(lambda x, t: x * t, u0, 0.5)
+    # every field on the domain of the first one
+    with pytest.raises(ValueError, match=r"u0 lives on \(0.0, 2.0\), expected \(0.0, 1.0\)"):
+        msd_subdiffusion_data(f, SeparableField((0.0, 2.0), ((1, 1.0),)), 0, 0.5)
     # alpha outside (0, 1) marched to NaN, or at 0 to a number
     mesh, fem = build_mesh(1.0, 8, 1.0), assemble_fem(0.0, 1.0, 4)
     data = msd_subdiffusion_data(f, u0, 0, 0.5)
@@ -942,3 +955,23 @@ def test_non_finite_callable_forcing_is_rejected(method):
     assert np.isfinite(sub(at_zero).U).all()
     with pytest.raises(ValueError, match=r"forcing f\(x, t\) must be finite, got inf"):
         integro(at_zero)
+
+
+def test_unsplit_integro_rejects_forcing_infinite_at_zero():
+    # the unsplit CQ stepper reads the forcing at t = 0, where a mode amplitude
+    # t^-1/2 is infinite; it used to build and then fail in the first solve with
+    # an error that did not name f.  The split models never read f there
+    alpha, dom = 0.5, (0.0, 1.0)
+    f = SeparableField(dom, ((1, TimeProfile.of((1.0, -0.5))), (2, 1.0)))
+    u0 = SeparableField(dom, ((1, 1.0),))
+    with pytest.raises(ValueError, match="^forcing f is infinite at t = 0, where the unsplit stepper reads it"):
+        integro_direct_data(f, u0, alpha)
+    mesh, fem = build_mesh(1.0, 16, 1.0), assemble_fem(0.0, 1.0, 8)
+    traces = [
+        solve_integro(alpha, msd_integro_data(f, u0, alpha), mesh, fem),
+        solve_subdiffusion(alpha, 0, msd_subdiffusion_data(f, u0, 0, alpha), mesh, fem),
+        solve_subdiffusion(alpha, 1, msd_subdiffusion_data(f, u0, 1, alpha), build_mesh(1.0, 16, 2.0), fem),
+        solve_diffusion_wave(1.2, f, u0, SeparableField.zero(dom), mesh, fem),
+    ]
+    for trace in traces:
+        assert np.isfinite(trace.U).all()

@@ -128,6 +128,14 @@ def test_validation():
     prob = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=1.0)
     with pytest.raises(ValueError):
         solve_relaxation(prob, build_mesh(2.0, 16, 1.0))  # horizon mismatch
+    # pointwise forcing is split on the nodes of a mesh
+    pointwise = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=np.cos)
+    with pytest.raises(ValueError, match="a mesh is required to decompose a pointwise forcing"):
+        msd_forcing(pointwise)
+    # a negative lam above the degenerate limit is solved, with a warning
+    negative = RelaxationProblem(alpha=0.5, lam=-0.5, T=1.0, f=1.0)
+    with pytest.warns(UserWarning, match="negative relaxation coefficient is outside the stability theory"):
+        assert np.isfinite(solve_relaxation(negative, build_mesh(1.0, 16, 1.0)).U).all()
     # numpy's bare "operands could not be broadcast" named no argument
     bad = RelaxationProblem(alpha=0.5, lam=1.0, T=1.0, f=lambda t: np.ones(3))
     with pytest.raises(ValueError, match=r"f\(t\) returned shape \(3,\)"):

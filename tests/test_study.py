@@ -357,6 +357,21 @@ def test_make_integro_study_depth_must_be_a_nonnegative_integer(n):
     assert make_integro_study(0.5, n=np.int64(1)).params["n"] == 1
 
 
+def test_studies_of_forcing_infinite_at_zero():
+    # the unsplit integro stepper reads f at t = 0: a mode t^-1/2 is refused
+    # when the study is built, naming f, where it used to fail at the first
+    # solve as "solve failed at M=32" (Volterra: see test_volterra)
+    f = TimeProfile.of((1.0, -0.5))
+    field = SeparableField((0.0, 1.0), ((1, f),))
+    with pytest.raises(ValueError, match="^forcing f is infinite at t = 0"):
+        make_integro_study(0.5, n=0, f=field)
+    # the split integro model and relaxation read it only past t = 0
+    u0 = SeparableField((0.0, 1.0), ((1, 1.0),))
+    errors = run_study(make_integro_study(0.5, n=1, f=field, u0=u0), [8, 16]).errors
+    assert errors == pytest.approx((0.0193, 0.00477), rel=1e-2)
+    assert all(e > 0.0 for e in run_study(make_relaxation_study(0.5, n=1, r=2.0, f=f), [8, 16]).errors)
+
+
 def test_make_subdiffusion_study_requires_domain_for_callables():
     with pytest.raises(ValueError):
         make_subdiffusion_study(0.5, f=lambda x, t: x * t, u0=lambda x, t: 0.0)
@@ -428,6 +443,9 @@ def test_csv_round_trip():
     assert [row.M for row in back[0].rows] == [128, 256]
     # emit is idempotent across a parse cycle (six-digit quantization)
     assert emit_csv(back) == text
+    # a blank line, inside a report or between two, is skipped
+    for at in (2, 3):
+        assert parse_csv("\n".join(lines[:at] + [""] + lines[at:]) + "\n") == back
 
 
 def test_csv_single_report_and_gamma_fallback():

@@ -9,6 +9,7 @@ import pytest
 
 from msdfrac import (
     StudyError,
+    TimeProfile,
     VolterraProblem,
     collocation_depth,
     make_volterra_study,
@@ -442,3 +443,21 @@ def test_depth_must_be_a_nonnegative_integer(n):
     with pytest.raises(ValueError, match="n must be"):
         VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=n)
     assert VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=1.0, n=np.int32(1)).n == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_forcing_infinite_at_zero_is_rejected(n):
+    # the split subtracts f(0): a TimeProfile f with a negative exponent used to
+    # build and then fail in the first solve with an error that did not name f
+    f = TimeProfile.of((1.0, -0.5))
+    with pytest.raises(ValueError, match="^forcing f is infinite at t = 0; a callable f is solved undecomposed"):
+        VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=f, n=n)
+    with pytest.raises(ValueError, match="^forcing f is infinite at t = 0"):
+        make_volterra_study(0.5, n=n, f=f)
+    # pointwise data is never read at t = 0: the same f as a callable, or with a
+    # callable kernel, is solved undecomposed
+    if n == 0:
+        want = solve_volterra(VolterraProblem(alpha=0.5, T=1.0, kernel=1.0, f=lambda t: t**-0.5), 16).U
+        assert np.isfinite(want).all()
+        got = solve_volterra(VolterraProblem(alpha=0.5, T=1.0, kernel=lambda s, t: 1.0, f=f), 16).U
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
