@@ -108,6 +108,8 @@ class TimeProfile:
         return float(acc) if scalar else acc
 
     def __add__(self, other: "TimeProfile") -> "TimeProfile":
+        if not isinstance(other, TimeProfile):
+            return NotImplemented
         return TimeProfile(_normalize(self.terms + other.terms))
 
     def __sub__(self, other: "TimeProfile") -> "TimeProfile":

@@ -15,9 +15,9 @@ the integrodifferential model take at depth 0, is sampled on the whole
 grid in one call, a row of nodes x against a column of times t; it
 must return an array that broadcasts to their common shape (a scalar
 is spread over the grid).  Its nodal loads are transformed to the sine
-basis.  ``method="full"`` is the same time scheme written out
-step by step on the nodal unknowns, with a dense solve of the (J-1) x
-(J-1) system cm M + ck K per step (``IntervalFem.matrix``): an O(M^2)
+basis.  ``method="full"`` of solve_subdiffusion and solve_integro writes
+the same time scheme out step by step on the nodal unknowns, with a
+dense solve of cm M + ck K per step (``IntervalFem.matrix``): an O(M^2)
 reference that shares no marcher with the modal path.
 
 Time side, acting on the zero-at-origin remainder v of the multiscale
@@ -204,11 +204,9 @@ class SeparableField:
     def zero(domain) -> "SeparableField":
         return SeparableField(domain=domain, modes=())
 
-    @property
-    def is_zero(self) -> bool:
-        return all(amp.is_zero for _, _, amp in self.modes)
-
     def __add__(self, other: "SeparableField") -> "SeparableField":
+        if not isinstance(other, SeparableField):
+            return NotImplemented
         if self.domain != other.domain:
             raise ValueError("cannot add fields on different domains")
         acc = {k: amp for k, _, amp in self.modes}
@@ -515,15 +513,14 @@ def solve_diffusion_wave(
     du0,
     mesh: GradedMesh,
     fem: IntervalFem,
-    method: str = "modal",
 ) -> FieldTrace:
     """Wave-regime solver via reduction to the integrodifferential form.
 
     With a = g - 1 the first-order-in-time form reads
     w' = I^a Lap w + g0, g0 = I^{g-1} f + beta_g Lap u0 + du0, and two
     split levels by L = Lap I^{1+a} leave the remainder forcing L^2 g0
-    with reconstruction I^1 (g0 + L g0).  Runs the same CQ/CN stepper as
-    solve_integro, with the same ``method``.  f must be a SeparableField:
+    with reconstruction I^1 (g0 + L g0), marched by solve_integro, whose
+    method="full" on that data is the reference.  f must be a SeparableField:
     I^{g-1} f and its two-level split need closed-form time profiles.
     The amplitudes of u0 and du0 must be constant in time.
     """
@@ -533,4 +530,4 @@ def solve_diffusion_wave(
     one = TimeProfile.constant(1.0)
     du0 = du0.map_amplitudes(lambda lam, amp: _profile_times(amp, one, "du0"))
     f = f.map_amplitudes(lambda lam, amp: frac_integrate(amp, alpha)) + du0
-    return solve_integro(alpha, _pde_data(f, u0, 2, 1.0 + alpha, 1.0, gamma), mesh, fem, method=method)
+    return solve_integro(alpha, _pde_data(f, u0, 2, 1.0 + alpha, 1.0, gamma), mesh, fem)

@@ -79,7 +79,7 @@ def _split(prob: RelaxationProblem, mesh: GradedMesh | None):
     computed by product integration (that path carries the quadrature's
     own O(tau^2) error on top of the scheme's).  Its cell integrals are
     the L1 weights' numerators with exponent 1 + a, which
-    fracint.frac_integrate_numeric sums over its own exact tiles.
+    fracint.frac_integrate_numeric sums exactly, a block of rows at a time.
     """
     a, lam = prob.alpha, prob.lam
     if isinstance(prob.f, TimeProfile):

@@ -133,9 +133,12 @@ def theory_order(model: str, alpha: float, n: int = 0, r: float = 1.0, q: int = 
     a and strong grading, from rounding: see l1_scheme) and a lower bound
     once that term is smooth (1 at a = 0.5, n = 1, r = 1; observed 1.35).
     Collocation of order q on a uniform mesh: min(q, 2 (n+1)(1 - a)), a
-    lower bound (0.2 at a = 0.9, n = 0; observed 0.63, 0.58, 0.53 at M
-    128-512).  The CQ/CN stepper: 1 + a undecomposed, 2 with at least
-    one separated term, and the wave solver (alpha is gamma) 2: predictions.
+    lower bound at n = 0 (0.2 at a = 0.9; observed 0.63, 0.58, 0.53 at M
+    128-512) but too high at n >= 1 with (n+1)(1 - a) < 1: 1.0 at a =
+    0.75, n = 1, observed 0.89 falling to 0.82 at M 512-8192, and 1.2 at
+    a = 0.7, n = 1, observed 0.99 falling to 0.94 (ROADMAP item 14).
+    The CQ/CN stepper: 1 + a undecomposed, 2 with at least one separated
+    term, and the wave solver (alpha is gamma) 2: predictions.
     """
     if model in ("relaxation", "subdiffusion"):
         return min(2.0 - alpha, r * (n + 1) * alpha)
@@ -435,9 +438,7 @@ _CSV_HEADER = ["model", "alpha", "n", "r", "M", "error", "rate"]
 
 
 def emit_csv(reports) -> str:
-    """Serialize one report or an iterable of reports."""
-    if isinstance(reports, ConvergenceReport):
-        reports = [reports]
+    """Serialize an iterable of reports."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)

@@ -69,7 +69,7 @@ def test_model_options_follow_the_constructor(capsys, model, make, flag, x):
     # run with its default options, a subcommand runs the constructor with its own defaults
     code, out, err = _run(capsys, [model, flag, str(x), "--M", "8", "--M", "16", "--format", "csv"])
     assert code == 0, err
-    assert out == emit_csv(run_study(make(x), [8, 16]))
+    assert out == emit_csv([run_study(make(x), [8, 16])])
     # and --help lists each keyword the CLI exposes with the signature's default
     with pytest.raises(SystemExit) as exc:
         cli.main([model, "--help"])
@@ -90,8 +90,8 @@ def test_lambda_sets_lam(capsys):
     args = ["relaxation", "--alpha", "0.5", "--lambda", "2", "--M", "8", "--M", "16", "--format", "csv"]
     code, out, err = _run(capsys, args)
     assert code == 0, err
-    assert out == emit_csv(run_study(make_relaxation_study(0.5, lam=2.0), [8, 16]))
-    assert out != emit_csv(run_study(make_relaxation_study(0.5), [8, 16]))
+    assert out == emit_csv([run_study(make_relaxation_study(0.5, lam=2.0), [8, 16])])
+    assert out != emit_csv([run_study(make_relaxation_study(0.5), [8, 16])])
 
 
 def test_pretty_output_has_theory_line(capsys):

@@ -19,6 +19,10 @@ def test_profile_algebra():
     assert (p - p).is_zero
     assert (p * 0.0).is_zero
     assert (2.0 * q)(3.0) == pytest.approx(2.0 * 3.0**1.5)
+    # an operand that is not a profile is the usual TypeError, from either side
+    for other in (lambda: p + 1.0, lambda: 1.0 + p, lambda: p - 1.0):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other()
 
 
 def test_profile_duplicate_exponents_merge():

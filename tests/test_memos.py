@@ -3,17 +3,21 @@
 Each memo (toeplitz block inverses, conv_quad weights, volterra history
 moments) must hand every caller the bytes a fresh computation gives:
 under threads that switch every microsecond, and when two models march
-the same kernel back to back.
+the same kernel back to back.  The 120 table cells are pinned bit for
+bit by the record tests/table_cells.txt, with four uniform tables run at
+once on four threads.
 """
 
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msdfrac import (
+    TABLE_IDS,
     RelaxationProblem,
     SeparableField,
     TimeProfile,
@@ -22,6 +26,7 @@ from msdfrac import (
     build_mesh,
     conv_quad,
     msd_subdiffusion_data,
+    reproduce_table,
     solve_relaxation,
     solve_subdiffusion,
     toeplitz,
@@ -116,3 +121,33 @@ def test_relaxation_then_subdiffusion_equal_fresh_solves():
     for solve, got in zip(solves, in_turn):
         _clear_memos()
         assert got == solve().tobytes()
+
+
+def _cells(table_id):
+    """One line per cell: table, block, alpha, M and the error in float.hex."""
+    return [
+        f"{table_id} {side} {rep.params['alpha']} {row.M} {row.error.hex()}"
+        for side, block in zip(("left", "right"), reproduce_table(table_id))
+        for rep in block
+        for row in rep.rows
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:grading r =")
+def test_tables_match_the_cell_record():
+    """Every cell of tables 1-6 equals its record, run in turn and then
+    tables 1, 3, 4 and 6 at once on four threads from empty memos.
+
+    A change that moves a cell on purpose rewrites the record with
+
+        PYTHONPATH=src python -W ignore -c "from tests.test_memos import TABLE_IDS, _cells; print(*(c for n in TABLE_IDS for c in _cells(n)), sep='\\n')" > tests/table_cells.txt
+
+    and says in CHANGES.md which cells moved and why.
+    """
+    record = (Path(__file__).parent / "table_cells.txt").read_text().splitlines()
+    assert [cell for n in TABLE_IDS for cell in _cells(n)] == record
+    uniform = (1, 3, 4, 6)
+    _clear_memos()
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(_cells, uniform))
+    assert got == [[cell for cell in record if cell.split()[0] == str(n)] for n in uniform]

@@ -451,7 +451,7 @@ def test_csv_round_trip():
 def test_csv_single_report_and_gamma_fallback():
     rows = (StudyRow(M=32, error=1.0e-3, rate=None),)
     rep = ConvergenceReport("diffusion-wave", {"gamma": 1.5, "n": 2, "r": 1.0}, rows, 2.0)
-    text = emit_csv(rep)
+    text = emit_csv([rep])
     back = parse_csv(text)
     assert len(back) == 1
     # the alpha column carries gamma for the wave model
